@@ -1,132 +1,31 @@
-"""Frequency-sweep hot loops.
+"""Frequency-sweep kernels.
 
-Two interchangeable backends: numba-jitted kernels and plain numpy. The jit
-path wins big for small state dimensions (the per-point LAPACK calls dominate
-and numba removes the Python loop overhead); set NISYS_NO_NUMBA=1 to force
-the numpy path, e.g. on platforms where numba is unavailable.
-
-Each kernel takes the real system matrices and a frequency grid and returns,
-per grid point, the smallest eigenvalue of the tested Hermitian form plus the
+`eval_grid` takes the real system matrices and a frequency grid and returns
+the transfer matrix at every grid point. `sweep_eigmin` returns, per grid
+point, the smallest eigenvalue of the tested Hermitian form plus the
 Frobenius norm of the transfer matrix (used for relative tolerances).
 mode 0: H = j (P - P^*)   (negative-imaginary test)
 mode 1: H = P + P^*       (positive-real test)
+
+The n x n resolvent is solved one grid point at a time: stacking the solves
+would hold an (nw, n, n) complex array, about 1 GB at n = 200 on a default
+grid. The small (nw, m, m) forms are stacked into one eigensolve.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_backend = "numpy"
-if os.environ.get("NISYS_NO_NUMBA", "").lower() not in ("1", "true", "yes"):
-    try:
-        import numba
-
-        _backend = "numba"
-    except ImportError:
-        _backend = "numpy"
 
 
 def backend() -> str:
-    return _backend
-
-
-def _sweep_eigmin_numpy(A, B, C, D, ws, mode):
-    n = A.shape[0]
-    nw = ws.shape[0]
-    lam = np.empty(nw)
-    pnorm = np.empty(nw)
-    In = np.eye(n, dtype=np.complex128)
-    Bc = B.astype(np.complex128)
-    for i in range(nw):
-        P = C @ np.linalg.solve(1j * ws[i] * In - A, Bc) + D
-        H = (P + P.conj().T) if mode == 1 else 1j * (P - P.conj().T)
-        lam[i] = np.linalg.eigvalsh(H)[0]
-        pnorm[i] = np.linalg.norm(P)
-    return lam, pnorm
-
-
-def _eval_grid_numpy(A, B, C, D, ws):
-    n = A.shape[0]
-    nw = ws.shape[0]
-    out = np.empty((nw, C.shape[0], B.shape[1]), dtype=np.complex128)
-    In = np.eye(n, dtype=np.complex128)
-    Bc = B.astype(np.complex128)
-    for i in range(nw):
-        out[i] = C @ np.linalg.solve(1j * ws[i] * In - A, Bc) + D
-    return out
-
-
-if _backend == "numba":
-
-    @numba.njit(cache=True)
-    def _sweep_eigmin_jit(A, B, C, D, ws, mode):  # pragma: no cover - jitted
-        n = A.shape[0]
-        nw = ws.shape[0]
-        lam = np.empty(nw)
-        pnorm = np.empty(nw)
-        In = np.eye(n, dtype=np.complex128)
-        Ac = A.astype(np.complex128)
-        Bc = B.astype(np.complex128)
-        Cc = C.astype(np.complex128)
-        Dc = D.astype(np.complex128)
-        for i in range(nw):
-            R = 1j * ws[i] * In - Ac
-            P = Cc @ np.linalg.solve(R, Bc) + Dc
-            if mode == 1:
-                H = P + P.conj().T
-            else:
-                H = 1j * (P - P.conj().T)
-            lam[i] = np.linalg.eigvalsh(H)[0]
-            s = 0.0
-            for a in range(P.shape[0]):
-                for b in range(P.shape[1]):
-                    s += abs(P[a, b]) ** 2
-            pnorm[i] = np.sqrt(s)
-        return lam, pnorm
-
-    @numba.njit(cache=True)
-    def _eval_grid_jit(A, B, C, D, ws):  # pragma: no cover - jitted
-        n = A.shape[0]
-        nw = ws.shape[0]
-        out = np.empty((nw, C.shape[0], B.shape[1]), dtype=np.complex128)
-        In = np.eye(n, dtype=np.complex128)
-        Ac = A.astype(np.complex128)
-        Bc = B.astype(np.complex128)
-        Cc = C.astype(np.complex128)
-        Dc = D.astype(np.complex128)
-        for i in range(nw):
-            out[i] = Cc @ np.linalg.solve(1j * ws[i] * In - Ac, Bc) + Dc
-        return out
-
-
-def sweep_eigmin(A, B, C, D, ws, mode: int = 0):
-    """Per-frequency smallest eigenvalue of the mode's Hermitian form.
-
-    Frequencies must avoid poles of the system (caller's responsibility).
-    Returns (lam_min, pnorm) arrays aligned with ws.
-    """
-    A = np.ascontiguousarray(A, dtype=float)
-    B = np.ascontiguousarray(B, dtype=float)
-    C = np.ascontiguousarray(C, dtype=float)
-    D = np.ascontiguousarray(D, dtype=float)
-    ws = np.ascontiguousarray(ws, dtype=float)
-    if ws.size == 0:
-        return np.zeros(0), np.zeros(0)
-    if A.shape[0] == 0:
-        P = D.astype(np.complex128)
-        H = (P + P.conj().T) if mode == 1 else 1j * (P - P.conj().T)
-        lam0 = float(np.linalg.eigvalsh(H)[0]) if P.size else 0.0
-        nrm = float(np.linalg.norm(P))
-        return np.full(ws.size, lam0), np.full(ws.size, nrm)
-    if _backend == "numba":
-        return _sweep_eigmin_jit(A, B, C, D, ws, mode)
-    return _sweep_eigmin_numpy(A, B, C, D, ws, mode)
+    return "numpy"
 
 
 def eval_grid(A, B, C, D, ws):
-    """Transfer matrix values P(jw) over the grid, shape (nw, p, m)."""
+    """Transfer matrix values P(jw) over the grid, shape (nw, p, m).
+
+    Frequencies must avoid poles of the system (caller's responsibility).
+    """
     A = np.ascontiguousarray(A, dtype=float)
     B = np.ascontiguousarray(B, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
@@ -136,6 +35,24 @@ def eval_grid(A, B, C, D, ws):
         return np.zeros((0, C.shape[0], B.shape[1]), dtype=np.complex128)
     if A.shape[0] == 0:
         return np.broadcast_to(D.astype(np.complex128), (ws.size,) + D.shape).copy()
-    if _backend == "numba":
-        return _eval_grid_jit(A, B, C, D, ws)
-    return _eval_grid_numpy(A, B, C, D, ws)
+    out = np.empty((ws.size, C.shape[0], B.shape[1]), dtype=np.complex128)
+    In = np.eye(A.shape[0], dtype=np.complex128)
+    Bc = B.astype(np.complex128)
+    for i in range(ws.size):
+        out[i] = C @ np.linalg.solve(1j * ws[i] * In - A, Bc) + D
+    return out
+
+
+def sweep_eigmin(A, B, C, D, ws, mode: int = 0):
+    """Per-frequency smallest eigenvalue of the mode's Hermitian form.
+
+    Frequencies must avoid poles of the system (caller's responsibility).
+    Returns (lam_min, pnorm) arrays aligned with ws.
+    """
+    P = eval_grid(A, B, C, D, ws)
+    Ph = P.conj().transpose(0, 2, 1)
+    H = (P + Ph) if mode == 1 else 1j * (P - Ph)
+    lam = np.linalg.eigvalsh(H)[:, 0]
+    # per point: the stacked norm over axes (1, 2) sums in another order
+    pnorm = np.array([np.linalg.norm(Pk) for Pk in P], dtype=float)
+    return lam, pnorm

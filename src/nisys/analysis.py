@@ -12,7 +12,7 @@ certificates of record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,34 +95,63 @@ def _square(sys):
         raise ValueError("this test requires a square system")
 
 
-def check_ni_sweep(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
-    """Poles in the open left half-plane and lambda_min(H(w)) >= -tol
-    relative at every grid frequency (w >= 0)."""
-    _square(sys)
+def _pole_verdict(sys):
+    # a sweep verdict is False before any grid point when a pole is on or
+    # right of the imaginary axis
     p, on_axis, in_rhp = _pole_axis_status(sys)
     if on_axis or in_rhp:
         reason = "imaginary-axis pole" if on_axis else "right-half-plane pole"
         return FreqVerdict(False, np.nan, -np.inf, np.zeros(0), reason)
-    g = _as_grid(sys, grid)
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
+    return None
+
+
+def _ni_verdict(g, lam, pn, tol):
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
     return FreqVerdict(bool(rel[i] >= -tol), float(g[i]), float(lam[i]), g)
+
+
+def _sni_verdict(g, lam, tol):
+    i = int(np.argmin(lam))
+    return FreqVerdict(bool(lam[i] > tol), float(g[i]), float(lam[i]), g)
+
+
+def check_ni_sweep(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
+    """Poles in the open left half-plane and lambda_min(H(w)) >= -tol
+    relative at every grid frequency (w >= 0)."""
+    _square(sys)
+    bad = _pole_verdict(sys)
+    if bad is not None:
+        return bad
+    g = _as_grid(sys, grid)
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
+    return _ni_verdict(g, lam, pn, tol)
 
 
 def check_sni_sweep(sys: StateSpace, grid=None, tol: float = SNI_STRICT_TOL) -> FreqVerdict:
     """Strict version: lambda_min(H(w)) > tol for every grid frequency w > 0
     (w = 0 is excluded; H(0) = 0 is allowed for a strict system)."""
     _square(sys)
-    p, on_axis, in_rhp = _pole_axis_status(sys)
-    if on_axis or in_rhp:
-        reason = "imaginary-axis pole" if on_axis else "right-half-plane pole"
-        return FreqVerdict(False, np.nan, -np.inf, np.zeros(0), reason)
+    bad = _pole_verdict(sys)
+    if bad is not None:
+        return bad
     g = _as_grid(sys, grid, include_zero=False)
     g = g[g > 0]
     lam, _ = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
-    i = int(np.argmin(lam))
-    return FreqVerdict(bool(lam[i] > tol), float(g[i]), float(lam[i]), g)
+    return _sni_verdict(g, lam, tol)
+
+
+def _ni_and_sni_sweeps(sys, grid, tol):
+    """check_ni_sweep and check_sni_sweep (default strict tolerance) from
+    one sweep: the SNI grid is the NI grid without w = 0."""
+    _square(sys)
+    bad = _pole_verdict(sys)
+    if bad is not None:
+        return bad, replace(bad)
+    g = _as_grid(sys, grid)
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
+    pos = g > 0
+    return _ni_verdict(g, lam, pn, tol), _sni_verdict(g[pos], lam[pos], SNI_STRICT_TOL)
 
 
 @dataclass
@@ -217,7 +246,11 @@ class SniZerosResult:
 def check_sni_zeros(sys: StateSpace) -> SniZerosResult:
     """Strictness certificate: an NI system is SNI iff M(s) - M^T(-s) has no
     imaginary-axis transmission zeros except possibly at s = 0."""
-    ni = check_ni_lmi(sys)
+    return _sni_zeros(sys, check_ni_lmi(sys))
+
+
+def _sni_zeros(sys, ni):
+    # check_sni_zeros given the NI certificate result `ni` of sys
     none = np.zeros(0, dtype=complex)
     if not ni.is_ni:
         return SniZerosResult(False, none, none, reason=f"not NI ({ni.reason})", ni=ni)
@@ -389,11 +422,12 @@ class Classification:
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
     """Run the full battery. The LMI and zero tests are the verdicts of
-    record for NI/SNI; the sweeps are the PR/SPR verdicts and NI evidence."""
-    ni_sw = check_ni_sweep(sys, grid=grid, tol=tol)
-    sni_sw = check_sni_sweep(sys, grid=grid)
+    record for NI/SNI; the sweeps are the PR/SPR verdicts and NI evidence.
+    Each field equals what the standalone check returns; the NI and SNI
+    sweeps share one sweep and the zero test shares the NI certificate."""
+    ni_sw, sni_sw = _ni_and_sni_sweeps(sys, grid, tol)
     ni_cert = check_ni_lmi(sys)
-    sni_z = check_sni_zeros(sys)
+    sni_z = _sni_zeros(sys, ni_cert)
     pr = check_positive_real(sys, grid=grid, tol=tol)
     spr = check_strictly_positive_real(sys, grid=grid, tol=tol)
     return Classification(

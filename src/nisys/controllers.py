@@ -10,6 +10,7 @@ gain matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +44,22 @@ def _term_den(zeta, omega):
     return A, z, w
 
 
+def _parallel_sum(parts) -> StateSpace:
+    if not parts:
+        raise ValueError("need at least one term")
+    return functools.reduce(add, parts)
+
+
+def _ppf_term(k, zeta, omega):
+    k = _check_pos("k", k)
+    A, _, _ = _term_den(zeta, omega)
+    return StateSpace(A, [[0.0], [1.0]], [[k, 0.0]], [[0.0]])
+
+
 def ppf(terms) -> StateSpace:
     """Positive position feedback: sum of k / (s^2 + 2 zeta omega s + omega^2)
     over terms (k, zeta, omega), all parameters positive. SNI."""
-    parts = []
-    for k, zeta, omega in terms:
-        k = _check_pos("k", k)
-        A, _, w = _term_den(zeta, omega)
-        parts.append(StateSpace(A, [[0.0], [1.0]], [[k, 0.0]], [[0.0]]))
-    if not parts:
-        raise ValueError("need at least one term")
-    out = parts[0]
-    for p in parts[1:]:
-        out = add(out, p)
-    return out
+    return _parallel_sum([_ppf_term(k, zeta, omega) for k, zeta, omega in terms])
 
 
 def ppf_mimo(K, D, Omega) -> StateSpace:
@@ -85,51 +88,33 @@ def _gain_vector(g):
     return v, None
 
 
+def _resonant_term(g, zeta, omega, accel):
+    # the two resonant types differ only in the second entry of C: with
+    # 2 zeta omega the s term of -g + C (sI - A)^{-1} B cancels, giving
+    # -g s^2 / den; with 0 it stays, giving -g s (s + 2 zeta omega) / den
+    v, k = _gain_vector(g)
+    A, z, w = _term_den(zeta, omega)
+    if v is None:
+        return StateSpace(A, [[0.0], [1.0]],
+                          [[k * w * w, 2.0 * k * z * w if accel else 0.0]], [[-k]])
+    B = np.vstack([np.zeros((1, v.size)), v[None, :]])
+    C = np.outer(v, [w * w, 2.0 * z * w if accel else 0.0])
+    return StateSpace(A, B, C, -np.outer(v, v))
+
+
 def resonant_acc(terms) -> StateSpace:
     """Resonant acceleration-type feedback, sum over (g, zeta, omega) of
     -g s^2 / (s^2 + 2 zeta omega s + omega^2) for scalar g = k > 0, or the
     rank-one form with g = alpha (vector) giving -s^2/den alpha alpha^T. NI
     with feedthrough -k (resp. -alpha alpha^T)."""
-    parts = []
-    for g, zeta, omega in terms:
-        v, k = _gain_vector(g)
-        A, z, w = _term_den(zeta, omega)
-        if v is None:
-            parts.append(StateSpace(A, [[0.0], [1.0]],
-                                    [[k * w * w, 2.0 * k * z * w]], [[-k]]))
-        else:
-            B = np.vstack([np.zeros((1, v.size)), v[None, :]])
-            C = np.outer(v, [w * w, 2.0 * z * w])
-            parts.append(StateSpace(A, B, C, -np.outer(v, v)))
-    if not parts:
-        raise ValueError("need at least one term")
-    out = parts[0]
-    for p in parts[1:]:
-        out = add(out, p)
-    return out
+    return _parallel_sum([_resonant_term(g, zeta, omega, True) for g, zeta, omega in terms])
 
 
 def resonant_vel_type(terms) -> StateSpace:
     """Resonant velocity-type feedback, sum over (g, zeta, omega) of
     -g s (s + 2 zeta omega) / (s^2 + 2 zeta omega s + omega^2), scalar or
     rank-one vector gain as in resonant_acc. NI."""
-    parts = []
-    for g, zeta, omega in terms:
-        v, k = _gain_vector(g)
-        A, z, w = _term_den(zeta, omega)
-        if v is None:
-            parts.append(StateSpace(A, [[0.0], [1.0]],
-                                    [[k * w * w, 0.0]], [[-k]]))
-        else:
-            B = np.vstack([np.zeros((1, v.size)), v[None, :]])
-            C = np.outer(v, [w * w, 0.0])
-            parts.append(StateSpace(A, B, C, -np.outer(v, v)))
-    if not parts:
-        raise ValueError("need at least one term")
-    out = parts[0]
-    for p in parts[1:]:
-        out = add(out, p)
-    return out
+    return _parallel_sum([_resonant_term(g, zeta, omega, False) for g, zeta, omega in terms])
 
 
 def irc(Gamma, Phi) -> StateSpace:

@@ -200,23 +200,25 @@ def inf_gain(sys: StateSpace) -> np.ndarray:
     return sys.D.copy()
 
 
-def _ctrb(A, B):
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
-    """Controllability and observability full-rank tests (SVD based)."""
+    """Popov-Belevitch-Hautus tests: [A - lam I, B] and [A - lam I; C] have
+    rank n at every eigenvalue lam of A (smallest singular value above rtol
+    times the largest). Done in balanced coordinates, where the tests are
+    well scaled for lightly damped modes far apart in frequency; a Krylov
+    matrix of such a system is too ill-conditioned to rank."""
     n = sys.n
     if n == 0:
         return True
-    for M in (_ctrb(sys.A, sys.B), _ctrb(sys.A.T, sys.C.T)):
-        sv = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
-        if rank < n:
-            return False
+    Ab, T = numerics.balance(sys.A)
+    t = np.diag(T)
+    Bb = sys.B / t[:, None]
+    Cb = sys.C * t[None, :]
+    for lam in numerics.eig_general(Ab):
+        R = Ab - lam * np.eye(n)
+        for M in (np.hstack([R, Bb]), np.vstack([R, Cb])):
+            sv = np.linalg.svd(M, compute_uv=False)
+            if sv[n - 1] <= rtol * sv[0]:
+                return False
     return True
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lmi as lmimod
+from ._kernels import eval_grid
 from .analysis import FreqVerdict, NiLmiResult, check_ni_lmi, check_ni_sweep, default_grid
-from .lti import StateSpace, dc_gain, evaluate
+from .lti import StateSpace, dc_gain
 from .numerics import eig_symmetric
 
 EPS_LADDER = (1e-8, 1e-4)
@@ -239,8 +240,8 @@ def verify_closed_loop(plant: UncertainPlant, K, Y=None, grid=None,
     phase_ok = True
     if hurwitz and gcl.is_siso:
         g = ni_sw.grid if ni_sw.grid.size else default_grid(gcl)
-        for w in g[g > 0]:
-            v = evaluate(gcl, 1j * w)[0, 0]
+        g = g[g > 0]
+        for w, v in zip(g, eval_grid(gcl.A, gcl.B, gcl.C, gcl.D, g)[:, 0, 0]):
             if abs(v) < 1e-12:
                 continue
             if v.imag > 1e-12 * (1.0 + abs(v)):

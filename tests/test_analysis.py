@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nisys import lmi as lmimod
 from nisys import (check_ni_lmi, check_ni_sweep, check_positive_real,
                    check_sni_sweep, check_sni_zeros,
                    check_strictly_positive_real, classify, default_grid,
@@ -62,6 +65,48 @@ def test_golden_unstable(unstable):
     c = classify(unstable)
     assert not c.ni and not c.sni and not c.pr
     assert c.ni_sweep.reason == "right-half-plane pole"
+
+
+def _same(a, b):
+    # exact equality through dataclasses, containers and arrays (NaN == NaN)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, (np.ndarray, float, complex)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
+                                          unstable, monkeypatch):
+    solves = []
+    solve = lmimod.solve_feasibility
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lmimod, "solve_feasibility", counted)
+    grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
+    cases = [(first_order, None, 1), (second_order, None, 1), (velocity_mode, None, 1),
+             (second_order, grid, 1), (unstable, None, 0)]
+    for sys, g, want in cases:
+        solves.clear()
+        c = classify(sys, grid=g)
+        assert len(solves) == want
+        ni_lmi = check_ni_lmi(sys)
+        sni_zeros = check_sni_zeros(sys)
+        assert _same(c.ni_sweep, check_ni_sweep(sys, grid=g))
+        assert _same(c.sni_sweep, check_sni_sweep(sys, grid=g))
+        assert _same(c.ni_lmi, ni_lmi)
+        assert _same(c.sni_zeros, sni_zeros)
+        assert _same(c.pr_sweep, check_positive_real(sys, grid=g))
+        assert _same(c.spr_sweep, check_strictly_positive_real(sys, grid=g))
+        assert c.ni == ni_lmi.is_ni and c.sni == (ni_lmi.is_ni and sni_zeros.is_sni)
 
 
 def test_ni_sweep_rejects_axis_pole():

@@ -82,6 +82,13 @@ def test_is_minimal():
     A = np.diag([-1.0, -1.0])
     sys = StateSpace(A, [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
     assert not is_minimal(sys)
+    # pole-zero cancellation (s+1)/((s+1)(s+2))
+    assert not is_minimal(tf([1.0, 1.0], [1.0, 3.0, 2.0]))
+    # lightly damped modes at 100 k rad/s: distinct poles, nonzero residues;
+    # the 30-mode plant overflows a Krylov matrix
+    for count in (1, 2, 3, 5, 10, 30):
+        modes = tuple((100.0 * k, 2.0, (1.0,)) for k in range(1, count + 1))
+        assert is_minimal(modal_to_ss(ModalModel(modes)))
 
 
 def test_diagonal_replicate():
