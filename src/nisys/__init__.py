@@ -1,10 +1,10 @@
 """Analysis and synthesis for negative-imaginary systems.
 
-Core objects: StateSpace / ModalModel realizations, frequency sweeps and LMI
-certificates for the negative-imaginary and positive-real properties, the
-DC-gain stability test for positive feedback loops, standard NI controller
-families with a gain tuning loop, and state feedback synthesis against
-strictly-NI uncertainty.
+Core objects: StateSpace / ModalModel realizations, zero-pencil verdicts for
+the negative-imaginary properties, frequency sweeps for the positive-real
+ones, LMI certificates on demand, the DC-gain stability test for positive
+feedback loops, standard NI controller families with a gain tuning loop, and
+state feedback synthesis against strictly-NI uncertainty.
 """
 
 from .analysis import (
@@ -12,10 +12,10 @@ from .analysis import (
     FreqVerdict,
     NiLmiResult,
     SniZerosResult,
+    check_ni,
     check_ni_lmi,
     check_ni_sweep,
     check_positive_real,
-    check_sni_sweep,
     check_sni_zeros,
     check_strictly_positive_real,
     classify,
@@ -82,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification", "FreqVerdict", "NiLmiResult", "SniZerosResult",
-    "check_ni_lmi", "check_ni_sweep", "check_positive_real", "check_sni_sweep",
+    "check_ni", "check_ni_lmi", "check_ni_sweep", "check_positive_real",
     "check_sni_zeros", "check_strictly_positive_real", "classify",
     "default_grid", "hermitian_imaginary_part", "phi_imaginary_axis_zeros",
     "phi_system", "rotated_system", "sni_sufficient_lag", "sni_sufficient_lag2",

@@ -1,18 +1,20 @@
 """Classification of LTI systems by frequency-domain sign properties.
 
 Covers the negative-imaginary family (NI, strictly NI) and the positive-real
-family (PR, strictly PR), each by dense frequency sweep, plus certificate
-routes: the NI lemma LMI, the transmission-zero test on M(s) - M^T(-s), and
-the lag-augmentation sufficient conditions for strictness.
-
-Sweeps are necessary-style evidence on a grid; the LMI and zero tests are the
-certificates of record.
+family (PR, strictly PR). The NI and SNI verdicts of record read the
+transmission zeros of Phi(s) = M(s) - M^T(-s): the eigenvalues of
+H(w) = j Phi(jw) change sign only at its imaginary-axis zeros, so H is
+tested once between each pair of them (`check_ni`), and an NI system is SNI
+iff Phi has no such zero away from s = 0 (`check_sni_zeros`). The PR and SPR
+verdicts are dense frequency sweeps. The NI lemma LMI (`check_ni_lmi`) and
+the lag-augmentation sufficient conditions for strictness are certificates
+on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .lti import StateSpace, evaluate, is_minimal, poles
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
 NI_SWEEP_TOL = 1e-8   # relative, scaled by 1 + ||P(jw)||
-SNI_STRICT_TOL = 1e-10  # absolute strict margin for w > 0
 DEFAULT_PPD = 200
 
 
@@ -96,62 +97,67 @@ def _square(sys):
 
 
 def _pole_verdict(sys):
-    # a sweep verdict is False before any grid point when a pole is on or
-    # right of the imaginary axis
+    # poles of sys, and a verdict that is False before any grid point when
+    # a pole is on or right of the imaginary axis (else None)
     p, on_axis, in_rhp = _pole_axis_status(sys)
     if on_axis or in_rhp:
         reason = "imaginary-axis pole" if on_axis else "right-half-plane pole"
-        return FreqVerdict(False, np.nan, -np.inf, np.zeros(0), reason)
-    return None
+        return p, FreqVerdict(False, np.nan, -np.inf, np.zeros(0), reason)
+    return p, None
 
 
-def _ni_verdict(g, lam, pn, tol):
+def _ni_on_grid(sys, g, tol):
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
     return FreqVerdict(bool(rel[i] >= -tol), float(g[i]), float(lam[i]), g)
-
-
-def _sni_verdict(g, lam, tol):
-    i = int(np.argmin(lam))
-    return FreqVerdict(bool(lam[i] > tol), float(g[i]), float(lam[i]), g)
 
 
 def check_ni_sweep(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Poles in the open left half-plane and lambda_min(H(w)) >= -tol
     relative at every grid frequency (w >= 0)."""
     _square(sys)
-    bad = _pole_verdict(sys)
+    _, bad = _pole_verdict(sys)
     if bad is not None:
         return bad
-    g = _as_grid(sys, grid)
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
-    return _ni_verdict(g, lam, pn, tol)
+    return _ni_on_grid(sys, _as_grid(sys, grid), tol)
 
 
-def check_sni_sweep(sys: StateSpace, grid=None, tol: float = SNI_STRICT_TOL) -> FreqVerdict:
-    """Strict version: lambda_min(H(w)) > tol for every grid frequency w > 0
-    (w = 0 is excluded; H(0) = 0 is allowed for a strict system)."""
+def _breakpoint_grid(zeros, p):
+    """Test frequencies that decide NI: w = 0, the midpoint of each interval
+    between breakpoints (0 and |Im z| of every finite zero z of Phi), the
+    point 2 * last + 1 past them, and every pole magnitude, where a light
+    resonance peaks between two far-apart breakpoints."""
+    b = np.unique(np.concatenate(([0.0], np.abs(zeros.imag))))
+    return np.unique(np.concatenate((b[:1], 0.5 * (b[:-1] + b[1:]),
+                                     [2.0 * b[-1] + 1.0], np.abs(p))))
+
+
+def _ni_spectral(sys, tol=NI_SWEEP_TOL):
+    """check_ni(sys, tol) and the imaginary-axis zeros of Phi, from one zero
+    pencil. The zeros are None when poles decide the verdict or the pencil
+    is singular."""
     _square(sys)
-    bad = _pole_verdict(sys)
+    p, bad = _pole_verdict(sys)
     if bad is not None:
-        return bad
-    g = _as_grid(sys, grid, include_zero=False)
-    g = g[g > 0]
-    lam, _ = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
-    return _sni_verdict(g, lam, tol)
+        return bad, None
+    try:
+        axis, fin = phi_imaginary_axis_zeros(sys)
+    except numerics.NumericsError:
+        v = check_ni_sweep(sys, tol=tol)
+        v.note = "zero pencil singular (H(w) singular at every w), default-grid sweep used"
+        return v, None
+    return _ni_on_grid(sys, _breakpoint_grid(fin, p), tol), axis
 
 
-def _ni_and_sni_sweeps(sys, grid, tol):
-    """check_ni_sweep and check_sni_sweep (default strict tolerance) from
-    one sweep: the SNI grid is the NI grid without w = 0."""
-    _square(sys)
-    bad = _pole_verdict(sys)
-    if bad is not None:
-        return bad, replace(bad)
-    g = _as_grid(sys, grid)
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
-    pos = g > 0
-    return _ni_verdict(g, lam, pn, tol), _sni_verdict(g[pos], lam[pos], SNI_STRICT_TOL)
+def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
+    """NI verdict of record: poles in the open left half-plane and
+    lambda_min(H(w)) >= -tol relative at every w >= 0, decided by testing H
+    once in each interval between the imaginary-axis zeros of
+    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. When the zero pencil
+    is singular, falls back to check_ni_sweep on the default grid and says
+    so in `note`."""
+    return _ni_spectral(sys, tol)[0]
 
 
 @dataclass
@@ -180,10 +186,10 @@ def check_ni_lmi(sys: StateSpace, balance: bool = True) -> NiLmiResult:
     minimal = is_minimal(sys)
     if np.linalg.norm(D - D.T) > 1e-9 * (1.0 + np.linalg.norm(D)):
         return NiLmiResult(False, None, "feedthrough matrix is not symmetric", minimal)
-    p = poles(sys)
-    if p.size and np.any(np.abs(p.real) <= AXIS_TOL * (1.0 + np.abs(p))):
+    _, on_axis, in_rhp = _pole_axis_status(sys)
+    if on_axis:
         return NiLmiResult(False, None, "imaginary-axis eigenvalue of A", minimal)
-    if p.size and np.any(p.real > 0):
+    if in_rhp:
         return NiLmiResult(False, None, "right-half-plane pole", minimal)
     if sys.n == 0:
         return NiLmiResult(True, np.zeros((0, 0)), None, minimal)
@@ -219,14 +225,14 @@ def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL):
 
     Computed as the finite generalized eigenvalues of the system-matrix
     pencil of the doubled realization. Returns (axis_zeros, all_finite).
+    Raises NumericsError when the pencil is singular, that is when H(w) is
+    singular at every w.
     """
     phi = phi_system(sys)
     n2, m = phi.n, phi.inputs
     M1 = np.block([[phi.A, phi.B], [phi.C, phi.D]])
     M2 = np.block([[np.eye(n2), np.zeros((n2, m))], [np.zeros((m, n2 + m))]])
     fin = numerics.generalized_eigenvalues(M1, M2)
-    if np.any(np.isnan(fin)):
-        raise numerics.NumericsError("degenerate zero pencil")
     on_axis = fin[np.abs(fin.real) <= axis_tol * (1.0 + np.abs(fin))]
     return np.sort_complex(on_axis), fin
 
@@ -237,29 +243,28 @@ class SniZerosResult:
     axis_zeros: np.ndarray
     violating_zeros: np.ndarray
     reason: str | None = None
-    ni: NiLmiResult | None = None
+    ni: FreqVerdict | None = None
 
     def __bool__(self):
         return self.is_sni
 
 
 def check_sni_zeros(sys: StateSpace) -> SniZerosResult:
-    """Strictness certificate: an NI system is SNI iff M(s) - M^T(-s) has no
-    imaginary-axis transmission zeros except possibly at s = 0."""
-    return _sni_zeros(sys, check_ni_lmi(sys))
+    """Strictness verdict of record: an NI system is SNI iff M(s) - M^T(-s)
+    has no imaginary-axis transmission zeros except possibly at s = 0. The
+    NI verdict is check_ni's, from the same zero pencil."""
+    return _sni_zeros(*_ni_spectral(sys))
 
 
-def _sni_zeros(sys, ni):
-    # check_sni_zeros given the NI certificate result `ni` of sys
+def _sni_zeros(ni, axis):
+    # check_sni_zeros given the NI verdict `ni` and the axis zeros of Phi
     none = np.zeros(0, dtype=complex)
-    if not ni.is_ni:
-        return SniZerosResult(False, none, none, reason=f"not NI ({ni.reason})", ni=ni)
-    try:
-        axis, _ = phi_imaginary_axis_zeros(sys)
-    except numerics.NumericsError:
-        sweep = check_sni_sweep(sys)
-        return SniZerosResult(bool(sweep.holds), none, none,
-                              reason="zero pencil degenerate, sweep fallback", ni=ni)
+    if not ni.holds:
+        why = ni.reason or f"lambda_min(H) = {ni.worst_margin:.3g} at w = {ni.worst_frequency:g}"
+        return SniZerosResult(False, none, none, reason=f"not NI ({why})", ni=ni)
+    if axis is None:
+        return SniZerosResult(False, none, none, ni=ni,
+                              reason="zero pencil singular: H(w) is singular at every w")
     violating = axis[np.abs(axis) > ORIGIN_TOL]
     return SniZerosResult(violating.size == 0, axis, violating, ni=ni)
 
@@ -389,8 +394,7 @@ class Classification:
     pr: bool
     spr: bool
     ni_sweep: FreqVerdict
-    sni_sweep: FreqVerdict
-    ni_lmi: NiLmiResult
+    ni_spectral: FreqVerdict
     sni_zeros: SniZerosResult
     pr_sweep: FreqVerdict
     spr_sweep: FreqVerdict
@@ -408,11 +412,8 @@ class Classification:
 
         out = {
             "ni": self.ni, "sni": self.sni, "pr": self.pr, "spr": self.spr,
-            "ni_sweep": fv(self.ni_sweep), "sni_sweep": fv(self.sni_sweep),
+            "ni_spectral": fv(self.ni_spectral), "ni_sweep": fv(self.ni_sweep),
             "pr_sweep": fv(self.pr_sweep), "spr_sweep": fv(self.spr_sweep),
-            "ni_lmi": {"is_ni": self.ni_lmi.is_ni, "reason": self.ni_lmi.reason,
-                       "minimal": self.ni_lmi.minimal,
-                       "certificate": None if self.ni_lmi.Y is None else self.ni_lmi.Y.tolist()},
             "sni_zeros": {"is_sni": self.sni_zeros.is_sni,
                           "reason": self.sni_zeros.reason,
                           "axis_zeros": [[z.real, z.imag] for z in np.asarray(self.sni_zeros.axis_zeros)]},
@@ -421,17 +422,15 @@ class Classification:
 
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
-    """Run the full battery. The LMI and zero tests are the verdicts of
-    record for NI/SNI; the sweeps are the PR/SPR verdicts and NI evidence.
-    Each field equals what the standalone check returns; the NI and SNI
-    sweeps share one sweep and the zero test shares the NI certificate."""
-    ni_sw, sni_sw = _ni_and_sni_sweeps(sys, grid, tol)
-    ni_cert = check_ni_lmi(sys)
-    sni_z = _sni_zeros(sys, ni_cert)
+    """Run the full battery. check_ni and check_sni_zeros, sharing one zero
+    pencil, are the verdicts of record for NI/SNI; the sweeps on `grid` are
+    the PR/SPR verdicts and NI evidence. Each field equals what the
+    standalone check returns at this tol (check_sni_zeros: at the default)."""
+    ni, axis = _ni_spectral(sys, tol)
+    sni_z = _sni_zeros(ni, axis)
     pr = check_positive_real(sys, grid=grid, tol=tol)
     spr = check_strictly_positive_real(sys, grid=grid, tol=tol)
     return Classification(
-        ni=bool(ni_cert.is_ni), sni=bool(ni_cert.is_ni and sni_z.is_sni),
-        pr=bool(pr.holds), spr=bool(spr.holds),
-        ni_sweep=ni_sw, sni_sweep=sni_sw, ni_lmi=ni_cert, sni_zeros=sni_z,
-        pr_sweep=pr, spr_sweep=spr)
+        ni=bool(ni.holds), sni=bool(sni_z.is_sni), pr=bool(pr.holds), spr=bool(spr.holds),
+        ni_sweep=check_ni_sweep(sys, grid=grid, tol=tol), ni_spectral=ni,
+        sni_zeros=sni_z, pr_sweep=pr, spr_sweep=spr)

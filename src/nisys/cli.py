@@ -207,9 +207,8 @@ def cmd_synth_sf(args) -> int:
         "closed_loop": {
             "ok": bool(rep_cl.ok),
             "hurwitz": bool(rep_cl.hurwitz),
-            "ni_sweep_holds": bool(rep_cl.ni_sweep.holds),
-            "ni_sweep_worst_margin": float(rep_cl.ni_sweep.worst_margin),
-            "phase_ok": bool(rep_cl.phase_ok),
+            "ni_holds": bool(rep_cl.ni.holds),
+            "ni_worst_margin": float(rep_cl.ni.worst_margin),
             "dc_sigma_max": float(rep_cl.dc_sigma_max),
             "dc_identity_error": rep_cl.dc_identity_error,
             "mc_failures": int(rep_cl.mc_failures),

@@ -106,8 +106,7 @@ def _complement(Q, m):
 
 
 def solve_feasibility(problem: LmiProblem, max_iter=20000, stall_iters=500,
-                      stall_tol=1e-10, psd_tol=1e-9, strict_margin=1e-8,
-                      verbose=False) -> SolveResult:
+                      stall_tol=1e-10, psd_tol=1e-9, strict_margin=1e-8) -> SolveResult:
     """Search for a feasible point of the problem.
 
     Acceptance: every non-strict cone block has min eigenvalue
@@ -231,8 +230,6 @@ def solve_feasibility(problem: LmiProblem, max_iter=20000, stall_iters=500,
         best_init, best_init_f = np.zeros(k), f_of(np.zeros(k))
     xi, best_f = best_init.copy(), best_init_f
     best_xi = xi.copy()
-    if verbose:
-        print(f"  init margin={best_f:.3e} reduced dim={k}")
 
     def _viol_and_rows(xq, want_rows=False, strict_lift=None):
         viol2 = 0.0

@@ -90,8 +90,18 @@ def balance(A):
 
 
 def generalized_eigenvalues(M1, M2) -> np.ndarray:
-    """Finite generalized eigenvalues of the pencil (M1, M2)."""
+    """Finite generalized eigenvalues of the pencil (M1, M2).
+
+    A singular pencil (det(M1 - s M2) = 0 for every s) shows as a pair
+    (alpha, beta) with both at rounding level, and raises NumericsError.
+    """
     M1 = as_matrix(M1, square=True, name="M1")
     M2 = as_matrix(M2, square=True, name="M2")
-    ev = sla.eig(M1, M2, right=False)
+    alpha, beta = sla.eig(M1, M2, right=False, homogeneous_eigvals=True)
+    tol = M1.shape[0] * np.finfo(float).eps
+    if np.any((np.abs(alpha) <= tol * np.linalg.norm(M1))
+              & (np.abs(beta) <= tol * np.linalg.norm(M2))):
+        raise NumericsError("singular pencil")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ev = alpha / beta
     return ev[np.isfinite(ev)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AXIS_TOL, check_ni_sweep, check_sni_sweep
+from .analysis import AXIS_TOL, check_ni, check_sni_zeros
 from .lti import StateSpace, dc_gain, inf_gain, positive_feedback
 
 MARGINAL_BAND = 1e-6
@@ -80,10 +80,10 @@ class StabilityReport:
         }
 
 
-def dc_gain_verdict(M: StateSpace, N: StateSpace, grid=None) -> StabilityReport:
+def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
     """Apply the DC-gain stability test to the positive feedback loop [M, N].
 
-    M must be NI and N strictly NI (checked by sweep), with
+    M must be NI and N strictly NI (check_ni and check_sni_zeros), with
     M(inf) N(inf) = 0 and N(inf) >= 0. Then stability of the loop is
     equivalent to lambda_max(M(0) N(0)) < 1. When a hypothesis fails, or
     lambda_max sits within 1e-6 of 1, the verdict falls back to the direct
@@ -91,8 +91,8 @@ def dc_gain_verdict(M: StateSpace, N: StateSpace, grid=None) -> StabilityReport:
     """
     if M.inputs != N.outputs or M.outputs != N.inputs:
         raise ValueError("loop dimensions do not match")
-    m_ni = check_ni_sweep(M, grid=grid).holds
-    n_sni = check_sni_sweep(N, grid=grid).holds
+    m_ni = check_ni(M).holds
+    n_sni = check_sni_zeros(N).is_sni
 
     Minf, Ninf = inf_gain(M), inf_gain(N)
     prod = Minf @ Ninf

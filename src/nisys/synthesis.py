@@ -18,13 +18,12 @@ what makes the search numerically solvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lmi as lmimod
-from ._kernels import eval_grid
-from .analysis import FreqVerdict, NiLmiResult, check_ni_lmi, check_ni_sweep, default_grid
+from .analysis import FreqVerdict, check_ni
 from .lti import StateSpace, dc_gain
 from .numerics import eig_symmetric
 
@@ -181,28 +180,21 @@ def synthesize_state_feedback(plant: UncertainPlant, eps: float = 1e-6,
 class ClosedLoopReport:
     """Independent checks of a candidate gain on the original plant data.
 
-    `ok` gates on: Hurwitz A + B2 K, the NI frequency sweep (with the
-    single-output phase test when applicable), DC gain contraction
-    sigma_max < 1 with a symmetric PSD DC gain, the DC identity
-    Gcl(0) = C1 Y C1^T when Y is supplied, and a seeded batch of random
-    strictly-NI uncertainty closures all stable. The NI certificate LMI on
-    the closed loop is reported as evidence but does not gate: the loop may
-    be boundary-NI (sweep margin at numerical zero), where the strict
-    feasibility problem is one-sided.
+    `ok` gates on: Hurwitz A + B2 K, the NI verdict of record (check_ni),
+    DC gain contraction sigma_max < 1 with a symmetric PSD DC gain, the DC
+    identity Gcl(0) = C1 Y C1^T when Y is supplied, and a seeded batch of
+    random strictly-NI uncertainty closures all stable.
     """
 
     ok: bool
     hurwitz: bool
-    ni_sweep: FreqVerdict
-    phase_ok: bool
+    ni: FreqVerdict
     dc_sigma_max: float
     dc_contraction: bool
     dc_psd: bool
     dc_identity_error: float | None
     mc_failures: int
     mc_samples: int
-    ni_lmi: NiLmiResult | None = None
-    notes: list = field(default_factory=list)
 
 
 def _mc_sni_closures(Acl, B1, C1, samples, seed):
@@ -226,28 +218,15 @@ def _mc_sni_closures(Acl, B1, C1, samples, seed):
     return fails
 
 
-def verify_closed_loop(plant: UncertainPlant, K, Y=None, grid=None,
-                       mc_samples: int = 20, seed: int = 20260819) -> ClosedLoopReport:
+def verify_closed_loop(plant: UncertainPlant, K, Y=None, mc_samples: int = 20,
+                       seed: int = 20260819) -> ClosedLoopReport:
     K = np.asarray(K, dtype=float).reshape(plant.controls, plant.n)
     gcl = closed_loop(plant, K)
-    notes = []
 
     ev = np.linalg.eigvals(gcl.A)
     hurwitz = bool(ev.size == 0 or np.all(ev.real < 0))
 
-    ni_sw = check_ni_sweep(gcl, grid=grid)
-
-    phase_ok = True
-    if hurwitz and gcl.is_siso:
-        g = ni_sw.grid if ni_sw.grid.size else default_grid(gcl)
-        g = g[g > 0]
-        for w, v in zip(g, eval_grid(gcl.A, gcl.B, gcl.C, gcl.D, g)[:, 0, 0]):
-            if abs(v) < 1e-12:
-                continue
-            if v.imag > 1e-12 * (1.0 + abs(v)):
-                phase_ok = False
-                notes.append(f"positive phase at w={w:g}")
-                break
+    ni = check_ni(gcl)
 
     if hurwitz:
         G0 = dc_gain(gcl)
@@ -270,15 +249,9 @@ def verify_closed_loop(plant: UncertainPlant, K, Y=None, grid=None,
     mc_fails = _mc_sni_closures(gcl.A, plant.B1, plant.C1, mc_samples, seed) \
         if hurwitz else mc_samples
 
-    ni_cert = check_ni_lmi(gcl) if hurwitz else None
-    if ni_cert is not None and not ni_cert.is_ni:
-        notes.append("closed-loop NI LMI not strictly feasible (boundary case); "
-                     "sweep verdict gates")
-
-    ok = bool(hurwitz and ni_sw.holds and phase_ok and contraction and dc_psd
+    ok = bool(hurwitz and ni.holds and contraction and dc_psd
               and (ident is None or ident <= 1e-6) and mc_fails == 0)
-    return ClosedLoopReport(ok=ok, hurwitz=hurwitz, ni_sweep=ni_sw,
-                            phase_ok=phase_ok, dc_sigma_max=smax,
+    return ClosedLoopReport(ok=ok, hurwitz=hurwitz, ni=ni, dc_sigma_max=smax,
                             dc_contraction=contraction, dc_psd=dc_psd,
                             dc_identity_error=ident, mc_failures=mc_fails,
-                            mc_samples=mc_samples, ni_lmi=ni_cert, notes=notes)
+                            mc_samples=mc_samples)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from nisys import lmi as lmimod
-from nisys import (check_ni_lmi, check_ni_sweep, check_positive_real,
-                   check_sni_sweep, check_sni_zeros,
-                   check_strictly_positive_real, classify, default_grid,
-                   hermitian_imaginary_part, irc, phi_system, poles,
-                   rotated_system, sni_sufficient_lag, sni_sufficient_lag2)
+from nisys import numerics
+from nisys import (add, check_ni, check_ni_lmi, check_ni_sweep, check_positive_real,
+                   check_sni_zeros, check_strictly_positive_real, classify,
+                   dc_gain_verdict, default_grid, hermitian_imaginary_part, irc,
+                   phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
+                   sni_sufficient_lag, sni_sufficient_lag2)
 from nisys.analysis import phi_imaginary_axis_zeros
 from nisys.lti import StateSpace, evaluate
 from conftest import tf
@@ -81,32 +82,89 @@ def _same(a, b):
     return a == b
 
 
-def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
-                                          unstable, monkeypatch):
-    solves = []
-    solve = lmimod.solve_feasibility
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+        calls.append(1)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(lmimod, "solve_feasibility", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
+                                          unstable, monkeypatch):
+    solves = _counting(monkeypatch, lmimod, "solve_feasibility")
+    pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
     cases = [(first_order, None, 1), (second_order, None, 1), (velocity_mode, None, 1),
              (second_order, grid, 1), (unstable, None, 0)]
     for sys, g, want in cases:
         solves.clear()
+        pencils.clear()
         c = classify(sys, grid=g)
-        assert len(solves) == want
-        ni_lmi = check_ni_lmi(sys)
+        assert len(solves) == 0 and len(pencils) == want
+        ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
         assert _same(c.ni_sweep, check_ni_sweep(sys, grid=g))
-        assert _same(c.sni_sweep, check_sni_sweep(sys, grid=g))
-        assert _same(c.ni_lmi, ni_lmi)
+        assert _same(c.ni_spectral, ni)
         assert _same(c.sni_zeros, sni_zeros)
         assert _same(c.pr_sweep, check_positive_real(sys, grid=g))
         assert _same(c.spr_sweep, check_strictly_positive_real(sys, grid=g))
-        assert c.ni == ni_lmi.is_ni and c.sni == (ni_lmi.is_ni and sni_zeros.is_sni)
+        assert c.ni == ni.holds and c.sni == sni_zeros.is_sni
+        # the LMI certificate stays as an independent oracle of the verdict
+        assert ni.holds == check_ni_lmi(sys).is_ni
+
+
+def _second_order_term(k, zeta2, w2):
+    # k / (s^2 + zeta2 s + w2)
+    return StateSpace([[0.0, 1.0], [-w2, -zeta2]], [[0.0], [1.0]], [[k, 0.0]], [[0.0]])
+
+
+# 1/(s^2 + 0.5 s + 1) - 1e-3/(s^2 + 1e-4 s + 10.0577^2): H(w) < 0 only in a
+# narrow band at w = 10.0577 that falls between the default grid's points
+NARROW_BAND = add(_second_order_term(1.0, 0.5, 1.0),
+                  _second_order_term(-1e-3, 1e-4, 10.0577 ** 2))
+
+
+def test_check_ni_finds_narrow_band():
+    assert check_ni_sweep(NARROW_BAND).holds  # the grid steps over the band
+    v = check_ni(NARROW_BAND)
+    assert not v.holds
+    assert abs(v.worst_frequency - 10.0577) < 1e-3
+    rep = dc_gain_verdict(NARROW_BAND, StateSpace([[-1.0]], [[1.0]], [[0.5]], [[0.0]]))
+    assert not rep.m_is_ni and not rep.hypotheses_hold
+    assert rep.note == "hypotheses not satisfied, pole test used"
+    assert rep.stable == rep.internally_stable
+
+
+def test_check_ni_tests_pole_magnitudes():
+    # a negated light mode: H(w) < 0 for all w > 0, but far below the
+    # tolerance at the midpoints between the zeros of Phi
+    neg = StateSpace([[0.0, 1.0], [-147.5374, -0.29679]], [[0.0], [0.0054297]],
+                     [[-0.0054297, 0.0]], [[0.0]])
+    assert not check_ni(neg).holds
+    _, fin = phi_imaginary_axis_zeros(neg)
+    b = np.unique(np.concatenate(([0.0], np.abs(fin.imag))))
+    without_poles = np.unique(np.concatenate(([0.0], 0.5 * (b[:-1] + b[1:]),
+                                              [2.0 * b[-1] + 1.0])))
+    assert check_ni_sweep(neg, grid=without_poles).holds
+
+
+def test_singular_zero_pencil():
+    # rank-one 2 x 2 systems: H(w) has a zero eigenvalue at every w
+    p = ppf_mimo([[1.0, 0.5]], [[0.6]], [[4.0]])
+    r = check_sni_zeros(p)
+    assert not r.is_sni and "singular at every w" in r.reason
+    with pytest.raises(numerics.NumericsError):
+        phi_imaginary_axis_zeros(p)
+    acc = resonant_acc([(np.array([1.0, 0.5]), 0.3, 2.0)])
+    v = check_ni(acc)
+    assert v.holds and "default-grid sweep" in v.note
+    assert _same(v.grid, default_grid(acc))
+    assert not check_sni_zeros(acc).is_sni
 
 
 def test_ni_sweep_rejects_axis_pole():

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nisys
 from nisys import default_grid, evaluate
 from nisys.cli import main
 from nisys.sysfile import SystemFileError, load_lti, load_system, load_uncertain
@@ -68,6 +70,16 @@ def test_analyze_golden(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["ni"] and rep["sni"] and rep["pr"] and rep["spr"]
     assert rep["system"] == {"states": 1, "inputs": 1, "outputs": 1}
+
+
+def test_analyze_json_keys(tmp_path, capsys):
+    rc, out, _ = run_main(["analyze", write(tmp_path, "f.json", FIRST)], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert set(rep) == {"ni", "sni", "pr", "spr", "ni_spectral", "ni_sweep", "pr_sweep",
+                        "spr_sweep", "sni_zeros", "system"}
+    assert set(rep["ni_spectral"]) == {"holds", "worst_frequency", "worst_margin"}
+    assert set(rep["sni_zeros"]) == {"is_sni", "reason", "axis_zeros"}
 
 
 def test_analyze_not_ni_exit_code(tmp_path, capsys):
@@ -171,6 +183,10 @@ def test_synth_sf_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["feasible"] and rep["certificate_ok"] and rep["closed_loop"]["ok"]
     assert np.asarray(rep["K"]).shape == (1, 3)
+    assert set(rep["closed_loop"]) == {"ok", "hurwitz", "ni_holds", "ni_worst_margin",
+                                       "dc_sigma_max", "dc_identity_error", "mc_failures",
+                                       "mc_samples"}
+    assert rep["closed_loop"]["ni_holds"]
 
     # matches the library call exactly (determinism)
     from nisys import UncertainPlant, synthesize_state_feedback
@@ -197,7 +213,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same nisys as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nisys.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-m", "nisys.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "analyze" in out.stdout and "synth-sf" in out.stdout

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisys import (choose_phi, check_sni_sweep, dc_gain, design_irc_gamma,
+from nisys import (choose_phi, dc_gain, design_irc_gamma,
                    evaluate, irc, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type)
 from conftest import FLEXIBLE_DC_EXACT, random_pd

@@ -60,6 +60,9 @@ def test_generalized_eigenvalues_drops_infinite():
     fin = nx.generalized_eigenvalues(M1, M2)
     assert len(fin) == 2
     assert np.allclose(np.sort(fin.real), [1.0, 2.0])
+    # det(M1 - s M2) = 0 for every s: a singular pencil has no eigenvalues
+    with pytest.raises(NumericsError):
+        nx.generalized_eigenvalues(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
 
 def test_inverse_and_sigma_max():

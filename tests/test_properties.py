@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nisys import (StateSpace, add, check_ni_sweep, check_positive_real,
-                   check_sni_zeros, dc_gain, dc_gain_verdict,
+from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_real,
+                   check_sni_zeros, dc_gain, dc_gain_verdict, default_grid,
                    diagonal_replicate, evaluate, hermitian_imaginary_part,
                    inf_gain, internal_stability, irc, modal_to_ss,
                    positive_feedback, ppf, ppf_mimo, resonant_acc,
@@ -241,6 +241,19 @@ def test_rotation_links_ni_and_pr_verdicts():
         expect = check_ni_sweep(P).holds
         got = check_positive_real(rotated_system(P)).holds
         assert got == expect
+
+
+def test_check_ni_agrees_with_dense_sweep():
+    # the zero-pencil verdict against a 2000-points-per-decade sweep, on NI
+    # draws, their sums, and the negated (not NI) draws
+    rng = np.random.default_rng(163)
+    for i in range(30):
+        m = int(rng.integers(1, 3))
+        P = ni_draw(rng, m) if i % 3 else add(ni_draw(rng, m), ni_draw(rng, m))
+        if i % 2:
+            P = scale_output(P, -1.0)
+        dense = check_ni_sweep(P, grid=default_grid(P, points_per_decade=2000))
+        assert check_ni(P).holds == dense.holds == (i % 2 == 0)
 
 
 # ------------------------------------------------- DC-gain verdict iff test

@@ -49,7 +49,7 @@ def test_verify_closed_loop_on_synthesized_gain(synth_plant):
     res = synthesize_state_feedback(synth_plant)
     rep = verify_closed_loop(synth_plant, res.K, Y=res.Y)
     assert rep.ok
-    assert rep.hurwitz and rep.ni_sweep.holds and rep.phase_ok
+    assert rep.hurwitz and rep.ni.holds
     assert rep.dc_contraction and rep.dc_psd
     assert rep.dc_identity_error < 1e-10
     assert rep.mc_failures == 0
@@ -96,7 +96,7 @@ def test_zero_disturbance_port_is_infeasible(synth_plant):
     # the loop transfer is identically zero (A alone has an eigenvalue at 0,
     # so K = 0 is not stabilizing; the published gain is)
     rep = verify_closed_loop(plant, SYNTH_K_PUBLISHED)
-    assert rep.hurwitz and rep.ni_sweep.holds and rep.ok
+    assert rep.hurwitz and rep.ni.holds and rep.ok
 
 
 def test_unstabilizable_plant_infeasible():
