@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from ._kernels import eval_grid
-from .analysis import classify, default_grid
+from .analysis import _filtered_grid, classify, default_grid
 from .controllers import choose_phi, design_irc_gamma
 from .lti import LtiError, StateSpace, poles
 from .numerics import NumericsError
@@ -75,15 +75,9 @@ def cmd_analyze(args) -> int:
 
 def _response_rows(sys_: StateSpace, grid):
     """Evaluate on the grid; points that sit on a pole give blank rows."""
-    p = poles(sys_)
-    if p.size:
-        dist = np.abs(1j * grid[:, None] - p[None, :]).min(axis=1)
-        ok = dist > 1e-9 * (1.0 + grid)
-    else:
-        ok = np.ones(grid.size, dtype=bool)
+    ge, ok = _filtered_grid(grid, poles(sys_))
     vals = np.full((grid.size, sys_.outputs, sys_.inputs), np.nan + 0j)
-    if ok.any():
-        vals[ok] = eval_grid(sys_.A, sys_.B, sys_.C, sys_.D, grid[ok])
+    vals[ok] = eval_grid(sys_.A, sys_.B, sys_.C, sys_.D, ge)
     if not ok.all():
         skipped = ", ".join(f"{w:g}" for w in grid[~ok][:5])
         print(f"warning: {np.count_nonzero(~ok)} grid point(s) lie on a pole "
