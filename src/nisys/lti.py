@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
+from ._kernels import eigenbasis
 from .numerics import NumericsError
 
 # resolvent is treated as singular when the smallest singular value of
@@ -202,10 +203,20 @@ def inf_gain(sys: StateSpace) -> np.ndarray:
 
 def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     """Popov-Belevitch-Hautus tests: [A - lam I, B] and [A - lam I; C] have
-    rank n at every eigenvalue lam of A (smallest singular value above rtol
-    times the largest). Done in balanced coordinates, where the tests are
-    well scaled for lightly damped modes far apart in frequency; a Krylov
-    matrix of such a system is too ill-conditioned to rank."""
+    rank n at every eigenvalue lam of A. Done in balanced coordinates, where
+    the tests are well scaled for lightly damped modes far apart in
+    frequency; a Krylov matrix of such a system is too ill-conditioned to
+    rank. The conjugate of lam gives the conjugate test, so one eigenvalue
+    of each pair is tested.
+
+    With A = V diag(lam) V^{-1} well conditioned (`eigenbasis`), the tests
+    read each cluster K of eigenvalues equal to within rtol ||A||: C V_K and
+    U_K B (unit right and left eigenvectors) must have |K| singular values
+    above rtol ||C|| and rtol ||B||. Each mode is so measured on its own
+    scale, not against ||A - lam I||, under which a fast mode's small
+    position output falls. A defective or nearly defective A takes the rank
+    of the PBH matrices, smallest singular value above rtol times the
+    largest."""
     n = sys.n
     if n == 0:
         return True
@@ -213,8 +224,22 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     t = np.diag(T)
     Bb = sys.B / t[:, None]
     Cb = sys.C * t[None, :]
-    for lam in numerics.eig_general(Ab):
-        R = Ab - lam * np.eye(n)
+    eb = eigenbasis(Ab)
+    if eb is not None:
+        lam, V, U, _ = eb
+        U = U / np.linalg.norm(U, axis=1)[:, None]
+        near = rtol * np.linalg.norm(Ab, 1)
+        for li in lam[lam.imag >= 0]:
+            K = np.abs(lam - li) <= near
+            for M, scale in ((Cb @ V[:, K], np.linalg.norm(Cb)),
+                             (U[K] @ Bb, np.linalg.norm(Bb))):
+                sv = np.linalg.svd(M, compute_uv=False)
+                if sv.size < K.sum() or sv[-1] <= rtol * scale:
+                    return False
+        return True
+    lam = numerics.eig_general(Ab)
+    for li in lam[lam.imag >= 0]:
+        R = Ab - li * np.eye(n)
         for M in (np.hstack([R, Bb]), np.vstack([R, Cb])):
             sv = np.linalg.svd(M, compute_uv=False)
             if sv[n - 1] <= rtol * sv[0]:

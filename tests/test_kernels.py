@@ -1,18 +1,38 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from nisys import StateSpace, evaluate
-from nisys._kernels import CHUNK, eval_grid, sweep_eigmin
-from conftest import random_stable
+from nisys import ModalModel, StateSpace, evaluate, modal_to_ss, poles
+from nisys._kernels import CHUNK, eigenbasis, eval_grid, sweep_eigmin
+from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
+from conftest import flexible_modes, random_stable
 
 
 def _assert_bytes_match_evaluate(sys, ws):
-    # tobytes, not array_equal: the sign of a zero counts too
+    # the resolvent fallback and n = 0: tobytes, not array_equal, so the
+    # sign of a zero counts too
     vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
     assert vals.shape == (ws.size, sys.outputs, sys.inputs)
     for k, w in enumerate(ws):
         assert vals[k].tobytes() == evaluate(sys, 1j * w).tobytes(), (sys.n, k, w)
+
+
+def _assert_close_to_evaluate(sys, ws):
+    # the modal path: entrywise |P - evaluate| <= 1e-12 (1 + |evaluate|)
+    vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
+    assert vals.shape == (ws.size, sys.outputs, sys.inputs)
+    for k, w in enumerate(ws):
+        ref = evaluate(sys, 1j * w)
+        assert np.all(np.abs(vals[k] - ref) <= 1e-12 * (1.0 + np.abs(ref))), (sys.n, k, w)
+
+
+def _jordan(rng, n, m, p):
+    # 2x2 Jordan blocks at -1: V is singular, so eval_grid takes the fallback
+    A = np.kron(np.eye(n // 2), [[-1.0, 1.0], [0.0, -1.0]])
+    assert eigenbasis(A) is None
+    return StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
+                      rng.standard_normal((p, m)))
 
 
 def test_sweep_values_match_direct_eigh():
@@ -51,23 +71,71 @@ def test_eval_grid_matches_evaluate():
     ws = np.concatenate(([0.0], np.geomspace(1e-1, 1e1, 40)))
     for sys in (random_stable(rng, 5, 2, 3), random_stable(rng, 3, 1, 1),
                 _modal_with_zeros(rng)):
+        _assert_close_to_evaluate(sys, ws)
+    # the fallback is the per-point solve, byte for byte
+    for sys in (_jordan(rng, 4, 2, 3), _jordan(rng, 2, 1, 1)):
         _assert_bytes_match_evaluate(sys, ws)
 
 
 def test_eval_grid_chunk_boundaries():
     rng = np.random.default_rng(43)
-    # n = 3: three full chunks and a short last one
-    step = CHUNK // 9
+    # modal, n = 4, p = 3: two full chunks of CHUNK // 12 points and a short one
+    step = CHUNK // 12
+    ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 2 * step + 98)))
+    _assert_close_to_evaluate(random_stable(rng, 4, 2, 3), ws)
+    # fallback, n = 4: three full chunks of CHUNK // 16 points and a short one
+    step = CHUNK // 16
     ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 3 * step + 99)))
-    _assert_bytes_match_evaluate(random_stable(rng, 3, 2, 1), ws)
+    _assert_bytes_match_evaluate(_jordan(rng, 4, 2, 1), ws)
     # n = 0: the static gain D at every point
     static = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)),
                         rng.standard_normal((3, 2)))
     _assert_bytes_match_evaluate(static, ws[:50])
-    # n * n = CHUNK: every chunk is a single point
+    # no outputs, no inputs: empty values at every point
+    A = np.array([[-1.0]])
+    P = eval_grid(A, np.ones((1, 2)), np.zeros((0, 1)), np.zeros((0, 2)), ws)
+    assert P.shape == (ws.size, 0, 2)
+    P = eval_grid(A, np.ones((1, 0)), np.ones((2, 1)), np.zeros((2, 0)), ws)
+    assert P.shape == (ws.size, 2, 0)
+    # fallback, n * n = CHUNK: every chunk is a single point
     n = int(np.sqrt(CHUNK))
     assert CHUNK // (n * n) == 1
-    _assert_bytes_match_evaluate(random_stable(rng, n, 1, 1), np.array([0.0, 0.7, 30.0]))
+    _assert_bytes_match_evaluate(_jordan(rng, n, 1, 1), np.array([0.0, 0.7, 30.0]))
+
+
+def test_eval_grid_paper_plant_breakpoint_grid():
+    # the 100-mode paper plant, n = 200, on the grid that decides its NI verdict
+    sys = modal_to_ss(ModalModel(flexible_modes(100)))
+    assert eigenbasis(sys.A) is not None
+    _, fin = phi_imaginary_axis_zeros(sys)
+    ws = _breakpoint_grid(fin, poles(sys))
+    assert ws.size > 400
+    _assert_close_to_evaluate(sys, ws)
+
+
+def test_eval_grid_on_an_eigenvalue_raises():
+    # a grid point on an eigenvalue: w = 0 on an integrator, and w = 2 on an
+    # undamped mode whose computed eigenvalue misses 2j by rounding; the
+    # fallback raises as the per-point solve does
+    for A, w in (([[0.0]], 0.0), ([[0.0, 2.0], [-2.0, 0.0]], 2.0)):
+        A = np.array(A)
+        n = A.shape[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            eval_grid(A, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)),
+                      np.array([0.5, w]))
+
+
+def test_eval_grid_non_finite_eigenvectors_fall_back(monkeypatch):
+    rng = np.random.default_rng(47)
+    sys = random_stable(rng, 5, 2, 2)
+    eig = np.linalg.eig
+
+    def eig_nan(A):
+        lam, V = eig(A)
+        V[0, 0] = np.nan
+        return lam, V
+    monkeypatch.setattr(np.linalg, "eig", eig_nan)
+    _assert_bytes_match_evaluate(sys, np.concatenate(([0.0], np.geomspace(1e-1, 1e1, 30))))
 
 
 def test_sweep_norm_matches_linalg_norm():
@@ -83,17 +151,18 @@ def test_sweep_norm_matches_linalg_norm():
 
 
 def test_eval_grid_memory_is_chunked():
-    # stacking the whole grid would hold 400 x 150 x 150 complex, about 144 MB
+    # whole-grid temporaries: (4000, 2, 150) complex for the modal path,
+    # 19 MB; (400, 150, 150) for the fallback's resolvent, 144 MB
     rng = np.random.default_rng(59)
-    sys = random_stable(rng, 150, 2, 2)
-    ws = np.geomspace(1e-2, 1e2, 400)
-    tracemalloc.start()
-    try:
-        eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, peak
+    for sys, ws in ((random_stable(rng, 150, 2, 2), np.geomspace(1e-2, 1e2, 4000)),
+                    (_jordan(rng, 150, 2, 2), np.geomspace(1e-2, 1e2, 400))):
+        tracemalloc.start()
+        try:
+            eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 def test_static_system_and_empty_grid():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -82,13 +84,28 @@ def test_is_minimal():
     A = np.diag([-1.0, -1.0])
     sys = StateSpace(A, [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
     assert not is_minimal(sys)
+    # two copies of one system in rotated coordinates: the computed
+    # eigenvalues of each pair differ by rounding
+    rng = np.random.default_rng(3)
+    dup = add(*[random_stable(rng, 2, 1, 1)] * 2)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    assert not is_minimal(StateSpace(Q.T @ dup.A @ Q, Q.T @ dup.B, dup.C @ Q, dup.D))
     # pole-zero cancellation (s+1)/((s+1)(s+2))
     assert not is_minimal(tf([1.0, 1.0], [1.0, 3.0, 2.0]))
+    # defective A: 1/(s+1)^2 is minimal; a Jordan chain the input misses is not
+    assert is_minimal(tf([1.0], [1.0, 2.0, 1.0]))
+    assert not is_minimal(StateSpace([[-1.0, 1.0], [0.0, -1.0]], [[1.0], [0.0]],
+                                     [[1.0, 1.0]], [[0.0]]))
     # lightly damped modes at 100 k rad/s: distinct poles, nonzero residues;
-    # the 30-mode plant overflows a Krylov matrix
+    # the 30-mode plant overflows a Krylov matrix, and at 100 modes the
+    # position output of the fastest mode is 3.8e-9 of ||A - lam I||
     for count in (1, 2, 3, 5, 10, 30):
         modes = tuple((100.0 * k, 2.0, (1.0,)) for k in range(1, count + 1))
         assert is_minimal(modal_to_ss(ModalModel(modes)))
+    plant = modal_to_ss(ModalModel(tuple((100.0 * k, 2.0, (1.0,)) for k in range(1, 101))))
+    t0 = time.perf_counter()
+    assert is_minimal(plant)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_diagonal_replicate():
