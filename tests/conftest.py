@@ -3,6 +3,7 @@ import pytest
 from scipy.signal import tf2ss
 
 from nisys import ModalModel, StateSpace, UncertainPlant, modal_to_ss
+from nisys.controllers import IrcDesign, _match
 
 
 def tf(num, den) -> StateSpace:
@@ -66,6 +67,47 @@ def flexible_plant():
 
 
 FLEXIBLE_DC_EXACT = 1e-4 * sum(1.0 / k**2 for k in range(1, 11))
+
+
+def irc_eigensolve_sweep(plant, Phi, gamma_min=1e3, gamma_max=1e8, points_per_decade=200):
+    """The integral resonant gain sweep with one dense eigensolve of the
+    closed loop per gain, each row assignment-matched to the one before: the
+    reference the continuation in design_irc_gamma reproduces. The
+    controller field is left None."""
+    A, B, C, D = plant.A, plant.B, plant.C, plant.D
+    n = plant.n
+    phi = float(Phi[0, 0])
+
+    def roots(g):
+        return np.linalg.eigvals(np.block([[A, B], [g * C, g * (D - phi)]]))
+
+    npts = max(2, int(np.ceil(np.log10(gamma_max / gamma_min) * points_per_decade)) + 1)
+    gammas = np.geomspace(gamma_min, gamma_max, npts)
+    ol = np.linalg.eigvals(A)
+    tracked = np.argsort(np.abs(ol))[:2]
+    loci = np.zeros((npts, n + 1), dtype=complex)
+    decays, zetas = np.full(npts, np.nan), np.full(npts, np.nan)
+    prev = np.append(ol, -gammas[0] * phi)
+    for k, g in enumerate(gammas):
+        loci[k] = prev = _match(prev, roots(g))
+        if np.all(prev.real < 0):
+            pair = prev[tracked]
+            decays[k] = (-pair.real).min()
+            zetas[k] = (-pair.real / np.abs(pair)).min()
+    stable = ~np.isnan(decays)
+    if not stable.any():
+        return IrcDesign(False, np.nan, np.nan, np.nan, gammas, loci, zetas, decays, stable, None)
+    bd = int(np.nanargmax(decays))
+    g_star, d_star, z_star = gammas[bd], decays[bd], zetas[bd]
+    prev = loci[max(bd - 1, 0)]
+    for g in np.geomspace(gammas[max(bd - 1, 0)], gammas[min(bd + 1, npts - 1)], 400):
+        prev = _match(prev, roots(g))
+        pair = prev[tracked]
+        if np.all(prev.real < 0) and (-pair.real).min() > d_star:
+            g_star, d_star = float(g), float((-pair.real).min())
+            z_star = float((-pair.real / np.abs(pair)).min())
+    return IrcDesign(True, float(g_star), float(z_star), float(d_star), gammas, loci,
+                     zetas, decays, stable, None)
 
 
 @pytest.fixture

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import nisys
-from nisys import default_grid, evaluate
+from nisys import choose_phi, default_grid, evaluate
 from nisys._kernels import eval_grid
 from nisys.cli import main
 from nisys.sysfile import SystemFileError, load_lti, load_system, load_uncertain
-from conftest import flexible_modes
+from conftest import flexible_modes, irc_eigensolve_sweep
 
 
 FIRST = {"kind": "ss", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -177,6 +177,25 @@ def test_design_irc_json_and_csv(tmp_path, capsys):
     for r in rows:
         per_gamma.setdefault(r["gamma"], []).append(r)
     assert all(len(v) == 21 for v in per_gamma.values())
+    # the rows of the eigensolve sweep, in its pole order; real poles print
+    # their imaginary part as exactly 0, as an eigensolve gives them
+    plant = load_lti(path)
+    ref = irc_eigensolve_sweep(plant, choose_phi(plant), points_per_decade=40)
+    assert len(rows) == ref.loci.size == 201 * 21
+    assert [float(r["gamma"]) for r in rows[::21]] == list(ref.gammas)
+    assert [int(r["pole_index"]) for r in rows] == list(range(21)) * 201
+    got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+    np.testing.assert_allclose(got, ref.loci.ravel(), rtol=1e-9)
+    assert [r["im"] == "0" for r in rows] == list(ref.loci.imag.ravel() == 0)
+    assert (ref.loci.imag == 0).any()
+
+
+def test_design_irc_static_plant_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "static.json",
+                 {"kind": "ss", "A": [], "B": [], "C": [], "D": [[2.0]]})
+    rc, out, err = run_main(["design-irc", path], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "static plant" in err
 
 
 def test_synth_sf_command(tmp_path, capsys):

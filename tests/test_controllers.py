@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from nisys import (choose_phi, dc_gain, design_irc_gamma,
-                   evaluate, irc, ppf, ppf_mimo, resonant_acc,
-                   resonant_vel_type)
-from conftest import FLEXIBLE_DC_EXACT, random_pd
+from scipy.optimize import linear_sum_assignment
+
+from nisys import (ModalModel, StateSpace, choose_phi, controllers, dc_gain,
+                   design_irc_gamma, evaluate, irc, modal_to_ss, ppf, ppf_mimo,
+                   resonant_acc, resonant_vel_type)
+from nisys._kernels import eigenbasis
+from conftest import FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_sweep, random_pd
 
 
 def _den(s, z, w):
@@ -135,3 +138,127 @@ def test_design_irc_gamma_requires_siso():
     mm = ModalModel(modes=((1.0, 0.5, (1.0, 0.5)),), output="position")
     with pytest.raises(ValueError):
         design_irc_gamma(modal_to_ss(mm), np.eye(2))
+
+
+def test_design_irc_gamma_rejects_a_static_plant():
+    static = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]])
+    with pytest.raises(ValueError, match="static plant"):
+        design_irc_gamma(static, [[2.4]])
+
+
+def _paper_plant(count, seed=7):
+    # position modes at the paper frequencies 100 k rad/s, seeded damping and gains
+    rng = np.random.default_rng(seed)
+    return modal_to_ss(ModalModel(tuple(
+        (100.0 * k, float(rng.uniform(1.5, 2.5)), (float(rng.uniform(0.8, 1.2)),))
+        for k in range(1, count + 1))))
+
+
+def _sweep_case(name):
+    """(plant, Phi) of a sweep compared with the eigensolve sweep."""
+    flex = modal_to_ss(ModalModel(flexible_modes()))
+    if name == "flexible":
+        return flex, choose_phi(flex)
+    if name.startswith("paper-n"):
+        plant = _paper_plant(int(name[7:]) // 2)
+        return plant, choose_phi(plant)
+    if name == "feedthrough":
+        plant = StateSpace(flex.A, flex.B, flex.C, 0.3 * dc_gain(flex))
+        return plant, choose_phi(plant)
+    if name == "undersized-phi":
+        # unstable at every gain; the first pair splits on the real axis near 7.6e6
+        return flex, 0.5 * dc_gain(flex)
+    if name == "unobservable-mode":
+        # the third mode has zero output, so a zero residue: its poles are
+        # closed-loop poles at every gain
+        four = modal_to_ss(ModalModel(flexible_modes(4)))
+        C = four.C.copy()
+        C[0, 4:6] = 0.0
+        plant = StateSpace(four.A, four.B, C, four.D)
+        return plant, choose_phi(plant)
+    raise ValueError(name)
+
+
+def _assert_same_loci(loci, ref, rtol=1e-9):
+    """Row by row the same poles in the same columns, real exactly where the
+    reference's are real. Two real poles may trade columns: where a pair
+    splits on the real axis, which column takes which is a tie of the
+    assignment that rounding breaks, in either sweep."""
+    for a, b in zip(loci, ref):
+        _, c = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+        moved = c != np.arange(c.size)
+        assert np.all(a[moved].imag == 0) and np.all(b[moved].imag == 0)
+        np.testing.assert_allclose(a, b[c], rtol=rtol)
+        assert np.array_equal(a.imag == 0, b[c].imag == 0)
+
+
+@pytest.mark.parametrize("name", ["flexible", "paper-n10", "paper-n40", "feedthrough",
+                                  "undersized-phi", "unobservable-mode"])
+def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
+    plant, Phi = _sweep_case(name)
+    ref = irc_eigensolve_sweep(plant, Phi)
+
+    starts = []
+    aberth = controllers._aberth
+
+    def spy(z, *args):
+        out = aberth(z, *args)
+        if out is not None:
+            starts.append((z, out))
+        return out
+    eigensolves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(controllers, "_aberth", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigensolves.append(1) or eigvals(M))
+    des = design_irc_gamma(plant, Phi)
+    monkeypatch.undo()
+
+    assert des.feasible == ref.feasible
+    assert np.array_equal(des.stable, ref.stable)
+    assert np.array_equal(des.gamma_star, ref.gamma_star, equal_nan=True)
+    _assert_same_loci(des.loci, ref.loci)
+    np.testing.assert_allclose(des.decays, ref.decays, rtol=1e-9)
+    np.testing.assert_allclose(des.zetas, ref.zetas, rtol=1e-9)
+    assert des.decay_at_star == pytest.approx(ref.decay_at_star, rel=1e-12, nan_ok=True)
+    assert des.zeta_at_star == pytest.approx(ref.zeta_at_star, rel=1e-9, nan_ok=True)
+    # every accepted gain started each root nearer to it than to any other
+    # root: the predictor extrapolates matched rows, column by column
+    assert starts
+    for z, out in starts:
+        assert np.array_equal(np.abs(z[:, None] - out).argmin(1), np.arange(z.size))
+    if name not in ("undersized-phi", "unobservable-mode"):
+        # no breakaway and no zero residue: the first gain is the only eigensolve
+        assert len(eigensolves) == 1
+
+
+def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():
+    # a double pole at -50 in a Jordan block, plus one mode: no eigenbasis
+    A = np.array([[-50.0, 1.0, 0, 0], [0, -50.0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1e4, -2.0]])
+    plant = StateSpace(A, [[0.0], [1.0], [0.0], [1.0]], [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
+    assert eigenbasis(A) is None
+    Phi = choose_phi(plant)
+    des = design_irc_gamma(plant, Phi)
+    ref = irc_eigensolve_sweep(plant, Phi)
+    assert des.feasible and ref.feasible
+    for field in ("gammas", "loci", "decays", "zetas", "stable"):
+        assert getattr(des, field).tobytes() == getattr(ref, field).tobytes()
+    assert (des.gamma_star, des.decay_at_star, des.zeta_at_star) == (
+        ref.gamma_star, ref.decay_at_star, ref.zeta_at_star)
+
+
+def test_aberth_rejects_a_root_counted_twice(flexible_plant):
+    # from the closed-loop poles the iteration returns them; with the second
+    # start moved to within rounding of the first pole, the two starts stay
+    # on that pole with vanishing steps, and the second pole is lost: the
+    # roots no longer sum to the closed-loop trace
+    A, B, C = flexible_plant.A, flexible_plant.B, flexible_plant.C
+    g, d = 1e5, -choose_phi(flexible_plant)[0, 0]
+    lam, V, Vi, _ = eigenbasis(A)
+    r = (C @ V)[0] * (Vi @ B)[:, 0]
+    roots = np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]]))
+    trace = np.trace(A) + g * d
+    np.testing.assert_allclose(controllers._aberth(roots, lam, r, g, g * d, trace), roots,
+                               rtol=1e-12)
+    z = roots.copy()
+    z[1] = z[0] * (1 + 1e-13)
+    assert controllers._aberth(z, lam, r, g, g * d, trace) is None
