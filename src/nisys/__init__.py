@@ -11,6 +11,7 @@ from .analysis import (
     Classification,
     FreqVerdict,
     NiLmiResult,
+    PhiZeros,
     SniZerosResult,
     check_ni,
     check_ni_lmi,
@@ -81,7 +82,8 @@ from .sysfile import SystemFileError, load_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "Classification", "FreqVerdict", "NiLmiResult", "SniZerosResult",
+    "Classification", "FreqVerdict", "NiLmiResult", "PhiZeros",
+    "SniZerosResult",
     "check_ni", "check_ni_lmi", "check_ni_sweep", "check_positive_real",
     "check_sni_zeros", "check_strictly_positive_real", "classify",
     "default_grid", "hermitian_imaginary_part", "phi_imaginary_axis_zeros",

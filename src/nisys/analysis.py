@@ -5,8 +5,19 @@ family (PR, strictly PR). The NI and SNI verdicts of record read the
 transmission zeros of Phi(s) = M(s) - M^T(-s): the eigenvalues of
 H(w) = j Phi(jw) change sign only at its imaginary-axis zeros, so H is
 tested once between each pair of them (`check_ni`), and an NI system is SNI
-iff Phi has no such zero away from s = 0 (`check_sni_zeros`). The PR and SPR
-verdicts are dense frequency sweeps. The NI lemma LMI (`check_ni_lmi`) and
+iff Phi has no such zero away from s = 0 (`check_sni_zeros`).
+
+The zeros come from the eigenbasis of A = V diag(lam) V^{-1}. When D and
+every residue R_i = (C V)_i (V^{-1} B)_i are symmetric, as for collocated
+plants and SISO ones, Phi(s) = 2s G(s^2) with
+G(t) = sum_i R_i / (t - lam_i^2), and the zeros of G in t = s^2 are the
+eigenvalues of a deflated matrix of order at most n (`_t_zeros`). Residues
+of rank below m make H(w) singular at every w; G is then restricted to
+their joint range. The QZ pencil of the doubled realization, of order
+2n + m, is the fallback in three cases, each named in the verdict's `note`:
+non-symmetric residues or D, no well-conditioned eigenbasis, and no
+nonsingular leading Markov parameter of G. The PR and SPR verdicts are dense
+frequency sweeps. The NI lemma LMI (`check_ni_lmi`) and
 the lag-augmentation sufficient conditions for strictness are certificates
 on demand.
 """
@@ -20,12 +31,14 @@ import numpy as np
 
 from . import lmi as lmimod
 from . import numerics
-from ._kernels import sweep_eigmin
+from ._kernels import eigenbasis, sweep_eigmin
 from .lti import StateSpace, evaluate, is_minimal, poles
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
 NI_SWEEP_TOL = 1e-8   # relative, scaled by 1 + ||P(jw)||
+SYM_TOL = 1e-8        # relative asymmetry of D and of each residue read as rounding
+MARKOV_TOL = 1e-9     # relative size of a Markov parameter of G read as rounding
 DEFAULT_PPD = 200
 
 
@@ -135,28 +148,37 @@ def _breakpoint_grid(zeros, p):
 
 def _ni_spectral(sys, tol=NI_SWEEP_TOL):
     """check_ni(sys, tol) and the imaginary-axis zeros of Phi, from one zero
-    pencil. The zeros are None when poles decide the verdict or the pencil
-    is singular."""
+    solve. The zeros are None when poles decide the verdict or H(w) is
+    singular at every w."""
     _square(sys)
     p, bad = _pole_verdict(sys)
     if bad is not None:
         return bad, None
     try:
-        axis, fin = phi_imaginary_axis_zeros(sys)
+        z = phi_imaginary_axis_zeros(sys)
     except numerics.NumericsError:
         v = check_ni_sweep(sys, tol=tol)
         v.note = "zero pencil singular (H(w) singular at every w), default-grid sweep used"
         return v, None
-    return _ni_on_grid(sys, _breakpoint_grid(fin, p), tol), axis
+    axis, fin = z
+    v = _ni_on_grid(sys, _breakpoint_grid(fin, p), tol)
+    if z.singular:
+        v.note = ("H(w) singular at every w: breakpoints from the zeros of Phi "
+                  "on the joint range of the residues")
+        return v, None
+    v.note = z.note
+    return v, axis
 
 
 def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """NI verdict of record: poles in the open left half-plane and
     lambda_min(H(w)) >= -tol relative at every w >= 0, decided by testing H
     once in each interval between the imaginary-axis zeros of
-    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. When the zero pencil
-    is singular, falls back to check_ni_sweep on the default grid and says
-    so in `note`."""
+    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. `note` says when the
+    zeros came from the QZ fallback and why, or when H(w) is singular at
+    every w, so the zeros are those on the joint range of the residues. When
+    the QZ pencil is singular, falls back to check_ni_sweep on the default
+    grid and says so in `note`."""
     return _ni_spectral(sys, tol)[0]
 
 
@@ -220,21 +242,147 @@ def phi_system(sys: StateSpace) -> StateSpace:
     return StateSpace(A, B, C, sys.D - sys.D.T)
 
 
-def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL):
+class PhiZeros(tuple):
+    """The pair (axis_zeros, all_finite) of phi_imaginary_axis_zeros, with
+    `note`: None when the t = s^2 form computed the zeros, else why the QZ
+    pencil did; and `singular`: True when H(w) is singular at every w, so the
+    zeros are those of Phi on the joint range of the residues."""
+
+    def __new__(cls, axis, fin, note=None, singular=False):
+        self = super().__new__(cls, (axis, fin))
+        self.note, self.singular = note, singular
+        return self
+
+
+def _split(fin, axis_tol, singular=False):
+    on_axis = fin[np.abs(fin.real) <= axis_tol * (1.0 + np.abs(fin))]
+    return PhiZeros(np.sort_complex(on_axis), fin, singular=singular)
+
+
+def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL) -> PhiZeros:
     """Invariant zeros of Phi(s) = M(s) - M^T(-s) lying on the imaginary axis.
 
-    Computed as the finite generalized eigenvalues of the system-matrix
-    pencil of the doubled realization. Returns (axis_zeros, all_finite).
-    Raises NumericsError when the pencil is singular, that is when H(w) is
-    singular at every w.
+    Returns (axis_zeros, all_finite) as a PhiZeros. When D and every residue
+    R_i of M are symmetric, Phi(s) = 2s G(s^2) with
+    G(t) = sum_i R_i / (t - lam_i^2), and the zeros are s = +-sqrt(t) over
+    the zeros t of G, from one eigenproblem of order n (see `_t_zeros`),
+    plus one zero at the origin per channel from the factor 2s. When the
+    residues span fewer than m directions, H(w) is singular at every w: the
+    zeros are then those of Phi on the joint range of the residues, and
+    `singular` is True. When the residues are not symmetric, A has no
+    well-conditioned eigenbasis, or G has no nonsingular leading Markov
+    parameter, the zeros are the finite generalized eigenvalues of the
+    system-matrix pencil of the doubled realization (QZ, order 2n + m), and
+    `note` says why; that path raises NumericsError when the pencil is
+    singular.
     """
+    why = "A has no well-conditioned eigenbasis"
+    eb = eigenbasis(sys.A)
+    if eb is not None:
+        why, t, k = _t_zeros(sys, *eb)
+    if why is not None:
+        z = _phi_zeros_qz(sys, axis_tol)
+        z.note = f"zeros of Phi from the QZ pencil: {why}"
+        return z
+    s = np.sqrt(t)
+    return _split(np.concatenate((s, -s, np.zeros(k, dtype=complex))), axis_tol,
+                  singular=k < sys.inputs)
+
+
+def _t_zeros(sys, lam, V, Vi, cond):
+    """(None, t, k): the zeros t of G(t) = sum_i R_i / (t - lam_i^2), with
+    Phi(s) = 2s G(s^2), and the rank k of the joint range of the residues
+    R_i = (C V)_i (V^{-1} B)_i; or (reason, None, None) when this form does
+    not apply.
+
+    G = (C V) (t I - diag(lam^2))^{-1} (V^{-1} B) is first restricted to the
+    joint range of the R_i. With mu = lam^2 / max|lam^2|, the first
+    nonsingular Markov parameter K = C V diag(mu)^r V^{-1} B, all earlier ones
+    zero, makes the common kernel of C V diag(mu)^j (j = 0..r) invariant
+    under (I - V^{-1} B K^{-1} C V diag(mu)^r) diag(mu), and the zeros are its
+    eigenvalues there, times max|lam^2|. The kernel, of dimension
+    n - (r + 1) k, is deflated exactly by an orthonormal SVD basis: left in,
+    its complement would show as zeros at infinity read as finite. The
+    Markov parameters, the kernel and the eigensolve are real: each pair of
+    conjugate columns (v, conj v) of V is replaced by (Re v, Im v), and
+    diag(mu) by the block-diagonal matrix of A^2 / max|lam^2| in that basis.
+    """
+    n, m = sys.n, sys.inputs
+    if np.linalg.norm(sys.D - sys.D.T) > SYM_TOL * (1.0 + np.linalg.norm(sys.D)):
+        return "residues or feedthrough not symmetric", None, None
+    if n == 0:
+        return None, np.zeros(0, dtype=complex), 0
+    W, CV = Vi @ sys.B, sys.C @ V
+    # eigenvalues within rounding of each other are one pole, and only the
+    # sum of their residues is defined: group them under the first
+    near = cond * n * np.finfo(float).eps * np.linalg.norm(sys.A, 1)
+    rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1)
+    R = np.zeros((n, m, m), dtype=complex)
+    np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
+    size = np.zeros(n)
+    np.add.at(size, rep, np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1))
+    if np.any(np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) > SYM_TOL * size):
+        return "residues or feedthrough not symmetric", None, None
+    pair = np.flatnonzero(lam.imag > 0)
+    lam = lam[rep]
+    # the joint range of the R_i is spanned by the columns (C V)_i with
+    # (V^{-1} B)_i != 0; it is closed under conjugation, so a real basis spans it
+    X = CV * np.linalg.norm(W, axis=1)
+    U, sv = np.linalg.svd(np.hstack((X.real, X.imag)))[:2]
+    k = int(np.count_nonzero(sv > MARKOV_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    if k == 0:
+        return None, np.zeros(0, dtype=complex), 0
+    if k < m:
+        CV, W = U[:, :k].T @ CV, W @ U[:, :k]
+    mu = lam * lam
+    c = np.abs(mu).max() or 1.0
+    mu = mu / c
+    size = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
+    # G(0) = P'(0). A rank drop of G(0) by d puts d zeros at t = 0, which the
+    # eigensolve leaves at rounding level, far off the origin once rooted
+    d = 0
+    if np.all(mu != 0):
+        sv = np.linalg.svd((CV / mu) @ W, compute_uv=False)
+        d = np.count_nonzero(sv <= MARKOV_TOL * (size @ (1.0 / np.abs(mu))))
+    # real coordinates: eig of a real A puts conj(v) right after each complex
+    # column v of V; on (Re v, Im v), A^2 acts as [[Re mu, Im mu], [-Im mu, Re mu]]
+    M = np.diag(mu.real)
+    M[pair, pair + 1], M[pair + 1, pair] = mu[pair].imag, -mu[pair].imag
+    Cc, Wc = CV, W
+    CV, W = Cc.real.copy(), Wc.real.copy()
+    CV[:, pair + 1] = Cc[:, pair].imag
+    W[pair], W[pair + 1] = 2.0 * Wc[pair].real, -2.0 * Wc[pair].imag
+    F, rows = CV, []
+    for r in range(n):
+        rows.append(F)
+        K = F @ W
+        floor = MARKOV_TOL * (size @ np.abs(mu) ** r)
+        sv = np.linalg.svd(K, compute_uv=False)
+        if sv[-1] > floor:
+            break
+        if sv[0] > floor:
+            return "G has no nonsingular leading Markov parameter", None, None
+        F = F @ M
+    else:
+        return "G has no nonsingular leading Markov parameter", None, None
+    Hk = np.vstack(rows)
+    Q = np.linalg.svd(Hk)[2][Hk.shape[0]:].T
+    MQ = M @ Q
+    Z = Q.T @ MQ - (Q.T @ W) @ np.linalg.solve(K, F @ MQ)
+    t = c * np.linalg.eigvals(Z).astype(complex)
+    t[np.argsort(np.abs(t))[:d]] = 0.0
+    return None, t, k
+
+
+def _phi_zeros_qz(sys: StateSpace, axis_tol: float = AXIS_TOL) -> PhiZeros:
+    """The zeros of phi_imaginary_axis_zeros as the finite generalized
+    eigenvalues of the system-matrix pencil of the doubled realization.
+    Raises NumericsError when the pencil is singular."""
     phi = phi_system(sys)
     n2, m = phi.n, phi.inputs
     M1 = np.block([[phi.A, phi.B], [phi.C, phi.D]])
     M2 = np.block([[np.eye(n2), np.zeros((n2, m))], [np.zeros((m, n2 + m))]])
-    fin = numerics.generalized_eigenvalues(M1, M2)
-    on_axis = fin[np.abs(fin.real) <= axis_tol * (1.0 + np.abs(fin))]
-    return np.sort_complex(on_axis), fin
+    return _split(numerics.generalized_eigenvalues(M1, M2), axis_tol)
 
 
 @dataclass

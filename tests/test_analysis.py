@@ -10,9 +10,9 @@ from nisys import (add, check_ni, check_ni_lmi, check_ni_sweep, check_positive_r
                    dc_gain_verdict, default_grid, hermitian_imaginary_part, irc,
                    phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
                    sni_sufficient_lag, sni_sufficient_lag2)
-from nisys.analysis import phi_imaginary_axis_zeros
-from nisys.lti import StateSpace, evaluate
-from conftest import tf
+from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
+from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
+from conftest import flexible_modes, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -94,13 +94,19 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+# not symmetric: P(s) = [[1/(s+1), 1/(s+2)], [0, 1/(s+2)]]
+NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
+                          np.zeros((2, 2)))
+
+
 def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
                                           unstable, monkeypatch):
     solves = _counting(monkeypatch, lmimod, "solve_feasibility")
     pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
-    cases = [(first_order, None, 1), (second_order, None, 1), (velocity_mode, None, 1),
-             (second_order, grid, 1), (unstable, None, 0)]
+    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
+    cases = [(first_order, None, 0), (second_order, None, 0), (velocity_mode, None, 0),
+             (second_order, grid, 0), (unstable, None, 0), (NONSYMMETRIC, None, 1)]
     for sys, g, want in cases:
         solves.clear()
         pencils.clear()
@@ -116,6 +122,10 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         assert c.ni == ni.holds and c.sni == sni_zeros.is_sni
         # the LMI certificate stays as an independent oracle of the verdict
         assert ni.holds == check_ni_lmi(sys).is_ni
+    # the hot path at n = 200 stays off the QZ pencil
+    pencils.clear()
+    assert check_ni(modal_to_ss(ModalModel(flexible_modes(100)))).holds
+    assert len(pencils) == 0
 
 
 def _second_order_term(k, zeta2, w2):
@@ -153,18 +163,82 @@ def test_check_ni_tests_pole_magnitudes():
     assert check_ni_sweep(neg, grid=without_poles).holds
 
 
+def _qz_verdict(sys):
+    # check_ni's verdict from the breakpoints of the QZ pencil's zeros
+    return check_ni_sweep(sys, grid=_breakpoint_grid(_phi_zeros_qz(sys)[1], poles(sys))).holds
+
+
 def test_singular_zero_pencil():
     # rank-one 2 x 2 systems: H(w) has a zero eigenvalue at every w
     p = ppf_mimo([[1.0, 0.5]], [[0.6]], [[4.0]])
     r = check_sni_zeros(p)
     assert not r.is_sni and "singular at every w" in r.reason
+    assert phi_imaginary_axis_zeros(p).singular
     with pytest.raises(numerics.NumericsError):
-        phi_imaginary_axis_zeros(p)
+        _phi_zeros_qz(p)
     acc = resonant_acc([(np.array([1.0, 0.5]), 0.3, 2.0)])
     v = check_ni(acc)
-    assert v.holds and "default-grid sweep" in v.note
-    assert _same(v.grid, default_grid(acc))
-    assert not check_sni_zeros(acc).is_sni
+    assert v.holds and "joint range of the residues" in v.note
+    r = check_sni_zeros(acc)
+    assert not r.is_sni and "singular at every w" in r.reason
+
+
+def test_rank_one_narrow_band():
+    # v v^T P(s) for the narrow-band P: H(w) is singular at every w, and the
+    # zeros on the range of the residues still find the band
+    v = np.array([[1.0], [0.5]])
+    nb = NARROW_BAND
+    p = StateSpace(nb.A, nb.B @ v.T, v @ nb.C, v @ nb.D @ v.T)
+    ni = check_ni(p)
+    assert not ni.holds and abs(ni.worst_frequency - 10.0577) < 1e-3
+    assert "joint range of the residues" in ni.note
+    assert not check_sni_zeros(p).is_sni
+
+
+def test_sni_zeros_ignore_zeros_at_infinity():
+    # position output, so CB = 0: the QZ pencil reads two of its infinite
+    # zeros as finite ones near 1e8 j, on the axis within AXIS_TOL (1 + |z|)
+    p = modal_to_ss(ModalModel(((24.05, 1.4968, (-0.0926, 0.3121)),
+                                (110.001, 8.8231, (-0.1918, -0.8351)),
+                                (994.049, 49.9876, (-0.6457, -0.1423)))))
+    r = check_sni_zeros(p)
+    assert r.is_sni and r.violating_zeros.size == 0
+    assert np.all(np.abs(r.axis_zeros) <= 1e-8)
+
+
+def test_repeated_poles_take_the_t_form(monkeypatch):
+    # a MIMO PPF controller, each pole twice, in rotated coordinates: eig
+    # returns a mixed basis of each double eigenspace, whose single residues
+    # are not symmetric, while their sum is
+    c = ppf_mimo([[1.0, 0.3], [-0.4, 0.8]], 60.0 * np.eye(2), 1e4 * np.eye(2))
+    T = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    c = StateSpace(T @ c.A @ T.T, T @ c.B, c.C @ T.T, c.D)
+    pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
+    z = phi_imaginary_axis_zeros(c)
+    assert z.note is None and len(pencils) == 0
+    # the two zeros at the origin from the factor 2s; K = C A^2 B deflates
+    # the other four, at infinity
+    assert z[1].size == 2 and np.all(z[1] == 0)
+    assert check_sni_zeros(c).is_sni and _qz_verdict(c)
+
+
+@pytest.mark.parametrize("sys, why", [
+    (NONSYMMETRIC, "residues or feedthrough not symmetric"),
+    # 1/(s+1)^2 from a Jordan block
+    (StateSpace([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+     "no well-conditioned eigenbasis"),
+    # diag(1/(s+1), 1/((s+2)(s+3))): CB = diag(1, 0) is singular but not zero
+    (StateSpace(np.diag([-1.0, -2.0, -3.0]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], np.zeros((2, 2))),
+     "no nonsingular leading Markov parameter"),
+])
+def test_qz_fallback_is_named(sys, why):
+    z = phi_imaginary_axis_zeros(sys)
+    assert why in z.note
+    q = _phi_zeros_qz(sys)
+    assert _same(z[0], q[0]) and _same(z[1], q[1])
+    v = check_ni(sys)
+    assert why in v.note and v.holds == _qz_verdict(sys)
 
 
 def test_ni_sweep_rejects_axis_pole():

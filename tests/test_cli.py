@@ -83,6 +83,18 @@ def test_analyze_json_keys(tmp_path, capsys):
     assert set(rep["sni_zeros"]) == {"is_sni", "reason", "axis_zeros"}
 
 
+def test_analyze_two_channel_plant_is_sni(tmp_path, capsys):
+    # CB = 0: QZ read two infinite zeros of Phi as axis zeros near 1e8 j
+    modes = [(24.05, 1.4968, [-0.0926, 0.3121]), (110.001, 8.8231, [-0.1918, -0.8351]),
+             (994.049, 49.9876, [-0.6457, -0.1423])]
+    spec = {"kind": "modal", "output": "position",
+            "modes": [{"omega": w, "kappa": k, "psi": p} for w, k, p in modes]}
+    rc, out, _ = run_main(["analyze", write(tmp_path, "b.json", spec)], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["ni"] and rep["sni"]
+
+
 def test_analyze_not_ni_exit_code(tmp_path, capsys):
     rc, out, _ = run_main(["analyze", write(tmp_path, "u.json", UNSTABLE)], capsys)
     assert rc == 2

@@ -109,7 +109,9 @@ def test_eval_grid_paper_plant_breakpoint_grid():
     assert eigenbasis(sys.A) is not None
     _, fin = phi_imaginary_axis_zeros(sys)
     ws = _breakpoint_grid(fin, poles(sys))
-    assert ws.size > 400
+    # w = 0, 2 * last + 1, the 100 pole magnitudes and a midpoint after each
+    # |Im s| of the 99 conjugate pairs among the 198 zeros t = s^2 of G
+    assert ws.size == 201
     _assert_close_to_evaluate(sys, ws)
 
 

@@ -17,8 +17,10 @@ from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_rea
                    inf_gain, internal_stability, irc, modal_to_ss,
                    positive_feedback, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type, rotated_system, star_product)
-from nisys import ModalModel
-from conftest import random_pd, tf
+from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, poles
+from nisys._kernels import eigenbasis
+from nisys.analysis import ORIGIN_TOL
+from conftest import flexible_modes, random_pd, tf
 
 
 def lag_block(rng, m):
@@ -254,6 +256,66 @@ def test_check_ni_agrees_with_dense_sweep():
             P = scale_output(P, -1.0)
         dense = check_ni_sweep(P, grid=default_grid(P, points_per_decade=2000))
         assert check_ni(P).holds == dense.holds == (i % 2 == 0)
+
+
+# ------------------------------------------- t = s^2 zeros against QZ oracle
+
+def _qz_verdict(P, monkeypatch):
+    # check_ni with the zeros of Phi from the QZ pencil
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "phi_imaginary_axis_zeros", analysis._phi_zeros_qz)
+        return check_ni(P)
+
+
+def _off_origin(z, p):
+    # QZ splits a multiple zero at the origin by up to about 1e-7 of the
+    # slowest pole's magnitude
+    return z[np.abs(z) > 1e-6 * p.min()]
+
+
+def test_phi_zeros_agree_with_qz_oracle(monkeypatch):
+    # NI and SNI draws, their negations, and sums of a draw and a scaled
+    # negated draw, which put zeros of Phi on the axis
+    rng = np.random.default_rng(167)
+    crossings = 0
+    for i in range(90):
+        m = int(rng.integers(1, 3))
+        P = (ni_draw, sni_draw)[i % 2](rng, m)
+        if i % 3 == 1:
+            P = scale_output(P, -1.0)
+        elif i % 3 == 2:
+            P = add(P, scale_output(ni_draw(rng, m), -float(rng.uniform(0.05, 0.5))))
+        ni, sni = check_ni(P), check_sni_zeros(P)
+        qni = _qz_verdict(P, monkeypatch)
+        assert ni.holds == qni.holds
+        z = phi_imaginary_axis_zeros(P)
+        if z.singular:
+            continue
+        p = np.abs(poles(P))
+        axis = z[0][np.abs(z[0]) > ORIGIN_TOL]
+        assert _off_origin(axis, p).size == axis.size
+        q = _off_origin(analysis._phi_zeros_qz(P)[0], p)
+        assert sni.is_sni == (qni.holds and q.size == 0)
+        a, b = np.sort(np.abs(axis.imag)), np.sort(np.abs(q.imag))
+        assert a.size == b.size
+        assert np.all(np.abs(a - b) <= 1e-8 * b)
+        crossings += a.size > 0
+    assert crossings >= 10
+
+
+def test_t_zeros_residual_on_paper_plant():
+    # every zero t of G(t) = sum_i R_i / (t - lam_i^2) on the 100-mode plant
+    # leaves sigma_min(G(t)) at most 1e-9 of its largest term
+    P = modal_to_ss(ModalModel(flexible_modes(100)))
+    lam, V, Vi, cond = eigenbasis(P.A)
+    why, t, k = analysis._t_zeros(P, lam, V, Vi, cond)
+    assert why is None and k == 1 and t.size == P.n - 2
+    CV, W = P.C @ V, Vi @ P.B
+    for tk in t:
+        f = 1.0 / (tk - lam * lam)
+        G = (CV * f) @ W
+        terms = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1) * np.abs(f)
+        assert np.linalg.svd(G, compute_uv=False)[-1] <= 1e-9 * terms.max()
 
 
 # ------------------------------------------------- DC-gain verdict iff test
