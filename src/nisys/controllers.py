@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._kernels import eigenbasis
 from .lti import StateSpace, add, dc_gain
@@ -156,6 +155,15 @@ class IrcDesign:
     controller: StateSpace | None
 
 
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment, imported at the first call: the
+    gain sweep is the only user of scipy in this module, and a process that
+    never runs one does not pay for importing scipy."""
+    from scipy.optimize import linear_sum_assignment as assign
+
+    return assign(cost)
+
+
 def _match(prev, p):
     cost = np.abs(prev[:, None] - p[None, :])
     r, c = linear_sum_assignment(cost)
@@ -209,6 +217,15 @@ def _aberth(z, lam, r, g, gd, trace):
     return 0.5 * (z + z[np.abs(z[:, None] - z.conj()).argmin(1)].conj())
 
 
+def _without(z, fixed):
+    """z less the entry nearest to each value of fixed, in order."""
+    keep = np.ones(z.size, dtype=bool)
+    for f in fixed:
+        dist = np.where(keep, np.abs(z - f), np.inf)
+        keep[dist.argmin()] = False
+    return z[keep]
+
+
 def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
                      gamma_max: float = 1e8,
                      points_per_decade: int = 200) -> IrcDesign:
@@ -223,11 +240,13 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     - gamma sum_i r_i / (s - lam_i)), with residues r = (C V) * (V^{-1} B)
     and d = D - Phi. Each gain after the first starts Aberth's iteration
     (`_aberth`) from the linear extrapolation in log gamma of the last two
-    matched rows, at O(n^2) per step against O(n^3) for an eigensolve. A
-    dense eigensolve of the closed loop gives the poles instead at the
-    first gain, at any gain whose roots fail `_aberth`'s acceptance (a
-    double root at a breakaway point, a root on the eigenvalue of a zero
-    residue), and at every gain when A has no well-conditioned eigenbasis;
+    matched rows, at O(n^2) per step against O(n^3) for an eigensolve. An
+    eigenvalue whose residue is zero to rounding (a mode without output or
+    input) is a closed-loop pole at every gain: it is deflated out of the
+    iteration and appended to each row as it is. A dense eigensolve of the
+    closed loop gives the poles instead at the first gain, at any gain
+    whose roots fail `_aberth`'s acceptance (a double root at a breakaway
+    point), and at every gain when A has no well-conditioned eigenbasis;
     that last sweep is bit for bit the eigensolve sweep. The accepted poles
     agree with an eigensolve's to rounding (at worst 6e-12 relative on the
     benchmark's paper plants), real poles are exactly real and pairs
@@ -265,8 +284,15 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
         ol = np.linalg.eigvals(A)
     else:
         ol, V, Vi, _ = eb
-        r = (C @ V)[0] * (Vi @ B)[:, 0]
-        trA = np.trace(A)
+        CV, W = (C @ V)[0], (Vi @ B)[:, 0]
+        # a mode with no output or no input, to rounding, has a zero residue:
+        # its eigenvalue is a closed-loop pole at every gain, and a root
+        # iterated onto it stalls, so it is deflated out of the iteration
+        tol = n * np.finfo(float).eps
+        zero = ((np.abs(CV) <= tol * np.linalg.norm(C) * np.linalg.norm(V, axis=0))
+                | (np.abs(W) <= tol * np.linalg.norm(B) * np.linalg.norm(Vi, axis=1)))
+        lam, r, fixed = ol[~zero], (CV * W)[~zero], ol[zero]
+        trA = np.trace(A) - fixed.sum().real
 
     def track(gs, prev, hist):
         """Matched pole rows at the gains gs: prev is the row the first is
@@ -278,7 +304,11 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
             if eb is not None and hist:
                 (t0, z0), (t1, z1) = hist[0], hist[-1]
                 z = z1 if t1 == t0 else z1 + (z1 - z0) * ((t - t1) / (t1 - t0))
-                p = _aberth(z, ol, r, g, g * d, trA + g * d)
+                if fixed.size:
+                    z = _without(z, fixed)
+                p = _aberth(z, lam, r, g, g * d, trA + g * d)
+                if fixed.size and p is not None:
+                    p = np.concatenate((p, fixed))
             if p is None:
                 p = np.linalg.eigvals(closed_A(g))
             prev = _match(prev, p)

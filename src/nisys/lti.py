@@ -25,7 +25,8 @@ class LtiError(ValueError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Real state-space system (A, B, C, D)."""
+    """Real state-space system (A, B, C, D). The matrices are not to be
+    edited in place: derived facts such as `poles` are kept on the system."""
 
     A: np.ndarray
     B: np.ndarray
@@ -183,7 +184,14 @@ def paraconjugate_transpose(sys: StateSpace) -> StateSpace:
 
 
 def poles(sys: StateSpace) -> np.ndarray:
-    return numerics.eig_general(sys.A)
+    """Eigenvalues of A, computed at the first call and kept on the system,
+    read-only: a verdict asks for the poles of one system several times."""
+    p = sys.__dict__.get("_poles")
+    if p is None:
+        p = numerics.eig_general(sys.A)
+        p.flags.writeable = False
+        sys.__dict__["_poles"] = p
+    return p
 
 
 def dc_gain(sys: StateSpace) -> np.ndarray:

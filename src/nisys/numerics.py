@@ -4,12 +4,16 @@ Thin wrappers over numpy/scipy LAPACK drivers that pin down the contracts the
 other modules rely on: inputs are validated as finite, near-symmetric inputs
 are symmetrized before a symmetric decomposition, and ill-conditioned solves
 raise instead of returning garbage.
+
+Only `balance` (scipy's `matrix_balance`) and `generalized_eigenvalues` (a
+QZ of a pencil) need scipy. Each imports it at its first call, so that a
+process that never reaches them, such as an NI or loop verdict on a
+symmetric plant, runs on numpy alone and skips scipy's import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 COND_LIMIT = 1e12
 
@@ -85,7 +89,9 @@ def balance(A):
     A = as_matrix(A, square=True, name="A")
     if A.shape[0] == 0:
         return A.copy(), np.eye(0)
-    Ab, T = sla.matrix_balance(A, permute=False)
+    from scipy.linalg import matrix_balance
+
+    Ab, T = matrix_balance(A, permute=False)
     return Ab, T
 
 
@@ -97,7 +103,9 @@ def generalized_eigenvalues(M1, M2) -> np.ndarray:
     """
     M1 = as_matrix(M1, square=True, name="M1")
     M2 = as_matrix(M2, square=True, name="M2")
-    alpha, beta = sla.eig(M1, M2, right=False, homogeneous_eigvals=True)
+    from scipy.linalg import eig
+
+    alpha, beta = eig(M1, M2, right=False, homogeneous_eigvals=True)
     tol = M1.shape[0] * np.finfo(float).eps
     if np.any((np.abs(alpha) <= tol * np.linalg.norm(M1))
               & (np.abs(beta) <= tol * np.linalg.norm(M2))):

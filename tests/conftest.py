@@ -1,9 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import tf2ss
 
 from nisys import ModalModel, StateSpace, UncertainPlant, modal_to_ss
 from nisys.controllers import IrcDesign, _match
+
+
+def same(a, b):
+    """Exact equality through dataclasses, containers and arrays (NaN == NaN)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, (np.ndarray, float, complex)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
 
 
 def tf(num, den) -> StateSpace:

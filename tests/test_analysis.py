@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from nisys import (add, check_ni, check_ni_lmi, check_ni_sweep, check_positive_r
                    sni_sufficient_lag, sni_sufficient_lag2)
 from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
-from conftest import flexible_modes, tf
+from conftest import flexible_modes, same, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -68,20 +66,6 @@ def test_golden_unstable(unstable):
     assert c.ni_sweep.reason == "right-half-plane pole"
 
 
-def _same(a, b):
-    # exact equality through dataclasses, containers and arrays (NaN == NaN)
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, (np.ndarray, float, complex)):
-        return np.array_equal(a, b, equal_nan=True)
-    return a == b
-
-
 def _counting(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -103,22 +87,31 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
                                           unstable, monkeypatch):
     solves = _counting(monkeypatch, lmimod, "solve_feasibility")
     pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
+    eigs = _counting(monkeypatch, numerics, "eig_general")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
-    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
-    cases = [(first_order, None, 0), (second_order, None, 0), (velocity_mode, None, 0),
-             (second_order, grid, 0), (unstable, None, 0), (NONSYMMETRIC, None, 1)]
-    for sys, g, want in cases:
+    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil;
+    # the last column is the number of SPR shifts tried: first_order is SPR
+    # at the first, the others run the whole ladder
+    cases = [(first_order, None, 0, 1), (second_order, None, 0, 3),
+             (velocity_mode, None, 0, 3), (second_order, grid, 0, 3), (unstable, None, 0, 3),
+             (NONSYMMETRIC, None, 1, 3)]
+    for sys, g, want, shifts in cases:
+        # a fresh system, so no poles are kept from an earlier case
+        sys = StateSpace(sys.A, sys.B, sys.C, sys.D)
         solves.clear()
         pencils.clear()
+        eigs.clear()
         c = classify(sys, grid=g)
         assert len(solves) == 0 and len(pencils) == want
+        # the poles of the system once, and those of each shifted system once
+        assert len(eigs) == 1 + shifts
         ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
-        assert _same(c.ni_sweep, check_ni_sweep(sys, grid=g))
-        assert _same(c.ni_spectral, ni)
-        assert _same(c.sni_zeros, sni_zeros)
-        assert _same(c.pr_sweep, check_positive_real(sys, grid=g))
-        assert _same(c.spr_sweep, check_strictly_positive_real(sys, grid=g))
+        assert same(c.ni_sweep, check_ni_sweep(sys, grid=g))
+        assert same(c.ni_spectral, ni)
+        assert same(c.sni_zeros, sni_zeros)
+        assert same(c.pr_sweep, check_positive_real(sys, grid=g))
+        assert same(c.spr_sweep, check_strictly_positive_real(sys, grid=g))
         assert c.ni == ni.holds and c.sni == sni_zeros.is_sni
         # the LMI certificate stays as an independent oracle of the verdict
         assert ni.holds == check_ni_lmi(sys).is_ni
@@ -236,7 +229,7 @@ def test_qz_fallback_is_named(sys, why):
     z = phi_imaginary_axis_zeros(sys)
     assert why in z.note
     q = _phi_zeros_qz(sys)
-    assert _same(z[0], q[0]) and _same(z[1], q[1])
+    assert same(z[0], q[0]) and same(z[1], q[1])
     v = check_ni(sys)
     assert why in v.note and v.holds == _qz_verdict(sys)
 

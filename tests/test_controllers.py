@@ -179,7 +179,7 @@ def _sweep_case(name):
     raise ValueError(name)
 
 
-def _assert_same_loci(loci, ref, rtol=1e-9):
+def _assert_same_loci(loci, ref, rtol=1e-10):
     """Row by row the same poles in the same columns, real exactly where the
     reference's are real. Two real poles may trade columns: where a pair
     splits on the real axis, which column takes which is a tie of the
@@ -226,9 +226,15 @@ def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
     assert starts
     for z, out in starts:
         assert np.array_equal(np.abs(z[:, None] - out).argmin(1), np.arange(z.size))
-    if name not in ("undersized-phi", "unobservable-mode"):
-        # no breakaway and no zero residue: the first gain is the only eigensolve
+    if name != "undersized-phi":
+        # no breakaway: the first gain is the only eigensolve
         assert len(eigensolves) == 1
+    if name == "unobservable-mode":
+        # the zero residue's poles are deflated out of the iteration and
+        # stand in every continued row as the eigenbasis of A gives them
+        ol = eigenbasis(plant.A)[0]
+        lam = ol[np.abs(ol[:, None] - np.linalg.eigvals(plant.A[4:6, 4:6])).argmin(0)]
+        assert all(np.isin(lam, row).all() for row in des.loci[1:])
 
 
 def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():

@@ -1,0 +1,81 @@
+"""The import floor: a verdict on a symmetric plant runs on numpy alone, and
+the three calls that need scipy import it at their first use. Each check runs
+in a fresh interpreter, since this process has imported scipy already."""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import nisys
+from nisys.cli import main
+from conftest import same
+
+PRELUDE = """
+import numpy as np
+from nisys import (ModalModel, StateSpace, check_ni, choose_phi, dc_gain_verdict,
+                   design_irc_gamma, irc, is_minimal, modal_to_ss)
+PLANT = modal_to_ss(ModalModel(tuple((100.0 * k, 2.0, (1.0,)) for k in (1, 2, 3))))
+NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
+                          np.zeros((2, 2)))
+"""
+
+SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+SISO = {"kind": "modal", "output": "position",
+        "modes": [{"omega": 100.0 * k, "kappa": 2.0, "psi": [1.0]} for k in (1, 2, 3)]}
+
+
+def _fresh(code):
+    """Run code in a new interpreter that imports the same nisys as this
+    process; returns the JSON object its last line of output prints."""
+    src = os.path.dirname(os.path.dirname(nisys.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_siso_verdicts_import_no_scipy(tmp_path):
+    system = tmp_path / "siso.json"
+    system.write_text(json.dumps(SISO))
+    child = _fresh(f"""
+import json, sys
+import nisys, nisys.cli
+{PRELUDE}
+rc = nisys.cli.main(["analyze", {str(system)!r}, "--out", {str(tmp_path / "child.json")!r}])
+rep = dc_gain_verdict(PLANT, irc([[1e5]], choose_phi(PLANT)))
+print(json.dumps({{"rc": rc, "stable": rep.stable, "note": rep.note, "scipy": {SCIPY}}}))
+""")
+    assert child["scipy"] == []
+    # the loop verdict was the DC-gain test, not the fallback pole test
+    assert child["stable"] and child["note"] is None
+    assert main(["analyze", str(system), "--out", str(tmp_path / "here.json")]) == child["rc"]
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+@pytest.mark.parametrize("call", ["is_minimal(PLANT)", "check_ni(NONSYMMETRIC)",
+                                  "design_irc_gamma(PLANT, choose_phi(PLANT))"])
+def test_scipy_loads_at_first_use(call, tmp_path):
+    # is_minimal balances A (matrix_balance), check_ni on a non-symmetric
+    # plant takes the QZ pencil, the gain sweep matches rows by assignment
+    out = tmp_path / "out.pickle"
+    child = _fresh(f"""
+import json, pickle, sys
+{PRELUDE}
+before = {SCIPY}
+result = {call}
+after = {SCIPY}
+with open({str(out)!r}, "wb") as f:
+    pickle.dump(result, f)
+print(json.dumps({{"before": before, "after": after}}))
+""")
+    assert child["before"] == [] and "scipy" in child["after"]
+    ns = {}
+    exec(PRELUDE, ns)
+    with open(out, "rb") as f:
+        assert same(pickle.load(f), eval(call, ns))

@@ -27,6 +27,15 @@ def test_statespace_static_gain():
     assert poles(g).size == 0
 
 
+def test_poles_are_kept_read_only():
+    sys = StateSpace([[-1.0, 2.0], [0.0, -3.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    p = poles(sys)
+    assert poles(sys) is p
+    assert np.array_equal(np.sort(p), [-3.0, -1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        p[0] = 0.0
+
+
 def test_row_vector_b_normalized():
     # a single-input B given as a row is accepted and transposed
     s1 = StateSpace([[-1.0, 0.0], [0.0, -2.0]], [1.0, 2.0], [[1.0, 1.0]], [[0.0]])
