@@ -16,10 +16,13 @@ of rank below m make H(w) singular at every w; G is then restricted to
 their joint range. The QZ pencil of the doubled realization, of order
 2n + m, is the fallback in three cases, each named in the verdict's `note`:
 non-symmetric residues or D, no well-conditioned eigenbasis, and no
-nonsingular leading Markov parameter of G. The PR and SPR verdicts are dense
-frequency sweeps. The NI lemma LMI (`check_ni_lmi`) and
-the lag-augmentation sufficient conditions for strictness are certificates
-on demand.
+nonsingular leading Markov parameter of G.
+
+PR and SPR are decided from one sweep of P(jw) + P(jw)^* on a grid: PR by
+its sign, SPR by its strict sign at every w > 0 plus the limit conditions at
+w = 0 and w -> infinity (`check_strictly_positive_real`). The NI lemma LMI
+(`check_ni_lmi`) and the lag-augmentation sufficient conditions for
+strictness are certificates on demand.
 """
 
 from __future__ import annotations
@@ -109,13 +112,17 @@ def _square(sys):
         raise ValueError("this test requires a square system")
 
 
+def _refused(reason, grid=None):
+    # a verdict decided before or without a sweep
+    return FreqVerdict(False, np.nan, -np.inf, np.zeros(0) if grid is None else grid, reason)
+
+
 def _pole_verdict(sys):
     # poles of sys, and a verdict that is False before any grid point when
     # a pole is on or right of the imaginary axis (else None)
     p, on_axis, in_rhp = _pole_axis_status(sys)
     if on_axis or in_rhp:
-        reason = "imaginary-axis pole" if on_axis else "right-half-plane pole"
-        return p, FreqVerdict(False, np.nan, -np.inf, np.zeros(0), reason)
+        return p, _refused("imaginary-axis pole" if on_axis else "right-half-plane pole")
     return p, None
 
 
@@ -426,56 +433,105 @@ def _filtered_grid(g, p):
     return g[keep], keep
 
 
+def _pr_spr(sys, grid, tol):
+    """(check_positive_real, check_strictly_positive_real) from one sweep of
+    P(jw) + P(jw)^* on the grid."""
+    _square(sys)
+    p, on_axis, in_rhp = _pole_axis_status(sys)
+    if in_rhp:
+        return _refused("right-half-plane pole"), _refused("right-half-plane pole")
+    note = spr = None
+    if on_axis:
+        spr = _refused("imaginary-axis pole")
+        ap = p[np.abs(p.real) <= AXIS_TOL * (1.0 + np.abs(p))]
+        ap = np.sort(ap.imag)
+        if ap.size > 1 and np.any(np.diff(ap) <= 1e-6 * (1.0 + np.abs(ap[:-1]))):
+            return _refused("repeated imaginary-axis pole"), spr
+        note = "imaginary-axis pole(s) present, grid points near them skipped"
+    g = _as_grid(sys, grid)
+    # only grid points within rounding of an imaginary-axis pole are dropped,
+    # so an empty grid means on_axis, and spr is already decided
+    ge, _ = _filtered_grid(g, p)
+    if ge.size == 0:
+        return _refused("no evaluable grid points", g), spr
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, mode=1)
+    rel = lam / (1.0 + pn)
+    i = int(np.argmin(rel))
+    pr = FreqVerdict(bool(rel[i] >= -tol), float(ge[i]), float(lam[i]), ge, note=note)
+    return pr, spr if spr is not None else _spr_hurwitz(sys, ge, lam, pn, tol)
+
+
+def _spr_hurwitz(sys, g, lam, pn, tol):
+    """check_strictly_positive_real of a system with A Hurwitz, given
+    lambda_min(P(jw) + P(jw)^*) and ||P(jw)|| on the grid g."""
+    X = np.linalg.solve(sys.A, sys.B)
+    P0 = sys.D - sys.C @ X
+    dc = np.linalg.eigvalsh(P0 + P0.T)[0]
+    # the scale of P(0) before cancellation: the exact zero of a velocity
+    # plant cannot pass on rounding
+    scale = np.linalg.norm(sys.D) + np.linalg.norm(sys.C) * np.linalg.norm(X)
+    pos = g > 0
+    ws = np.concatenate(([0.0], g[pos]))
+    margins = np.concatenate(([dc], lam[pos]))
+    rel = margins / np.maximum(np.concatenate(([scale], pn[pos])), np.finfo(float).tiny)
+    i = int(np.argmin(rel))
+    if not rel[i] > tol:
+        return FreqVerdict(False, float(ws[i]), float(margins[i]), g,
+                           f"P(jw) + P(jw)^* is not positive definite at w = {ws[i]:g}")
+    why = _spr_at_infinity(sys, tol)
+    if why is not None:
+        return FreqVerdict(False, np.nan, why[1], g, "w -> infinity: " + why[0])
+    return FreqVerdict(True, float(ws[i]), float(margins[i]), g)
+
+
+def _spr_at_infinity(sys, tol):
+    """None when D + D^T > 0, or when on an orthonormal basis M of its
+    kernel M^T (CB - (CB)^T) M = 0 and -M^T (CAB + (CAB)^T) M > 0; else
+    (why not, margin)."""
+    S = sys.D + sys.D.T
+    ev, U = np.linalg.eigh(S)
+    cut = tol * np.linalg.norm(S)
+    if ev[0] > cut:
+        return None
+    if ev[0] < -cut:
+        return "D + D^T is not positive semidefinite", float(ev[0])
+    M = U[:, ev <= cut]
+    AB = sys.A @ sys.B
+    nc = np.linalg.norm(sys.C)
+    K = M.T @ (sys.C @ sys.B) @ M
+    asym = np.linalg.norm(K - K.T)
+    if asym > tol * nc * np.linalg.norm(sys.B):
+        return "CB is not symmetric on the kernel of D + D^T", float(-asym)
+    L = M.T @ (sys.C @ AB) @ M
+    lim = np.linalg.eigvalsh(-(L + L.T))[0]
+    if not lim > tol * nc * np.linalg.norm(AB):
+        return ("-(CAB + (CAB)^T) is not positive definite on the kernel of D + D^T",
+                float(lim))
+    return None
+
+
 def check_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Poles in the closed left half-plane (simple imaginary-axis poles
     tolerated, noted) and lambda_min(P(jw) + P(jw)^*) >= -tol relative on the
     grid."""
-    _square(sys)
-    p, on_axis, in_rhp = _pole_axis_status(sys)
-    if in_rhp:
-        return FreqVerdict(False, np.nan, -np.inf, np.zeros(0), "right-half-plane pole")
-    note = None
-    if on_axis:
-        ap = p[np.abs(p.real) <= AXIS_TOL * (1.0 + np.abs(p))]
-        ap = np.sort(ap.imag)
-        if ap.size > 1 and np.any(np.diff(ap) <= 1e-6 * (1.0 + np.abs(ap[:-1]))):
-            return FreqVerdict(False, np.nan, -np.inf, np.zeros(0),
-                               "repeated imaginary-axis pole")
-        note = "imaginary-axis pole(s) present, grid points near them skipped"
-    g = _as_grid(sys, grid)
-    ge, _ = _filtered_grid(g, p)
-    if ge.size == 0:
-        return FreqVerdict(False, np.nan, -np.inf, g, "no evaluable grid points")
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, mode=1)
-    rel = lam / (1.0 + pn)
-    i = int(np.argmin(rel))
-    return FreqVerdict(bool(rel[i] >= -tol), float(ge[i]), float(lam[i]), ge, note=note)
+    return _pr_spr(sys, grid, tol)[0]
 
 
-SPR_SHIFT_LADDER = (1e-6, 1e-4, 1e-2)
-
-
-def check_strictly_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL,
-                                 eps_shift=None) -> FreqVerdict:
-    """P(s - eps) positive real for some eps > 0, probed over a geometric
-    ladder of shifts (or the single given eps_shift)."""
-    _square(sys)
-    ladder = (float(eps_shift),) if eps_shift is not None else SPR_SHIFT_LADDER
-    last = None
-    for e in ladder:
-        shifted = StateSpace(sys.A + e * np.eye(sys.n), sys.B, sys.C, sys.D)
-        ps = poles(shifted)
-        if ps.size and np.any(ps.real >= -AXIS_TOL * (1.0 + np.abs(ps))):
-            last = FreqVerdict(False, np.nan, -np.inf, np.zeros(0),
-                               f"shift {e:g} moves poles onto or past the imaginary axis")
-            continue
-        v = check_positive_real(shifted, grid=grid, tol=tol)
-        v.note = f"shift {e:g}"
-        if v.holds:
-            return v
-        last = v
-    return last if last is not None else FreqVerdict(False, np.nan, -np.inf, np.zeros(0),
-                                                     "empty shift ladder")
+def check_strictly_positive_real(sys: StateSpace, grid=None,
+                                 tol: float = NI_SWEEP_TOL) -> FreqVerdict:
+    """Strictly positive real (Khalil, Nonlinear Systems, Lemma 6.1), from
+    the sweep of check_positive_real:
+    1. A is Hurwitz;
+    2. lambda_min(P(jw) + P(jw)^*) > tol ||P(jw)|| at every grid point w > 0;
+    3. lambda_min(P(0) + P(0)^T) > tol (||D|| + ||C|| ||A^{-1} B||);
+    4. at w -> infinity, D + D^T > 0, or on an orthonormal basis M of the
+       kernel of D + D^T, M^T (CB - (CB)^T) M = 0 and
+       -M^T (CAB + (CAB)^T) M > 0.
+    `reason` names the failed condition: a pole, the frequency (0 for the DC
+    condition), or the limit at infinity, where `worst_frequency` is NaN.
+    An imaginary-axis zero of P + P^* at some w > 0 is found only when a grid
+    point lands on it."""
+    return _pr_spr(sys, grid, tol)[1]
 
 
 def rotated_system(sys: StateSpace) -> StateSpace:
@@ -571,13 +627,13 @@ class Classification:
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
     """Run the full battery. check_ni and check_sni_zeros, sharing one zero
-    pencil, are the verdicts of record for NI/SNI; the sweeps on `grid` are
-    the PR/SPR verdicts and NI evidence. Each field equals what the
-    standalone check returns at this tol (check_sni_zeros: at the default)."""
+    pencil, are the verdicts of record for NI/SNI; one sweep of
+    P(jw) + P(jw)^* on `grid` decides PR and SPR, and the NI sweep on `grid`
+    is evidence. Each field equals what the standalone check returns at this
+    tol (check_sni_zeros: at the default)."""
     ni, axis = _ni_spectral(sys, tol)
     sni_z = _sni_zeros(ni, axis)
-    pr = check_positive_real(sys, grid=grid, tol=tol)
-    spr = check_strictly_positive_real(sys, grid=grid, tol=tol)
+    pr, spr = _pr_spr(sys, grid, tol)
     return Classification(
         ni=bool(ni.holds), sni=bool(sni_z.is_sni), pr=bool(pr.holds), spr=bool(spr.holds),
         ni_sweep=check_ni_sweep(sys, grid=grid, tol=tol), ni_spectral=ni,

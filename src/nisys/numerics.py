@@ -72,11 +72,6 @@ def solve(A, B) -> np.ndarray:
     return np.linalg.solve(A, B)
 
 
-def inverse(A) -> np.ndarray:
-    A = as_matrix(A, square=True, name="A")
-    return solve(A, np.eye(A.shape[0], dtype=A.dtype))
-
-
 def sigma_max(A) -> float:
     A = as_matrix(A, name="A")
     if A.size == 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nisys import analysis
 from nisys import lmi as lmimod
 from nisys import numerics
 from nisys import (add, check_ni, check_ni_lmi, check_ni_sweep, check_positive_real,
@@ -88,23 +89,24 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
     solves = _counting(monkeypatch, lmimod, "solve_feasibility")
     pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
     eigs = _counting(monkeypatch, numerics, "eig_general")
+    sweeps = _counting(monkeypatch, analysis, "sweep_eigmin")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
-    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil;
-    # the last column is the number of SPR shifts tried: first_order is SPR
-    # at the first, the others run the whole ladder
-    cases = [(first_order, None, 0, 1), (second_order, None, 0, 3),
-             (velocity_mode, None, 0, 3), (second_order, grid, 0, 3), (unstable, None, 0, 3),
-             (NONSYMMETRIC, None, 1, 3)]
-    for sys, g, want, shifts in cases:
+    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
+    cases = [(first_order, None, 0), (second_order, None, 0), (velocity_mode, None, 0),
+             (second_order, grid, 0), (unstable, None, 0), (NONSYMMETRIC, None, 1)]
+    for sys, g, want in cases:
         # a fresh system, so no poles are kept from an earlier case
         sys = StateSpace(sys.A, sys.B, sys.C, sys.D)
         solves.clear()
         pencils.clear()
         eigs.clear()
+        sweeps.clear()
         c = classify(sys, grid=g)
         assert len(solves) == 0 and len(pencils) == want
-        # the poles of the system once, and those of each shifted system once
-        assert len(eigs) == 1 + shifts
+        # the poles once; a stable system is swept for NI on the breakpoints
+        # and on the grid, and for PR and SPR together on the grid
+        assert len(eigs) == 1
+        assert len(sweeps) == (3 if np.all(poles(sys).real < 0) else 0)
         ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
         assert same(c.ni_sweep, check_ni_sweep(sys, grid=g))
@@ -312,13 +314,47 @@ def test_pr_rejects_repeated_axis_pole():
     assert not v.holds and "repeated" in v.reason
 
 
-def test_spr_ladder(first_order):
-    v = check_strictly_positive_real(first_order)
-    assert v.holds
-    assert v.note.startswith("shift")
-    # explicit shift too aggressive: destabilizes, verdict false
-    v2 = check_strictly_positive_real(first_order, eps_shift=2.0)
-    assert not v2.holds
+# (system, grid, PR, SPR, a phrase of the SPR reason): each SPR condition
+# fails in at least one row. The short grids stop where P + P^* is still
+# positive, so only the limit at w -> infinity can fail
+SPR_CASES = [
+    # P(0) = 0: the velocity paper plants are PR but not SPR
+    *[pytest.param(modal_to_ss(ModalModel(flexible_modes(k), output="velocity")), None,
+                   True, False, "at w = 0", id=f"velocity-n{2 * k}") for k in (1, 2, 3)],
+    # c b^T / (s + 1): P + P^* is singular at every w
+    pytest.param(StateSpace([[-1.0]], [[1.0, 2.0]], [[1.0], [2.0]], np.zeros((2, 2))), None,
+                 True, False, "not positive definite at w = ", id="rank-one"),
+    pytest.param(tf([1e-6], [1.0, 1.0]), None, True, True, None, id="1e-6/(s+1)"),
+    pytest.param(tf([1e6], [1.0, 1.0]), None, True, True, None, id="1e6/(s+1)"),
+    # D + D^T > 0 decides the limit
+    pytest.param(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]]), None, True, True, None,
+                 id="(s+2)/(s+1)"),
+    pytest.param(tf([1.0], [1.0, 0.0, 1.0]), None, False, False, "imaginary-axis pole",
+                 id="1/(s^2+1)"),
+    pytest.param(tf([1.0], [1.0, -1.0]), None, False, False, "right-half-plane pole",
+                 id="1/(s-1)"),
+    # CB = 0 and -2 CAB < 0
+    pytest.param(tf([1.0], [1.0, 11.0, 10.0]), [0.0, 1.0], True, False,
+                 "-(CAB + (CAB)^T) is not positive definite", id="1/((s+1)(s+10))"),
+    # CB is not symmetric
+    pytest.param(StateSpace(-np.eye(2), [[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.zeros((2, 2))),
+                 [0.0, 0.5], True, False, "CB is not symmetric", id="[[1,1],[-1,1]]/(s+1)"),
+    pytest.param(StateSpace([[-1.0]], [[1.0]], [[2.0]], [[-1.0]]), [0.0, 0.5], True, False,
+                 "D + D^T is not positive semidefinite", id="2/(s+1)-1"),
+]
+
+
+@pytest.mark.parametrize("sys, grid, pr, spr, why", SPR_CASES)
+def test_spr_conditions(sys, grid, pr, spr, why):
+    v = check_strictly_positive_real(sys, grid=grid)
+    assert v.holds == spr and check_positive_real(sys, grid=grid).holds == pr
+    assert v.reason is None if spr else why in v.reason
+    if why == "at w = 0":
+        assert v.worst_frequency == 0.0
+    if not spr and v.reason.startswith("w -> infinity"):
+        assert np.isnan(v.worst_frequency)
+    c = classify(sys, grid=grid)
+    assert (c.pr, c.spr) == (pr, spr)
 
 
 def test_rotated_system_identity(second_order):

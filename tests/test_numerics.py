@@ -65,7 +65,5 @@ def test_generalized_eigenvalues_drops_infinite():
         nx.generalized_eigenvalues(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
 
-def test_inverse_and_sigma_max():
-    A = np.array([[3.0, 1.0], [0.0, 2.0]])
-    assert np.allclose(nx.inverse(A) @ A, np.eye(2))
+def test_sigma_max():
     assert np.isclose(nx.sigma_max(np.diag([3.0, -7.0])), 7.0)

@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_real,
-                   check_sni_zeros, dc_gain, dc_gain_verdict, default_grid,
-                   diagonal_replicate, evaluate, hermitian_imaginary_part,
-                   inf_gain, internal_stability, irc, modal_to_ss,
-                   positive_feedback, ppf, ppf_mimo, resonant_acc,
+                   check_sni_zeros, check_strictly_positive_real, dc_gain,
+                   dc_gain_verdict, default_grid, diagonal_replicate, evaluate,
+                   hermitian_imaginary_part, inf_gain, internal_stability, irc,
+                   modal_to_ss, positive_feedback, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type, rotated_system, star_product)
 from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, poles
 from nisys._kernels import eigenbasis
@@ -243,6 +243,8 @@ def test_rotation_links_ni_and_pr_verdicts():
         expect = check_ni_sweep(P).holds
         got = check_positive_real(rotated_system(P)).holds
         assert got == expect
+        # SPR implies PR
+        assert check_positive_real(P).holds or not check_strictly_positive_real(P).holds
 
 
 def test_check_ni_agrees_with_dense_sweep():
