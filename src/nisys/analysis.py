@@ -474,8 +474,12 @@ def _spr_hurwitz(sys, g, lam, pn, tol):
     ws = np.concatenate(([0.0], g[pos]))
     margins = np.concatenate(([dc], lam[pos]))
     rel = margins / np.maximum(np.concatenate(([scale], pn[pos])), np.finfo(float).tiny)
-    i = int(np.argmin(rel))
-    if not rel[i] > tol:
+    # a scaled margin at w = 0 only; at w > 0 the sign alone, since on the
+    # kernel of D + D^T the P + P^* of an SPR plant may decay like 1/w^2
+    # while ||P(jw)|| decays like 1/w; the limit at infinity covers large w
+    fail = margins <= np.concatenate(([tol * scale], np.zeros(ws.size - 1)))
+    i = int(np.argmax(fail)) if fail.any() else int(np.argmin(rel))
+    if fail[i]:
         return FreqVerdict(False, float(ws[i]), float(margins[i]), g,
                            f"P(jw) + P(jw)^* is not positive definite at w = {ws[i]:g}")
     why = _spr_at_infinity(sys, tol)
@@ -496,15 +500,17 @@ def _spr_at_infinity(sys, tol):
     if ev[0] < -cut:
         return "D + D^T is not positive semidefinite", float(ev[0])
     M = U[:, ev <= cut]
-    AB = sys.A @ sys.B
-    nc = np.linalg.norm(sys.C)
-    K = M.T @ (sys.C @ sys.B) @ M
+    # scales of the products restricted to the kernel, so that a channel of
+    # small gain there is not measured against the others
+    CM, BM = M.T @ sys.C, sys.B @ M
+    ABM = sys.A @ BM
+    K = CM @ BM
     asym = np.linalg.norm(K - K.T)
-    if asym > tol * nc * np.linalg.norm(sys.B):
+    if asym > tol * np.linalg.norm(CM) * np.linalg.norm(BM):
         return "CB is not symmetric on the kernel of D + D^T", float(-asym)
-    L = M.T @ (sys.C @ AB) @ M
+    L = CM @ ABM
     lim = np.linalg.eigvalsh(-(L + L.T))[0]
-    if not lim > tol * nc * np.linalg.norm(AB):
+    if not lim > tol * np.linalg.norm(CM) * np.linalg.norm(ABM):
         return ("-(CAB + (CAB)^T) is not positive definite on the kernel of D + D^T",
                 float(lim))
     return None
@@ -522,7 +528,7 @@ def check_strictly_positive_real(sys: StateSpace, grid=None,
     """Strictly positive real (Khalil, Nonlinear Systems, Lemma 6.1), from
     the sweep of check_positive_real:
     1. A is Hurwitz;
-    2. lambda_min(P(jw) + P(jw)^*) > tol ||P(jw)|| at every grid point w > 0;
+    2. lambda_min(P(jw) + P(jw)^*) > 0 at every grid point w > 0;
     3. lambda_min(P(0) + P(0)^T) > tol (||D|| + ||C|| ||A^{-1} B||);
     4. at w -> infinity, D + D^T > 0, or on an orthonormal basis M of the
        kernel of D + D^T, M^T (CB - (CB)^T) M = 0 and

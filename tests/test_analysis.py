@@ -314,6 +314,10 @@ def test_pr_rejects_repeated_axis_pole():
     assert not v.holds and "repeated" in v.reason
 
 
+# a rotation by 0.3 rad, to couple the channels of a diagonal plant
+ROT = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
 # (system, grid, PR, SPR, a phrase of the SPR reason): each SPR condition
 # fails in at least one row. The short grids stop where P + P^* is still
 # positive, so only the limit at w -> infinity can fail
@@ -326,6 +330,20 @@ SPR_CASES = [
                  True, False, "not positive definite at w = ", id="rank-one"),
     pytest.param(tf([1e-6], [1.0, 1.0]), None, True, True, None, id="1e-6/(s+1)"),
     pytest.param(tf([1e6], [1.0, 1.0]), None, True, True, None, id="1e6/(s+1)"),
+    # P + P^* decays like 1/w^2 in one direction while ||P(jw)|| stays larger
+    pytest.param(StateSpace(-np.eye(2), np.eye(2), np.diag([1.0, 1e-6]), np.zeros((2, 2))),
+                 None, True, True, None, id="diag(1,1e-6)/(s+1)"),
+    pytest.param(StateSpace(-np.eye(2), ROT.T, ROT @ np.diag([1.0, 1e-6]), np.zeros((2, 2))),
+                 None, True, True, None, id="rotated diag(1,1e-6)/(s+1)"),
+    # D + D^T = diag(2, 0): CB = 1e-3 and -2 CAB > 0 on its kernel
+    pytest.param(StateSpace([[-1.0]], [[0.0, 1.0]], [[0.0], [1e-3]], np.diag([1.0, 0.0])),
+                 None, True, True, None, id="diag(1,1e-3/(s+1))"),
+    # the same limit, beside a fast channel with a large CAB off the kernel
+    pytest.param(StateSpace(np.diag([-1e4, -1.0]), np.eye(2), np.diag([1e4, 1e-3]),
+                            np.diag([1.0, 0.0])),
+                 None, True, True, None, id="diag(1+1e4/(s+1e4),1e-3/(s+1))"),
+    pytest.param(tf([1.0], [1.0, 1.0]), default_grid(tf([1.0], [1.0, 1.0]), wmax=1e9),
+                 True, True, None, id="1/(s+1) to 1e9"),
     # D + D^T > 0 decides the limit
     pytest.param(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]]), None, True, True, None,
                  id="(s+2)/(s+1)"),
