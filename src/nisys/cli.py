@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -265,9 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process: building it costs about as much as the rest of a
+# small analyze call, and parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits with 0 after --help and with 2 on a usage error,
+        # which would read as "property false"
+        return OK if e.code == 0 else ERROR
     try:
         return args.fn(args)
     except (SystemFileError, LtiError, NumericsError, ValueError) as e:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import eigenbasis
+from ._kernels import CHUNK, eigenbasis
 from .lti import StateSpace, add, dc_gain
 from .numerics import eig_symmetric
 
@@ -148,7 +148,7 @@ class IrcDesign:
     zeta_at_star: float
     decay_at_star: float
     gammas: np.ndarray
-    loci: np.ndarray          # (len(gammas), n+1), assignment-matched rows
+    loci: np.ndarray          # (len(gammas), n+1), column j one branch of the locus
     zetas: np.ndarray
     decays: np.ndarray
     stable: np.ndarray
@@ -156,9 +156,9 @@ class IrcDesign:
 
 
 def linear_sum_assignment(cost):
-    """scipy.optimize.linear_sum_assignment, imported at the first call: the
-    gain sweep is the only user of scipy in this module, and a process that
-    never runs one does not pay for importing scipy."""
+    """scipy.optimize.linear_sum_assignment, imported at the first call: only
+    a gain-sweep row that takes the eigensolve needs it, and a process that
+    never has one does not pay for importing scipy."""
     from scipy.optimize import linear_sum_assignment as assign
 
     return assign(cost)
@@ -176,83 +176,109 @@ def _match(prev, p):
 # Aberth step; the step is cubically convergent, so the error it leaves is
 # far below that
 _STEP_TOL = 1e-6
-# a gain takes one or two steps from the predicted start, at most five on the
-# plants of the tests; one that needs more is left to the eigensolve
+# a gain takes one or two steps from a start predicted one gain ahead; a row
+# that needs more than this starts the next block, and if it needs more there
+# too it is left to the eigensolve
 _MAX_ITERS = 8
 # the accepted roots sum to the closed-loop trace to within this fraction of
 # sum |z_k|: a root lost or counted twice moves the sum by a root spacing
 _TRACE_TOL = 1e-12
 
 
-def _aberth(z, lam, r, g, gd, trace):
-    """The n + 1 roots of p_g(s) = prod(s - lam_i) (s - g d - g sum_i r_i /
-    (s - lam_i)), refined from the starting points z by Aberth's
-    simultaneous iteration on that product/secular form, never on expanded
-    coefficients; gd = g d. O(n^2) per step. The roots come back exactly
-    real or in exactly conjugate pairs, as a real eigensolve gives them.
-    Returns None unless they are finite, the last step moved each by at most
-    _STEP_TOL of its modulus, and they sum to the closed-loop trace,
-    trace(A) + g d."""
-    gr = g * r
+def _aberth(z, before, lam, r, g, gd, trace):
+    """Aberth's simultaneous iteration for b consecutive gains at once. Row j
+    of z, shape (b, k), starts the k roots of p_g(s) = prod(s - lam_i) (s -
+    g d - g sum_i r_i / (s - lam_i)) at g = g[j]; g, gd = g d and trace =
+    trace(A) + g d are (b,) arrays, and before (k,) holds the roots at the
+    gain that precedes g[0]. The iteration runs on that product/secular
+    form, never on expanded coefficients, at O(n^2) per row and step; a row
+    stops once its step is small. The roots come back exactly real or in
+    exactly conjugate pairs, as a real eigensolve gives them.
+
+    Returns the roots and a (b,) mask of accepted rows: the roots are
+    finite, the last step moved each by at most _STEP_TOL of its modulus,
+    they sum to the closed-loop trace, and each lies nearer its own start,
+    and nearer its own column of the row before (before, for row 0), than
+    any other root does. Column j of an accepted row then continues branch j
+    of the locus, as an assignment to the row before would have matched
+    it."""
+    b, k = z.shape
+    start, z = z, z.copy()
+    gr = g[:, None] * r
+    step = np.full(b, np.nan)
+    act = np.arange(b)
+    diag = np.arange(k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITERS):
-            Q = 1.0 / (z[:, None] - lam)
-            f = (z - gd) - Q @ gr
+            za, gra = z[act], gr[act, :, None]
+            # the (b, k, n) and (b, k, k) temporaries are reused in place
+            Q = za[:, :, None] - lam
+            np.reciprocal(Q, out=Q)
+            f = (za - gd[act, None]) - (Q @ gra)[..., 0]
+            Qsum = Q.sum(2)
+            np.multiply(Q, Q, out=Q)
             # Newton ratio p / p' = f / (f' + f sum_i 1 / (z - lam_i))
-            N = f / (1.0 + (Q * Q) @ gr + f * Q.sum(1))
+            N = f / (1.0 + (Q @ gra)[..., 0] + f * Qsum)
             # Aberth's step N / (1 - N sum_{j != k} 1 / (z_k - z_j)); the
             # infinite diagonal drops the j = k term
-            Z = z[:, None] - z
-            np.fill_diagonal(Z, np.inf)
-            w = N / (1.0 - N * (1.0 / Z).sum(1))
-            z = z - w
-            step = np.abs(w / z).max()
-            if not step > _STEP_TOL:
+            Z = za[:, :, None] - za[:, None, :]
+            Z[:, diag, diag] = np.inf
+            np.reciprocal(Z, out=Z)
+            w = N / (1.0 - N * Z.sum(2))
+            z[act] = za = za - w
+            step[act] = s = np.abs(w / za).max(1)
+            act = act[s > _STEP_TOL]
+            if not act.size:
                 break
-        if not (step <= _STEP_TOL and np.isfinite(z).all()
-                and abs(z.sum() - trace) <= _TRACE_TOL * np.abs(z).sum()):
-            return None
+        ok = ((step <= _STEP_TOL) & np.isfinite(z).all(1)
+              & (np.abs(z.sum(1) - trace) <= _TRACE_TOL * np.abs(z).sum(1)))
     # average each root with the conjugate of the root whose conjugate lies
     # nearest: itself for a real root, its partner for a pair
-    return 0.5 * (z + z[np.abs(z[:, None] - z.conj()).argmin(1)].conj())
-
-
-def _without(z, fixed):
-    """z less the entry nearest to each value of fixed, in order."""
-    keep = np.ones(z.size, dtype=bool)
-    for f in fixed:
-        dist = np.where(keep, np.abs(z - f), np.inf)
-        keep[dist.argmin()] = False
-    return z[keep]
+    partner = np.abs(z[:, :, None] - z.conj()[:, None, :]).argmin(2)
+    z = 0.5 * (z + np.take_along_axis(z, partner, 1).conj())
+    for ref in (start, np.concatenate((before[None], z[:-1]))):
+        ok &= (np.abs(ref[:, :, None] - z[:, None, :]).argmin(2) == diag).all(1)
+    return z, ok
 
 
 def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
                      gamma_max: float = 1e8,
                      points_per_decade: int = 200) -> IrcDesign:
-    """Sweep the integral resonant gain gamma on a log grid, track each
-    closed-loop pole across the sweep by nearest-neighbor assignment, and
-    select the gamma that maximizes the decay rate of the dominant pair (the
-    two slowest open-loop poles), refined on a local fine grid.
+    """Sweep the integral resonant gain gamma on a log grid, follow each
+    closed-loop pole across the sweep in its own column, and select the
+    gamma that maximizes the decay rate of the dominant pair (the two
+    slowest open-loop poles), refined on a local fine grid.
 
     Scalar-gain (single-input single-output plant) form: the closed loop is
     [[A, B], [gamma C, gamma D - gamma Phi]]. With A = V diag(lam) V^{-1}
     (`eigenbasis`), its poles are the roots of prod(s - lam_i) (s - gamma d
     - gamma sum_i r_i / (s - lam_i)), with residues r = (C V) * (V^{-1} B)
-    and d = D - Phi. Each gain after the first starts Aberth's iteration
-    (`_aberth`) from the linear extrapolation in log gamma of the last two
-    matched rows, at O(n^2) per step against O(n^3) for an eigensolve. An
+    and d = D - Phi. The first gain starts Aberth's iteration (`_aberth`)
+    from the first-order roots lam_i + gamma r_i / (lam_i - gamma d) and
+    gamma d + gamma sum_i r_i / (gamma d - lam_i). After that the sweep
+    advances a block of consecutive gains per stacked iteration, each row
+    started from the linear extrapolation in log gamma of the last two
+    accepted rows, at O(n^2) per row and step against O(n^3) for an
+    eigensolve. The iteration's temporaries together hold at most CHUNK
+    complex entries, so a block shrinks to one gain from n = 90 up, where
+    arithmetic, not call overhead, sets the cost. A row is accepted, in
+    order, while its roots pass `_aberth`'s tests, which include that each
+    root lies nearest its own start and its own column of the row before:
+    an accepted row keeps its columns with no assignment. The first row that
+    fails starts the next block; if it fails there too (a double root at a
+    breakaway point), a dense eigensolve of the closed loop gives its poles,
+    matched to the row before by assignment, the only use of scipy here.
+    Every gain takes the eigensolve when A has no well-conditioned
+    eigenbasis; that sweep is bit for bit the eigensolve sweep. An
     eigenvalue whose residue is zero to rounding (a mode without output or
     input) is a closed-loop pole at every gain: it is deflated out of the
-    iteration and appended to each row as it is. A dense eigensolve of the
-    closed loop gives the poles instead at the first gain, at any gain
-    whose roots fail `_aberth`'s acceptance (a double root at a breakaway
-    point), and at every gain when A has no well-conditioned eigenbasis;
-    that last sweep is bit for bit the eigensolve sweep. The accepted poles
-    agree with an eigensolve's to rounding (at worst 6e-12 relative on the
-    benchmark's paper plants), real poles are exactly real and pairs
-    exactly conjugate. Where a pair splits on the real axis, which column
-    takes which of the two real poles is a tie of the assignment, broken by
-    rounding in either path.
+    iteration and stands in its own column of each continued row. The
+    accepted poles agree with an eigensolve's to rounding (at worst 6e-12
+    relative on the benchmark's paper plants), real poles are exactly real
+    and pairs exactly conjugate. Where a pair splits on the real axis or
+    two real poles join into a pair, the roots fail the nearest-start test
+    and the assignment decides the columns; which column takes which of two
+    real poles is a tie there, broken by rounding in either path.
     """
     if not plant.is_siso:
         raise ValueError("gain sweep is defined for single-input single-output plants")
@@ -287,71 +313,93 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
         CV, W = (C @ V)[0], (Vi @ B)[:, 0]
         # a mode with no output or no input, to rounding, has a zero residue:
         # its eigenvalue is a closed-loop pole at every gain, and a root
-        # iterated onto it stalls, so it is deflated out of the iteration
+        # iterated onto it stalls, so it is deflated out of the iteration and
+        # kept in its own column
         tol = n * np.finfo(float).eps
         zero = ((np.abs(CV) <= tol * np.linalg.norm(C) * np.linalg.norm(V, axis=0))
                 | (np.abs(W) <= tol * np.linalg.norm(B) * np.linalg.norm(Vi, axis=1)))
         lam, r, fixed = ol[~zero], (CV * W)[~zero], ol[zero]
         trA = np.trace(A) - fixed.sum().real
+        live, dead = np.append(np.flatnonzero(~zero), n), np.flatnonzero(zero)
+        # gains per stacked step: one step holds about four (b, k, k)
+        # temporaries at once, which together stay within CHUNK complex
+        # entries; a longer block predicts its last rows too far ahead
+        block = max(1, CHUNK // (4 * live.size * live.size))
 
     def track(gs, prev, hist):
-        """Matched pole rows at the gains gs: prev is the row the first is
-        matched to, hist the (log gamma, row) pairs (at most two) that
-        precede gs."""
-        for g in gs:
-            p = None
-            t = np.log(g)
-            if eb is not None and hist:
-                (t0, z0), (t1, z1) = hist[0], hist[-1]
-                z = z1 if t1 == t0 else z1 + (z1 - z0) * ((t - t1) / (t1 - t0))
-                if fixed.size:
-                    z = _without(z, fixed)
-                p = _aberth(z, lam, r, g, g * d, trA + g * d)
-                if fixed.size and p is not None:
-                    p = np.concatenate((p, fixed))
-            if p is None:
-                p = np.linalg.eigvals(closed_A(g))
-            prev = _match(prev, p)
-            hist = [hist[-1], (t, prev)] if hist else [(t, prev)]
-            yield prev
+        """Pole rows at the gains gs, shape (len(gs), n + 1), column j one
+        branch of the locus throughout: prev is the row before gs[0], hist
+        the (log gamma, row) pairs (at most two) that precede gs. Rows the
+        iteration continued keep their columns; an eigensolve row is matched
+        to the row before it by assignment."""
+        ts = np.log(gs)
+        out = np.empty((gs.size, n + 1), dtype=complex)
+        i = 0
+        while i < gs.size:
+            acc = 0
+            if eb is not None:
+                if len(hist) == 2:
+                    # a block of gains, each started from the linear
+                    # extrapolation in log gamma of the last two rows
+                    (t0, z0), (t1, z1) = hist
+                    z0, z1 = z0[live], z1[live]
+                    b = min(block, gs.size - i)
+                    Z = z1 + (z1 - z0) * ((ts[i:i + b] - t1) / (t1 - t0))[:, None]
+                elif hist:
+                    Z = hist[0][1][None, live]
+                else:
+                    # first-order roots: lam_i + g r_i / (lam_i - g d), and
+                    # g d + g sum_i r_i / (g d - lam_i) for the controller pole
+                    g, gd = gs[0], gs[0] * d
+                    Z = np.append(lam + g * r / (lam - gd), gd + g * (r / (gd - lam)).sum())[None]
+                g = gs[i:i + len(Z)]
+                p, ok = _aberth(Z, prev[live], lam, r, g, g * d, trA + g * d)
+                acc = ok.size if ok.all() else int(ok.argmin())
+                out[i:i + acc, live] = p[:acc]
+                out[i:i + acc, dead] = fixed
+            if acc:
+                i += acc
+            else:
+                # no eigenbasis, or the iteration failed at its first row
+                out[i] = _match(prev, np.linalg.eigvals(closed_A(gs[i])))
+                i += 1
+            prev = out[i - 1]
+            hist = (hist + [(ts[0], out[0])])[-2:] if i == 1 else [
+                (ts[i - 2], out[i - 2]), (ts[i - 1], prev)]
+        return out
 
     order = np.argsort(np.abs(ol))
     tracked = order[:2] if n >= 2 else order[:1]
 
-    loci = np.zeros((npts, n + 1), dtype=complex)
-    decays = np.full(npts, np.nan)
-    zetas = np.full(npts, np.nan)
-    stable = np.zeros(npts, dtype=bool)
-    for k, pm in enumerate(track(gammas, np.append(ol, -gammas[0] * phi), [])):
-        loci[k] = pm
-        if np.any(pm.real >= 0):
-            continue
-        stable[k] = True
-        pair = pm[tracked]
-        decays[k] = (-pair.real).min()
-        zetas[k] = (-pair.real / np.abs(pair)).min()
+    def decay_zeta(rows):
+        """Decay rate and damping ratio of the tracked pair in each row, NaN
+        where the row has a pole with nonnegative real part."""
+        pair = rows[:, tracked]
+        stable = (rows.real < 0).all(1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zeta = (-pair.real / np.abs(pair)).min(1)
+        return (np.where(stable, (-pair.real).min(1), np.nan),
+                np.where(stable, zeta, np.nan))
 
+    loci = track(gammas, np.append(ol, -gammas[0] * phi), [])
+    decays, zetas = decay_zeta(loci)
+    stable = ~np.isnan(decays)
     if not stable.any():
         return IrcDesign(False, np.nan, np.nan, np.nan, gammas, loci,
                          zetas, decays, stable, None)
 
     bd = int(np.nanargmax(decays))
-    lo = gammas[max(bd - 1, 0)]
-    hi = gammas[min(bd + 1, npts - 1)]
-    fine = np.geomspace(lo, hi, 400)
-    # the fine grid starts at lo, whose coarse row and its predecessor
-    # continue into it
-    start = range(max(bd - 2, 0), max(bd - 1, 0) + 1)
-    hist = [(np.log(gammas[i]), loci[i]) for i in start]
+    lo = max(bd - 1, 0)
+    # the fine grid starts at gammas[lo], whose row is known: the rows lo - 1
+    # and lo continue into the rest of it
+    fine = np.geomspace(gammas[lo], gammas[min(bd + 1, npts - 1)], 400)[1:]
+    hist = [(np.log(gammas[i]), loci[i]) for i in range(max(lo - 1, 0), lo + 1)]
+    fdec, fzeta = decay_zeta(track(fine, loci[lo], hist))
     g_star, d_star, z_star = gammas[bd], decays[bd], zetas[bd]
-    for g, pm in zip(fine, track(fine, loci[max(bd - 1, 0)], hist)):
-        if np.any(pm.real >= 0):
-            continue
-        pair = pm[tracked]
-        dec = (-pair.real).min()
-        if dec > d_star:
-            g_star, d_star = float(g), float(dec)
-            z_star = float((-pair.real / np.abs(pair)).min())
+    # the first fine gain whose decay rate beats the coarse best
+    k = int(np.argmax(np.where(np.isnan(fdec), -np.inf, fdec)))
+    if fdec[k] > d_star:
+        g_star, d_star, z_star = float(fine[k]), float(fdec[k]), float(fzeta[k])
 
     return IrcDesign(True, float(g_star), float(z_star), float(d_star),
                      gammas, loci, zetas, decays, stable,

@@ -107,6 +107,31 @@ def test_analyze_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "x.json", "--bogus"],
+                                  ["frobnicate"], ["design-irc", "x.json", "--ppd", "many"]])
+def test_usage_error_exit_code(argv, capsys):
+    # a usage error is an error (1), not "property false" (2)
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == ""
+    assert "error:" in err and "usage:" in err
+
+
+def test_help_exit_code(capsys):
+    rc, out, _ = run_main(["analyze", "--help"], capsys)
+    assert rc == 0 and "--grid-min" in out
+
+
+def test_repeated_calls_write_the_same_report(tmp_path, capsys):
+    # the parser is built once per process; a second call reads its own argv
+    path = write(tmp_path, "f.json", FIRST)
+    flex = write(tmp_path, "flex.json", FLEX)
+    reports = [tmp_path / f"r{i}.json" for i in range(3)]
+    for target, system in zip(reports, (path, flex, path)):
+        assert run_main(["analyze", system, "--out", str(target)], capsys)[0] == 0
+    assert reports[0].read_bytes() == reports[2].read_bytes()
+    assert reports[0].read_bytes() != reports[1].read_bytes()
+
+
 def test_nyquist_csv_matches_library(tmp_path, capsys):
     path = write(tmp_path, "f.json", FIRST)
     rc, out, _ = run_main(["nyquist", path, "--ppd", "10"], capsys)

@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from nisys import (ModalModel, StateSpace, choose_phi, controllers, dc_gain,
                    design_irc_gamma, evaluate, irc, modal_to_ss, ppf, ppf_mimo,
                    resonant_acc, resonant_vel_type)
-from nisys._kernels import eigenbasis
+from nisys._kernels import CHUNK, eigenbasis
 from conftest import FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_sweep, random_pd
 
 
@@ -192,20 +192,19 @@ def _assert_same_loci(loci, ref, rtol=1e-10):
         assert np.array_equal(a.imag == 0, b[c].imag == 0)
 
 
-@pytest.mark.parametrize("name", ["flexible", "paper-n10", "paper-n40", "feedthrough",
-                                  "undersized-phi", "unobservable-mode"])
+@pytest.mark.parametrize("name", ["flexible", "paper-n10", "paper-n40", "paper-n60",
+                                  "feedthrough", "undersized-phi", "unobservable-mode"])
 def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
     plant, Phi = _sweep_case(name)
     ref = irc_eigensolve_sweep(plant, Phi)
 
-    starts = []
+    blocks = []
     aberth = controllers._aberth
 
     def spy(z, *args):
-        out = aberth(z, *args)
-        if out is not None:
-            starts.append((z, out))
-        return out
+        p, ok = aberth(z, *args)
+        blocks.append((z, p, ok))
+        return p, ok
     eigensolves = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(controllers, "_aberth", spy)
@@ -221,20 +220,27 @@ def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
     np.testing.assert_allclose(des.zetas, ref.zetas, rtol=1e-9)
     assert des.decay_at_star == pytest.approx(ref.decay_at_star, rel=1e-12, nan_ok=True)
     assert des.zeta_at_star == pytest.approx(ref.zeta_at_star, rel=1e-9, nan_ok=True)
-    # every accepted gain started each root nearer to it than to any other
-    # root: the predictor extrapolates matched rows, column by column
-    assert starts
-    for z, out in starts:
-        assert np.array_equal(np.abs(z[:, None] - out).argmin(1), np.arange(z.size))
+    # every accepted row started each root nearer to it than to any other
+    # root: the predictor extrapolates earlier rows, column by column
+    assert any(ok.any() for _, _, ok in blocks)
+    for z, p, ok in blocks:
+        for zr, pr in zip(z[ok], p[ok]):
+            assert np.array_equal(np.abs(zr[:, None] - pr).argmin(1), np.arange(zr.size))
+    # the stacked step advances several gains at once, but its (b, k, k)
+    # temporaries stay within CHUNK complex entries
+    k = blocks[0][0].shape[1]
+    assert max(len(z) for z, _, _ in blocks) > 1
+    assert all(len(z) * k * k <= CHUNK for z, _, _ in blocks)
     if name != "undersized-phi":
-        # no breakaway: the first gain is the only eigensolve
-        assert len(eigensolves) == 1
+        # no breakaway: not one eigensolve, and no assignment
+        assert eigensolves == []
     if name == "unobservable-mode":
         # the zero residue's poles are deflated out of the iteration and
-        # stand in every continued row as the eigenbasis of A gives them
+        # stand in their own columns of every row as the eigenbasis of A
+        # gives them
         ol = eigenbasis(plant.A)[0]
-        lam = ol[np.abs(ol[:, None] - np.linalg.eigvals(plant.A[4:6, 4:6])).argmin(0)]
-        assert all(np.isin(lam, row).all() for row in des.loci[1:])
+        cols = np.abs(ol[:, None] - np.linalg.eigvals(plant.A[4:6, 4:6])).argmin(0)
+        assert (des.loci[:, cols] == ol[cols]).all()
 
 
 def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():
@@ -262,9 +268,10 @@ def test_aberth_rejects_a_root_counted_twice(flexible_plant):
     lam, V, Vi, _ = eigenbasis(A)
     r = (C @ V)[0] * (Vi @ B)[:, 0]
     roots = np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]]))
-    trace = np.trace(A) + g * d
-    np.testing.assert_allclose(controllers._aberth(roots, lam, r, g, g * d, trace), roots,
-                               rtol=1e-12)
+    g, gd, trace = np.array([g]), np.array([g * d]), np.array([np.trace(A) + g * d])
+    p, ok = controllers._aberth(roots[None], roots, lam, r, g, gd, trace)
+    assert ok[0]
+    np.testing.assert_allclose(p[0], roots, rtol=1e-12)
     z = roots.copy()
     z[1] = z[0] * (1 + 1e-13)
-    assert controllers._aberth(z, lam, r, g, g * d, trace) is None
+    assert not controllers._aberth(z[None], roots, lam, r, g, gd, trace)[1][0]

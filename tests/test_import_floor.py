@@ -1,6 +1,7 @@
-"""The import floor: a verdict on a symmetric plant runs on numpy alone, and
-the three calls that need scipy import it at their first use. Each check runs
-in a fresh interpreter, since this process has imported scipy already."""
+"""The import floor: a verdict on a symmetric plant and a gain sweep on a
+diagonalizable plant run on numpy alone, and the three calls that need scipy
+import it at their first use. Each check runs in a fresh interpreter, since
+this process has imported scipy already."""
 
 import json
 import os
@@ -21,6 +22,9 @@ from nisys import (ModalModel, StateSpace, check_ni, choose_phi, dc_gain_verdict
 PLANT = modal_to_ss(ModalModel(tuple((100.0 * k, 2.0, (1.0,)) for k in (1, 2, 3))))
 NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
                           np.zeros((2, 2)))
+# a double pole at -50 in a Jordan block, plus one mode: no eigenbasis
+JORDAN = StateSpace([[-50.0, 1.0, 0, 0], [0, -50.0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1e4, -2.0]],
+                    [[0.0], [1.0], [0.0], [1.0]], [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
 """
 
 SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -43,26 +47,35 @@ def _fresh(code):
 def test_siso_verdicts_import_no_scipy(tmp_path):
     system = tmp_path / "siso.json"
     system.write_text(json.dumps(SISO))
+    design = tmp_path / "design.pickle"
     child = _fresh(f"""
-import json, sys
+import json, pickle, sys
 import nisys, nisys.cli
 {PRELUDE}
 rc = nisys.cli.main(["analyze", {str(system)!r}, "--out", {str(tmp_path / "child.json")!r}])
 rep = dc_gain_verdict(PLANT, irc([[1e5]], choose_phi(PLANT)))
+with open({str(design)!r}, "wb") as f:
+    pickle.dump(design_irc_gamma(PLANT, choose_phi(PLANT)), f)
 print(json.dumps({{"rc": rc, "stable": rep.stable, "note": rep.note, "scipy": {SCIPY}}}))
 """)
     assert child["scipy"] == []
     # the loop verdict was the DC-gain test, not the fallback pole test
     assert child["stable"] and child["note"] is None
+    # the gain sweep continued every row: no eigensolve, so no assignment
+    ns = {}
+    exec(PRELUDE, ns)
+    with open(design, "rb") as f:
+        assert same(pickle.load(f), eval("design_irc_gamma(PLANT, choose_phi(PLANT))", ns))
     assert main(["analyze", str(system), "--out", str(tmp_path / "here.json")]) == child["rc"]
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
 
 @pytest.mark.parametrize("call", ["is_minimal(PLANT)", "check_ni(NONSYMMETRIC)",
-                                  "design_irc_gamma(PLANT, choose_phi(PLANT))"])
+                                  "design_irc_gamma(JORDAN, choose_phi(JORDAN))"])
 def test_scipy_loads_at_first_use(call, tmp_path):
     # is_minimal balances A (matrix_balance), check_ni on a non-symmetric
-    # plant takes the QZ pencil, the gain sweep matches rows by assignment
+    # plant takes the QZ pencil, a gain sweep on a plant without an
+    # eigenbasis matches its eigensolve rows by assignment
     out = tmp_path / "out.pickle"
     child = _fresh(f"""
 import json, pickle, sys
