@@ -1,24 +1,25 @@
 """Frequency-sweep kernels.
 
-`eval_grid` takes the real system matrices and a frequency grid and returns
+`eval_grid` takes the real system matrices, a frequency grid and the
+eigendecomposition of A kept on the system (`lti.eigensystem`), and returns
 the transfer matrix at every grid point. `sweep_eigmin` returns, per grid
 point, the smallest eigenvalue of the tested Hermitian form plus the
 Frobenius norm of the transfer matrix (used for relative tolerances).
 mode 0: H = j (P - P^*)   (negative-imaginary test)
 mode 1: H = P + P^*       (positive-real test)
 
-`eval_grid` diagonalizes A once per call, A = V diag(lam) V^{-1}, and reads
+With the kept A = V diag(lam) V^{-1}, `eval_grid` reads
 P(jw) = (C V) diag(1 / (jw - lam)) (V^{-1} B) + D at O(n p m) per point
 instead of an O(n^3) resolvent solve. Its values agree with a per-point
-solve to about cond(V) * eps relative, not bit for bit. When V is
-ill-conditioned (1-norm cond(V) > COND_MAX: a defective or nearly defective
-A) or not finite, or a grid point lies within the rounding error of an
-eigenvalue, the call falls back to the resolvent solve: a chunk of grid
-points per stacked LAPACK call, bit-for-bit a per-point solve, raising
-`LinAlgError` on an exactly singular point. Either path holds at most CHUNK
-complex entries (1 MB) per chunk temporary: stacking the resolvent over the
-whole grid would hold an (nw, n, n) array, about 1 GB at n = 200 on a
-default grid. The small (nw, m, m) forms are stacked into one eigensolve.
+solve to about cond(V) * eps relative, not bit for bit. When the kept basis
+is None (A defective or nearly so), or a grid point lies within the rounding
+error of an eigenvalue, the call falls back to the resolvent solve: a chunk
+of grid points per stacked LAPACK call, bit-for-bit a per-point solve,
+raising `LinAlgError` on an exactly singular point. Either path holds at
+most CHUNK complex entries (1 MB) per chunk temporary: stacking the
+resolvent over the whole grid would hold an (nw, n, n) array, about 1 GB at
+n = 200 on a default grid. The small (nw, m, m) forms are stacked into one
+eigensolve.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ import numpy as np
 
 # complex entries of a per-chunk temporary: 1 MB
 CHUNK = 1 << 16
-# cond(V) * eps stays about 45 times under the NI sweep tolerance (1e-8)
-COND_MAX = 1e6
 
 
 def backend() -> str:
     return "numpy"
 
 
-def eval_grid(A, B, C, D, ws):
-    """Transfer matrix values P(jw) over the grid, shape (nw, p, m).
+def eval_grid(A, B, C, D, ws, eig):
+    """Transfer matrix values P(jw) over the grid, shape (nw, p, m), read
+    from eig = (lam, basis), the kept decomposition of A (`lti.eigensystem`).
 
     Frequencies must avoid poles of the system (caller's responsibility).
     """
@@ -50,31 +50,15 @@ def eval_grid(A, B, C, D, ws):
     n = A.shape[0]
     if n == 0:
         return np.broadcast_to(D.astype(np.complex128), (ws.size,) + D.shape).copy()
-    eb = eigenbasis(A)
+    lam, basis = eig
     out = None
-    if eb is not None:
-        lam, V, Vi, cond = eb
+    if basis is not None:
+        V, Vi, cond = basis
         # Bauer-Fike: an eigenvalue of A lies within about
         # cond(V) n eps ||A|| of each computed lam
         near = cond * n * np.finfo(float).eps * np.linalg.norm(A, 1)
         out = _modal(lam, Vi @ B, C @ V, D, ws, near)
     return _resolvent(A, B, C, D, ws) if out is None else out
-
-
-def eigenbasis(A):
-    """(lam, V, V^{-1}, cond) with A = V diag(lam) V^{-1} and
-    cond = ||V||_1 ||V^{-1}||_1, or None when lam or V is not finite, V is
-    singular or cond > COND_MAX: A is defective or nearly so."""
-    lam, V = np.linalg.eig(A)
-    if not np.isfinite(lam).all():
-        return None
-    try:
-        Vi = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return None
-    # a non-finite V gives a NaN cond, which fails the comparison
-    cond = np.linalg.norm(V, 1) * np.linalg.norm(Vi, 1)
-    return (lam, V, Vi, cond) if cond <= COND_MAX else None
 
 
 def _modal(lam, W, CV, D, ws, near):
@@ -117,13 +101,13 @@ def _resolvent(A, B, C, D, ws):
     return out
 
 
-def sweep_eigmin(A, B, C, D, ws, mode: int = 0):
+def sweep_eigmin(A, B, C, D, ws, mode: int, eig):
     """Per-frequency smallest eigenvalue of the mode's Hermitian form.
 
-    Frequencies must avoid poles of the system (caller's responsibility).
-    Returns (lam_min, pnorm) arrays aligned with ws.
+    Frequencies must avoid poles of the system (caller's responsibility);
+    eig is as in `eval_grid`. Returns (lam_min, pnorm) arrays aligned with ws.
     """
-    P = eval_grid(A, B, C, D, ws)
+    P = eval_grid(A, B, C, D, ws, eig)
     Ph = P.conj().transpose(0, 2, 1)
     H = (P + Ph) if mode == 1 else 1j * (P - Ph)
     lam = np.linalg.eigvalsh(H)[:, 0]

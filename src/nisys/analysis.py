@@ -34,8 +34,8 @@ import numpy as np
 
 from . import lmi as lmimod
 from . import numerics
-from ._kernels import eigenbasis, sweep_eigmin
-from .lti import StateSpace, evaluate, is_minimal, poles
+from ._kernels import sweep_eigmin
+from .lti import StateSpace, eigensystem, evaluate, is_minimal, poles
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
@@ -100,11 +100,11 @@ def hermitian_imaginary_part(sys: StateSpace, w: float) -> np.ndarray:
     return 1j * (P - P.conj().T)
 
 
-def _pole_axis_status(sys):
-    p = poles(sys)
+def _pole_status(p):
+    """(the poles among p in the AXIS_TOL band of the imaginary axis, whether
+    another lies right of it): p is Hurwitz iff neither."""
     on_axis = np.abs(p.real) <= AXIS_TOL * (1.0 + np.abs(p))
-    in_rhp = (p.real > 0) & ~on_axis
-    return p, bool(on_axis.any()), bool(in_rhp.any())
+    return p[on_axis], bool(np.any((p.real > 0) & ~on_axis))
 
 
 def _square(sys):
@@ -120,14 +120,15 @@ def _refused(reason, grid=None):
 def _pole_verdict(sys):
     # poles of sys, and a verdict that is False before any grid point when
     # a pole is on or right of the imaginary axis (else None)
-    p, on_axis, in_rhp = _pole_axis_status(sys)
-    if on_axis or in_rhp:
-        return p, _refused("imaginary-axis pole" if on_axis else "right-half-plane pole")
+    p = poles(sys)
+    axis, in_rhp = _pole_status(p)
+    if axis.size or in_rhp:
+        return p, _refused("imaginary-axis pole" if axis.size else "right-half-plane pole")
     return p, None
 
 
 def _ni_on_grid(sys, g, tol):
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, mode=0)
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, 0, eigensystem(sys))
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
     return FreqVerdict(bool(rel[i] >= -tol), float(g[i]), float(lam[i]), g)
@@ -215,8 +216,8 @@ def check_ni_lmi(sys: StateSpace, balance: bool = True) -> NiLmiResult:
     minimal = is_minimal(sys)
     if np.linalg.norm(D - D.T) > 1e-9 * (1.0 + np.linalg.norm(D)):
         return NiLmiResult(False, None, "feedthrough matrix is not symmetric", minimal)
-    _, on_axis, in_rhp = _pole_axis_status(sys)
-    if on_axis:
+    axis, in_rhp = _pole_status(poles(sys))
+    if axis.size:
         return NiLmiResult(False, None, "imaginary-axis eigenvalue of A", minimal)
     if in_rhp:
         return NiLmiResult(False, None, "right-half-plane pole", minimal)
@@ -284,9 +285,9 @@ def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL) -> Phi
     singular.
     """
     why = "A has no well-conditioned eigenbasis"
-    eb = eigenbasis(sys.A)
-    if eb is not None:
-        why, t, k = _t_zeros(sys, *eb)
+    lam, basis = eigensystem(sys)
+    if basis is not None:
+        why, t, k = _t_zeros(sys, lam, *basis)
     if why is not None:
         z = _phi_zeros_qz(sys, axis_tol)
         z.note = f"zeros of Phi from the QZ pencil: {why}"
@@ -424,11 +425,13 @@ def _sni_zeros(ni, axis):
     return SniZerosResult(violating.size == 0, axis, violating, ni=ni)
 
 
-def _filtered_grid(g, p):
-    # drop grid points that sit numerically on a pole
-    if p.size == 0:
+def _filtered_grid(g, axis):
+    # drop grid points within 1e-9 (1 + w) of an axis pole; no other pole p
+    # is that near: |jw - p| >= |Re p| > 1e-7 (1 + |p|) >= 1e-9 (1 + w) up to
+    # w = 100 (1 + |p|) - 1, and |jw - p| > 0.99 (1 + w) beyond
+    if axis.size == 0:
         return g, np.ones(g.size, dtype=bool)
-    d = np.abs(1j * g[:, None] - p[None, :]).min(axis=1)
+    d = np.abs(1j * g[:, None] - axis[None, :]).min(axis=1)
     keep = d > 1e-9 * (1.0 + g)
     return g[keep], keep
 
@@ -437,24 +440,23 @@ def _pr_spr(sys, grid, tol):
     """(check_positive_real, check_strictly_positive_real) from one sweep of
     P(jw) + P(jw)^* on the grid."""
     _square(sys)
-    p, on_axis, in_rhp = _pole_axis_status(sys)
+    axis, in_rhp = _pole_status(poles(sys))
     if in_rhp:
         return _refused("right-half-plane pole"), _refused("right-half-plane pole")
     note = spr = None
-    if on_axis:
+    if axis.size:
         spr = _refused("imaginary-axis pole")
-        ap = p[np.abs(p.real) <= AXIS_TOL * (1.0 + np.abs(p))]
-        ap = np.sort(ap.imag)
+        ap = np.sort(axis.imag)
         if ap.size > 1 and np.any(np.diff(ap) <= 1e-6 * (1.0 + np.abs(ap[:-1]))):
             return _refused("repeated imaginary-axis pole"), spr
         note = "imaginary-axis pole(s) present, grid points near them skipped"
     g = _as_grid(sys, grid)
     # only grid points within rounding of an imaginary-axis pole are dropped,
-    # so an empty grid means on_axis, and spr is already decided
-    ge, _ = _filtered_grid(g, p)
+    # so an empty grid means an axis pole, and spr is already decided
+    ge, _ = _filtered_grid(g, axis)
     if ge.size == 0:
         return _refused("no evaluable grid points", g), spr
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, mode=1)
+    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, 1, eigensystem(sys))
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
     pr = FreqVerdict(bool(rel[i] >= -tol), float(ge[i]), float(lam[i]), ge, note=note)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import CHUNK, eigenbasis
-from .lti import StateSpace, add, dc_gain
+from ._kernels import CHUNK
+from .lti import StateSpace, add, dc_gain, eigensystem
 from .numerics import eig_symmetric
 
 
@@ -251,7 +251,7 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
 
     Scalar-gain (single-input single-output plant) form: the closed loop is
     [[A, B], [gamma C, gamma D - gamma Phi]]. With A = V diag(lam) V^{-1}
-    (`eigenbasis`), its poles are the roots of prod(s - lam_i) (s - gamma d
+    (`eigensystem`), its poles are the roots of prod(s - lam_i) (s - gamma d
     - gamma sum_i r_i / (s - lam_i)), with residues r = (C V) * (V^{-1} B)
     and d = D - Phi. The first gain starts Aberth's iteration (`_aberth`)
     from the first-order roots lam_i + gamma r_i / (lam_i - gamma d) and
@@ -305,11 +305,9 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     npts = max(2, int(np.ceil(ndec * points_per_decade)) + 1)
     gammas = np.geomspace(gamma_min, gamma_max, npts)
 
-    eb = eigenbasis(A)
-    if eb is None:
-        ol = np.linalg.eigvals(A)
-    else:
-        ol, V, Vi, _ = eb
+    ol, basis = eigensystem(plant)
+    if basis is not None:
+        V, Vi, _ = basis
         CV, W = (C @ V)[0], (Vi @ B)[:, 0]
         # a mode with no output or no input, to rounding, has a zero residue:
         # its eigenvalue is a closed-loop pole at every gain, and a root
@@ -337,7 +335,7 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
         i = 0
         while i < gs.size:
             acc = 0
-            if eb is not None:
+            if basis is not None:
                 if len(hist) == 2:
                     # a block of gains, each started from the linear
                     # extrapolation in log gamma of the last two rows

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from ._kernels import eigenbasis
 from .numerics import NumericsError
 
 # resolvent is treated as singular when the smallest singular value of
@@ -183,15 +182,23 @@ def paraconjugate_transpose(sys: StateSpace) -> StateSpace:
     return StateSpace(-sys.A.T, sys.C.T, -sys.B.T, sys.D.T)
 
 
+def eigensystem(sys: StateSpace):
+    """(poles, basis) of `numerics.eigendecomposition(A)`, computed at the
+    first call and kept on the system, read-only: the pole test, every
+    frequency sweep and the zeros of Phi read this one decomposition."""
+    eig = sys.__dict__.get("_eig")
+    if eig is None:
+        lam, basis = eig = numerics.eigendecomposition(sys.A)
+        lam.flags.writeable = False
+        if basis is not None:
+            basis[0].flags.writeable = basis[1].flags.writeable = False
+        sys.__dict__["_eig"] = eig
+    return eig
+
+
 def poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A, computed at the first call and kept on the system,
-    read-only: a verdict asks for the poles of one system several times."""
-    p = sys.__dict__.get("_poles")
-    if p is None:
-        p = numerics.eig_general(sys.A)
-        p.flags.writeable = False
-        sys.__dict__["_poles"] = p
-    return p
+    """Eigenvalues of A, read-only, from the kept `eigensystem`."""
+    return eigensystem(sys)[0]
 
 
 def dc_gain(sys: StateSpace) -> np.ndarray:
@@ -217,12 +224,12 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     rank. The conjugate of lam gives the conjugate test, so one eigenvalue
     of each pair is tested.
 
-    With A = V diag(lam) V^{-1} well conditioned (`eigenbasis`), the tests
-    read each cluster K of eigenvalues equal to within rtol ||A||: C V_K and
-    U_K B (unit right and left eigenvectors) must have |K| singular values
-    above rtol ||C|| and rtol ||B||. Each mode is so measured on its own
-    scale, not against ||A - lam I||, under which a fast mode's small
-    position output falls. A defective or nearly defective A takes the rank
+    With A = V diag(lam) V^{-1} well conditioned (`eigendecomposition`),
+    the tests read each cluster K of eigenvalues equal to within rtol ||A||:
+    C V_K and U_K B (unit right and left eigenvectors) must have |K|
+    singular values above rtol ||C|| and rtol ||B||. Each mode is so
+    measured on its own scale, not against ||A - lam I||, under which a fast
+    mode's small position output falls. A defective or nearly defective A takes the rank
     of the PBH matrices, smallest singular value above rtol times the
     largest."""
     n = sys.n
@@ -232,9 +239,9 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     t = np.diag(T)
     Bb = sys.B / t[:, None]
     Cb = sys.C * t[None, :]
-    eb = eigenbasis(Ab)
-    if eb is not None:
-        lam, V, U, _ = eb
+    lam, basis = numerics.eigendecomposition(Ab)
+    if basis is not None:
+        V, U, _ = basis
         U = U / np.linalg.norm(U, axis=1)[:, None]
         near = rtol * np.linalg.norm(Ab, 1)
         for li in lam[lam.imag >= 0]:
@@ -245,7 +252,6 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
                 if sv.size < K.sum() or sv[-1] <= rtol * scale:
                     return False
         return True
-    lam = numerics.eig_general(Ab)
     for li in lam[lam.imag >= 0]:
         R = Ab - li * np.eye(n)
         for M in (np.hstack([R, Bb]), np.vstack([R, Cb])):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 COND_LIMIT = 1e12
+# cond(V) * eps stays about 45 times under the NI sweep tolerance (1e-8)
+COND_MAX = 1e6
 
 
 class NumericsError(ValueError):
@@ -33,12 +35,22 @@ def as_matrix(A, square: bool = False, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def eig_general(A) -> np.ndarray:
-    """Eigenvalues of a square real (or complex) matrix, unordered."""
+def eigendecomposition(A):
+    """(lam, basis) from one eigensolve: the eigenvalues lam of A, and
+    basis = (V, V^{-1}, cond) with A = V diag(lam) V^{-1} and
+    cond = ||V||_1 ||V^{-1}||_1, or None when lam or V is not finite, V is
+    singular or cond > COND_MAX: A is defective or nearly so."""
     A = as_matrix(A, square=True, name="A")
-    if A.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(A)
+    lam, V = np.linalg.eig(A)
+    if not np.isfinite(lam).all():
+        return lam, None
+    try:
+        Vi = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return lam, None
+    # a non-finite V gives a NaN cond, which fails the comparison
+    cond = np.linalg.norm(V, 1) * np.linalg.norm(Vi, 1)
+    return lam, ((V, Vi, cond) if cond <= COND_MAX else None)
 
 
 def eig_symmetric(S, vectors: bool = False, sym_tol: float = 1e-8):

@@ -12,16 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AXIS_TOL, check_ni, check_sni_zeros
+from .analysis import _pole_status, check_ni, check_sni_zeros
 from .lti import StateSpace, dc_gain, inf_gain, positive_feedback
 
 MARGINAL_BAND = 1e-6
-
-
-def _hurwitz(p: np.ndarray) -> bool:
-    if p.size == 0:
-        return True
-    return bool(np.all(p.real < -AXIS_TOL * (1.0 + np.abs(p))))
 
 
 def internal_stability(M: StateSpace, N: StateSpace, sign: str = "positive") -> dict:
@@ -35,8 +29,10 @@ def internal_stability(M: StateSpace, N: StateSpace, sign: str = "positive") -> 
     elif sign != "positive":
         raise ValueError("sign must be 'positive' or 'negative'")
     cl = positive_feedback(M, N)
+    # eigenvalues alone: no verdict reads a basis of the closure
     p = np.linalg.eigvals(cl.A) if cl.n else np.zeros(0, dtype=complex)
-    return {"stable": _hurwitz(p), "poles": p}
+    axis, in_rhp = _pole_status(p)
+    return {"stable": not (axis.size or in_rhp), "poles": p}
 
 
 @dataclass

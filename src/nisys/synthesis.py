@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi as lmimod
-from .analysis import FreqVerdict, check_ni
-from .lti import StateSpace, dc_gain
+from .analysis import FreqVerdict, _pole_status, check_ni
+from .lti import StateSpace, dc_gain, poles
 from .numerics import eig_symmetric
 
 EPS_LADDER = (1e-8, 1e-4)
@@ -180,10 +180,11 @@ def synthesize_state_feedback(plant: UncertainPlant, eps: float = 1e-6,
 class ClosedLoopReport:
     """Independent checks of a candidate gain on the original plant data.
 
-    `ok` gates on: Hurwitz A + B2 K, the NI verdict of record (check_ni),
-    DC gain contraction sigma_max < 1 with a symmetric PSD DC gain, the DC
-    identity Gcl(0) = C1 Y C1^T when Y is supplied, and a seeded batch of
-    random strictly-NI uncertainty closures all stable.
+    `ok` gates on: Hurwitz A + B2 K by the pole test of check_ni, the NI
+    verdict of record (check_ni), DC gain contraction sigma_max < 1 with a
+    symmetric PSD DC gain, the DC identity Gcl(0) = C1 Y C1^T when Y is
+    supplied, and a seeded batch of random strictly-NI uncertainty closures
+    all stable.
     """
 
     ok: bool
@@ -223,8 +224,8 @@ def verify_closed_loop(plant: UncertainPlant, K, Y=None, mc_samples: int = 20,
     K = np.asarray(K, dtype=float).reshape(plant.controls, plant.n)
     gcl = closed_loop(plant, K)
 
-    ev = np.linalg.eigvals(gcl.A)
-    hurwitz = bool(ev.size == 0 or np.all(ev.real < 0))
+    axis, in_rhp = _pole_status(poles(gcl))
+    hurwitz = not (axis.size or in_rhp)
 
     ni = check_ni(gcl)
 

@@ -4,11 +4,11 @@ import pytest
 from nisys import analysis
 from nisys import lmi as lmimod
 from nisys import numerics
-from nisys import (add, check_ni, check_ni_lmi, check_ni_sweep, check_positive_real,
-                   check_sni_zeros, check_strictly_positive_real, classify,
-                   dc_gain_verdict, default_grid, hermitian_imaginary_part, irc,
-                   phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
-                   sni_sufficient_lag, sni_sufficient_lag2)
+from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
+                   check_positive_real, check_sni_zeros, check_strictly_positive_real,
+                   classify, dc_gain_verdict, default_grid, hermitian_imaginary_part,
+                   irc, phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
+                   sni_sufficient_lag, sni_sufficient_lag2, verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
 from conftest import flexible_modes, same, tf
@@ -68,11 +68,12 @@ def test_golden_unstable(unstable):
 
 
 def _counting(monkeypatch, module, name):
+    # one entry per call: the shape of its first argument
     calls = []
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(args[0]) if args else None)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -88,7 +89,8 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
                                           unstable, monkeypatch):
     solves = _counting(monkeypatch, lmimod, "solve_feasibility")
     pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
-    eigs = _counting(monkeypatch, numerics, "eig_general")
+    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = _counting(monkeypatch, np.linalg, "eig")
     sweeps = _counting(monkeypatch, analysis, "sweep_eigmin")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
     # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
@@ -99,13 +101,16 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         sys = StateSpace(sys.A, sys.B, sys.C, sys.D)
         solves.clear()
         pencils.clear()
+        decomps.clear()
         eigs.clear()
         sweeps.clear()
         c = classify(sys, grid=g)
         assert len(solves) == 0 and len(pencils) == want
-        # the poles once; a stable system is swept for NI on the breakpoints
-        # and on the grid, and for PR and SPR together on the grid
-        assert len(eigs) == 1
+        # A is decomposed once: the poles, every sweep and the zeros of Phi
+        # read that one eigensolve. A stable system is swept for NI on the
+        # breakpoints and on the grid, and for PR and SPR together on the grid
+        assert len(decomps) == 1 and len(eigs) == 1
+        assert poles(sys).tobytes() == np.linalg.eigvals(sys.A).tobytes()
         assert len(sweeps) == (3 if np.all(poles(sys).real < 0) else 0)
         ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
@@ -119,8 +124,36 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         assert ni.holds == check_ni_lmi(sys).is_ni
     # the hot path at n = 200 stays off the QZ pencil
     pencils.clear()
-    assert check_ni(modal_to_ss(ModalModel(flexible_modes(100)))).holds
-    assert len(pencils) == 0
+    decomps.clear()
+    plant = modal_to_ss(ModalModel(flexible_modes(100)))
+    assert check_ni(plant).holds
+    assert len(pencils) == 0 and len(decomps) == 1
+    assert poles(plant).tobytes() == np.linalg.eigvals(plant.A).tobytes()
+
+
+def test_dc_gain_verdict_decomposes_each_side_once(monkeypatch):
+    M = modal_to_ss(ModalModel(flexible_modes()))
+    N = irc(np.array([[1e5]]), np.array([[2e-4]]))
+    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = _counting(monkeypatch, np.linalg, "eig")
+    eigvals = _counting(monkeypatch, np.linalg, "eigvals")
+    rep = dc_gain_verdict(M, N)
+    assert rep.hypotheses_hold and rep.stable
+    # one eigensolve per side, and the eigenvalues alone of the closure
+    assert decomps == eigs == [(M.n, M.n), (N.n, N.n)]
+    n = M.n + N.n
+    assert eigvals.count((n, n)) == 1
+
+
+def test_verify_closed_loop_decomposes_once(monkeypatch):
+    plant = UncertainPlant(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0], [0.0]],
+                           [[1.0, 1.0]])
+    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = _counting(monkeypatch, np.linalg, "eig")
+    rep = verify_closed_loop(plant, np.zeros((1, 2)))
+    assert rep.hurwitz and rep.ni.holds
+    # the pole test and check_ni read one decomposition of the closed loop
+    assert decomps == eigs == [(2, 2)]
 
 
 def _second_order_term(k, zeta2, w2):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import nisys
-from nisys import choose_phi, default_grid, evaluate
+from nisys import check_positive_real, choose_phi, default_grid, evaluate
 from nisys._kernels import eval_grid
-from nisys.cli import main
+from nisys.cli import _response_rows, main
+from nisys.lti import eigensystem
 from nisys.sysfile import SystemFileError, load_lti, load_system, load_uncertain
-from conftest import flexible_modes, irc_eigensolve_sweep
+from conftest import flexible_modes, irc_eigensolve_sweep, tf
 
 
 FIRST = {"kind": "ss", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -140,7 +141,7 @@ def test_nyquist_csv_matches_library(tmp_path, capsys):
     sys_ = load_lti(path)
     g = default_grid(sys_, points_per_decade=10)
     assert len(rows) == g.size
-    vals = eval_grid(sys_.A, sys_.B, sys_.C, sys_.D, g)[:, 0, 0]
+    vals = eval_grid(sys_.A, sys_.B, sys_.C, sys_.D, g, eigensystem(sys_))[:, 0, 0]
     for row, w, v in zip(rows, g, vals):
         assert float(row["omega"]) == w
         # 17 significant digits round-trip doubles exactly
@@ -159,6 +160,19 @@ def test_nyquist_blank_rows_on_pole(tmp_path, capsys):
     first_data = out.splitlines()[1]
     assert first_data.split(",")[0] == "0"
     assert first_data.split(",")[1] == ""  # blank where the pole sits
+
+
+@pytest.mark.parametrize("plant, on_pole", [(tf([1.0], [1.0, 0.0, 1.0]), [1.0]),
+                                             (tf([1.0], [1.0, 1.0]), [])],
+                         ids=["1/(s^2+1)", "1/(s+1)"])
+def test_grid_points_on_an_axis_pole_are_dropped(plant, on_pole):
+    # the response rows and the PR sweep drop the grid point on the pole
+    # +-j of 1/(s^2+1), and keep the whole grid of a stable plant
+    g = np.array([0.0, 0.5, 1.0, 2.0])
+    keep = ~np.isin(g, on_pole)
+    vals, ok = _response_rows(plant, g)
+    assert np.array_equal(ok, keep) and np.isnan(vals[~ok]).all()
+    assert np.array_equal(check_positive_real(plant, grid=g).grid, g[keep])
 
 
 def test_bode_json(tmp_path, capsys):

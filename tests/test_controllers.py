@@ -6,7 +6,8 @@ from scipy.optimize import linear_sum_assignment
 from nisys import (ModalModel, StateSpace, choose_phi, controllers, dc_gain,
                    design_irc_gamma, evaluate, irc, modal_to_ss, ppf, ppf_mimo,
                    resonant_acc, resonant_vel_type)
-from nisys._kernels import CHUNK, eigenbasis
+from nisys._kernels import CHUNK
+from nisys.lti import eigensystem
 from conftest import FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_sweep, random_pd
 
 
@@ -238,7 +239,7 @@ def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
         # the zero residue's poles are deflated out of the iteration and
         # stand in their own columns of every row as the eigenbasis of A
         # gives them
-        ol = eigenbasis(plant.A)[0]
+        ol = eigensystem(plant)[0]
         cols = np.abs(ol[:, None] - np.linalg.eigvals(plant.A[4:6, 4:6])).argmin(0)
         assert (des.loci[:, cols] == ol[cols]).all()
 
@@ -247,7 +248,7 @@ def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():
     # a double pole at -50 in a Jordan block, plus one mode: no eigenbasis
     A = np.array([[-50.0, 1.0, 0, 0], [0, -50.0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1e4, -2.0]])
     plant = StateSpace(A, [[0.0], [1.0], [0.0], [1.0]], [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
-    assert eigenbasis(A) is None
+    assert eigensystem(plant)[1] is None
     Phi = choose_phi(plant)
     des = design_irc_gamma(plant, Phi)
     ref = irc_eigensolve_sweep(plant, Phi)
@@ -265,7 +266,7 @@ def test_aberth_rejects_a_root_counted_twice(flexible_plant):
     # roots no longer sum to the closed-loop trace
     A, B, C = flexible_plant.A, flexible_plant.B, flexible_plant.C
     g, d = 1e5, -choose_phi(flexible_plant)[0, 0]
-    lam, V, Vi, _ = eigenbasis(A)
+    lam, (V, Vi, _) = eigensystem(flexible_plant)
     r = (C @ V)[0] * (Vi @ B)[:, 0]
     roots = np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]]))
     g, gd, trace = np.array([g]), np.array([g * d]), np.array([np.trace(A) + g * d])

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from nisys import ModalModel, StateSpace, evaluate, modal_to_ss, poles
-from nisys._kernels import CHUNK, eigenbasis, eval_grid, sweep_eigmin
+from nisys._kernels import CHUNK, eval_grid, sweep_eigmin
 from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
+from nisys.lti import eigensystem
+from nisys.numerics import eigendecomposition
 from conftest import flexible_modes, random_stable
 
 
 def _assert_bytes_match_evaluate(sys, ws):
     # the resolvent fallback and n = 0: tobytes, not array_equal, so the
     # sign of a zero counts too
-    vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
+    vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
     assert vals.shape == (ws.size, sys.outputs, sys.inputs)
     for k, w in enumerate(ws):
         assert vals[k].tobytes() == evaluate(sys, 1j * w).tobytes(), (sys.n, k, w)
@@ -20,7 +22,7 @@ def _assert_bytes_match_evaluate(sys, ws):
 
 def _assert_close_to_evaluate(sys, ws):
     # the modal path: entrywise |P - evaluate| <= 1e-12 (1 + |evaluate|)
-    vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
+    vals = eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
     assert vals.shape == (ws.size, sys.outputs, sys.inputs)
     for k, w in enumerate(ws):
         ref = evaluate(sys, 1j * w)
@@ -30,7 +32,7 @@ def _assert_close_to_evaluate(sys, ws):
 def _jordan(rng, n, m, p):
     # 2x2 Jordan blocks at -1: V is singular, so eval_grid takes the fallback
     A = np.kron(np.eye(n // 2), [[-1.0, 1.0], [0.0, -1.0]])
-    assert eigenbasis(A) is None
+    assert eigendecomposition(A)[1] is None
     return StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
                       rng.standard_normal((p, m)))
 
@@ -44,7 +46,7 @@ def test_sweep_values_match_direct_eigh():
     ws = np.concatenate(([0.0, 0.3, 2.0, 11.0], np.geomspace(1e-2, 1e2, 60)))
     for sys in systems:
         for mode in (0, 1):
-            lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, mode)
+            lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, mode, eigensystem(sys))
             for k, w in enumerate(ws):
                 P = sys.C @ np.linalg.solve(1j * w * np.eye(sys.n) - sys.A, sys.B) + sys.D
                 H = (P + P.conj().T) if mode == 1 else 1j * (P - P.conj().T)
@@ -93,9 +95,10 @@ def test_eval_grid_chunk_boundaries():
     _assert_bytes_match_evaluate(static, ws[:50])
     # no outputs, no inputs: empty values at every point
     A = np.array([[-1.0]])
-    P = eval_grid(A, np.ones((1, 2)), np.zeros((0, 1)), np.zeros((0, 2)), ws)
+    eig = eigendecomposition(A)
+    P = eval_grid(A, np.ones((1, 2)), np.zeros((0, 1)), np.zeros((0, 2)), ws, eig)
     assert P.shape == (ws.size, 0, 2)
-    P = eval_grid(A, np.ones((1, 0)), np.ones((2, 1)), np.zeros((2, 0)), ws)
+    P = eval_grid(A, np.ones((1, 0)), np.ones((2, 1)), np.zeros((2, 0)), ws, eig)
     assert P.shape == (ws.size, 2, 0)
     # fallback, n * n = CHUNK: every chunk is a single point
     n = int(np.sqrt(CHUNK))
@@ -106,7 +109,7 @@ def test_eval_grid_chunk_boundaries():
 def test_eval_grid_paper_plant_breakpoint_grid():
     # the 100-mode paper plant, n = 200, on the grid that decides its NI verdict
     sys = modal_to_ss(ModalModel(flexible_modes(100)))
-    assert eigenbasis(sys.A) is not None
+    assert eigensystem(sys)[1] is not None
     _, fin = phi_imaginary_axis_zeros(sys)
     ws = _breakpoint_grid(fin, poles(sys))
     # w = 0, 2 * last + 1, the 100 pole magnitudes and a midpoint after each
@@ -124,7 +127,7 @@ def test_eval_grid_on_an_eigenvalue_raises():
         n = A.shape[0]
         with pytest.raises(np.linalg.LinAlgError):
             eval_grid(A, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)),
-                      np.array([0.5, w]))
+                      np.array([0.5, w]), eigendecomposition(A))
 
 
 def test_eval_grid_non_finite_eigenvectors_fall_back(monkeypatch):
@@ -137,6 +140,7 @@ def test_eval_grid_non_finite_eigenvectors_fall_back(monkeypatch):
         V[0, 0] = np.nan
         return lam, V
     monkeypatch.setattr(np.linalg, "eig", eig_nan)
+    assert eigensystem(sys)[1] is None
     _assert_bytes_match_evaluate(sys, np.concatenate(([0.0], np.geomspace(1e-1, 1e1, 30))))
 
 
@@ -146,8 +150,8 @@ def test_sweep_norm_matches_linalg_norm():
     for m in (1, 2, 3):
         for n in (1, 4, 9):
             sys = random_stable(rng, n, m, m)
-            P = eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
-            _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, 0)
+            P = eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
+            _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, 0, eigensystem(sys))
             ref = np.array([np.linalg.norm(Pk) for Pk in P], dtype=float)
             assert pn.tobytes() == ref.tobytes(), (m, n)
 
@@ -158,9 +162,10 @@ def test_eval_grid_memory_is_chunked():
     rng = np.random.default_rng(59)
     for sys, ws in ((random_stable(rng, 150, 2, 2), np.geomspace(1e-2, 1e2, 4000)),
                     (_jordan(rng, 150, 2, 2), np.geomspace(1e-2, 1e2, 400))):
+        eig = eigensystem(sys)
         tracemalloc.start()
         try:
-            eval_grid(sys.A, sys.B, sys.C, sys.D, ws)
+            eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eig)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -169,9 +174,10 @@ def test_eval_grid_memory_is_chunked():
 
 def test_static_system_and_empty_grid():
     D = np.array([[1.0, 0.0], [0.0, -2.0]])
+    eig = eigendecomposition(np.zeros((0, 0)))
     lam, pn = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
-                           np.zeros((2, 0)), D, np.array([1.0]), 1)
+                           np.zeros((2, 0)), D, np.array([1.0]), 1, eig)
     assert np.isclose(lam[0], np.linalg.eigvalsh(D + D.T)[0])
     lam0, pn0 = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
-                             np.zeros((2, 0)), D, np.zeros(0), 0)
+                             np.zeros((2, 0)), D, np.zeros(0), 0, eig)
     assert lam0.size == 0 and pn0.size == 0

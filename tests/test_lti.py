@@ -7,7 +7,7 @@ from nisys import (LtiError, ModalModel, StateSpace, add, dc_gain,
                    diagonal_replicate, evaluate, inf_gain, is_minimal,
                    modal_to_ss, paraconjugate_transpose, poles,
                    positive_feedback, star_product)
-from nisys.lti import static_gain
+from nisys.lti import eigensystem, static_gain
 from conftest import random_modal, random_stable, tf
 
 
@@ -34,6 +34,12 @@ def test_poles_are_kept_read_only():
     assert np.array_equal(np.sort(p), [-3.0, -1.0])
     with pytest.raises(ValueError, match="read-only"):
         p[0] = 0.0
+    # the eigenbasis is kept with the poles, read-only too
+    lam, (V, Vi, _) = eigensystem(sys)
+    assert lam is p
+    for M in (V, Vi):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0.0
 
 
 def test_row_vector_b_normalized():

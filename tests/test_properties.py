@@ -18,8 +18,8 @@ from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_rea
                    modal_to_ss, positive_feedback, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type, rotated_system, star_product)
 from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, poles
-from nisys._kernels import eigenbasis
 from nisys.analysis import ORIGIN_TOL
+from nisys.lti import eigensystem
 from conftest import flexible_modes, random_pd, tf
 
 
@@ -309,7 +309,7 @@ def test_t_zeros_residual_on_paper_plant():
     # every zero t of G(t) = sum_i R_i / (t - lam_i^2) on the 100-mode plant
     # leaves sigma_min(G(t)) at most 1e-9 of its largest term
     P = modal_to_ss(ModalModel(flexible_modes(100)))
-    lam, V, Vi, cond = eigenbasis(P.A)
+    lam, (V, Vi, cond) = eigensystem(P)
     why, t, k = analysis._t_zeros(P, lam, V, Vi, cond)
     assert why is None and k == 1 and t.size == P.n - 2
     CV, W = P.C @ V, Vi @ P.B

@@ -78,6 +78,16 @@ def test_verify_closed_loop_rejects_destabilizing_gain(synth_plant):
     assert not rep.ok
 
 
+def test_verify_closed_loop_near_marginal_pole_is_not_hurwitz():
+    # K = 0 leaves the pole -1e-13 inside the imaginary-axis band of the
+    # pole test of check_ni: not Hurwitz, and no DC gain is taken
+    plant = UncertainPlant(np.diag([-1e-13, -1.0]), [[1.0], [1.0]], [[1.0], [0.0]],
+                           [[1.0, 1.0]])
+    rep = verify_closed_loop(plant, np.zeros((1, 2)))
+    assert not rep.hurwitz and not rep.ok
+    assert rep.ni.reason == "imaginary-axis pole"
+
+
 def test_mc_check_is_reproducible(synth_plant):
     res = synthesize_state_feedback(synth_plant)
     r1 = verify_closed_loop(synth_plant, res.K, seed=123)
