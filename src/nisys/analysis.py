@@ -203,13 +203,15 @@ class NiLmiResult:
         return self.is_ni
 
 
-def check_ni_lmi(sys: StateSpace, balance: bool = True) -> NiLmiResult:
+def check_ni_lmi(sys: StateSpace) -> NiLmiResult:
     """Certificate route: NI iff D is symmetric, A has no imaginary-axis
     eigenvalues, and Y > 0 exists with A Y + Y A^T <= 0, B + A Y C^T = 0.
 
-    Solved in balanced coordinates for conditioning; the returned Y is
+    Solved in balanced coordinates (unbalanced, plants with spread mode
+    frequencies exhaust the solver's step budget); the returned Y is
     transformed back, so it certifies the original realization. Non-minimal
-    realizations are attempted anyway and flagged.
+    realizations are attempted anyway and flagged. When no certificate is
+    found, `reason` carries the solver's: infeasible, or budget exhausted.
     """
     _square(sys)
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -223,17 +225,11 @@ def check_ni_lmi(sys: StateSpace, balance: bool = True) -> NiLmiResult:
         return NiLmiResult(False, None, "right-half-plane pole", minimal)
     if sys.n == 0:
         return NiLmiResult(True, np.zeros((0, 0)), None, minimal)
-    if balance:
-        Ab, T = numerics.balance(A)
-        t = np.diag(T)
-        Bb = B / t[:, None]
-        Cb = C * t[None, :]
-    else:
-        Ab, Bb, Cb = A, B, C
-        T = np.eye(sys.n)
-    res = lmimod.solve_feasibility(lmimod.ni_problem(Ab, Bb, Cb))
+    Ab, T = numerics.balance(A)
+    t = np.diag(T)
+    res = lmimod.solve_feasibility(lmimod.ni_problem(Ab, B / t[:, None], C * t[None, :]))
     if not res.feasible:
-        return NiLmiResult(False, None, "no certificate found at tolerance", minimal, res)
+        return NiLmiResult(False, None, f"no certificate: {res.reason}", minimal, res)
     Yb = res.values["Y"]
     Y = T @ Yb @ T.T
     ver = lmimod.verify_certificate(lmimod.ni_problem(A, B, C), {"Y": Y},
@@ -562,7 +558,7 @@ def _augmented_lag(sys, shifts, eps):
     return At, Bt, Ct
 
 
-def _lag_feasible(sys, shifts, eps, solver_opts):
+def _lag_feasible(sys, shifts, eps):
     _square(sys)
     if eps <= 0 or any(a <= 0 for a in shifts):
         raise ValueError("shift and eps parameters must be positive")
@@ -579,24 +575,23 @@ def _lag_feasible(sys, shifts, eps, solver_opts):
     # sym(CB) of the original system is not positive definite enough
     if numerics.eig_symmetric(S)[0] < -1e-9 * max(1.0, np.linalg.norm(S)):
         return False
-    res = lmimod.solve_feasibility(lmimod.ni_problem(At, Bt, Ct), **solver_opts)
+    res = lmimod.solve_feasibility(lmimod.ni_problem(At, Bt, Ct))
     return bool(res.feasible)
 
 
-def sni_sufficient_lag(sys: StateSpace, alpha: float, eps: float, **solver_opts) -> bool:
+def sni_sufficient_lag(sys: StateSpace, alpha: float, eps: float) -> bool:
     """Sufficient SNI test by single-lag augmentation: feasibility of the NI
     certificate for the system with eps/(s+alpha) I subtracted. True implies
     SNI; False is inconclusive."""
-    return _lag_feasible(sys, (float(alpha),), float(eps), solver_opts)
+    return _lag_feasible(sys, (float(alpha),), float(eps))
 
 
-def sni_sufficient_lag2(sys: StateSpace, alpha: float, beta: float, eps: float,
-                        **solver_opts) -> bool:
+def sni_sufficient_lag2(sys: StateSpace, alpha: float, beta: float, eps: float) -> bool:
     """Double-lag variant with two distinct shifts alpha != beta."""
     alpha, beta = float(alpha), float(beta)
     if alpha == beta:
         raise ValueError("the two shifts must be distinct")
-    return _lag_feasible(sys, (alpha, beta), float(eps), solver_opts)
+    return _lag_feasible(sys, (alpha, beta), float(eps))
 
 
 @dataclass

@@ -206,8 +206,6 @@ def cmd_synth_sf(args) -> int:
             "ni_worst_margin": float(rep_cl.ni.worst_margin),
             "dc_sigma_max": float(rep_cl.dc_sigma_max),
             "dc_identity_error": rep_cl.dc_identity_error,
-            "mc_failures": int(rep_cl.mc_failures),
-            "mc_samples": int(rep_cl.mc_samples),
         },
     }
     _emit(_json_dump(rep), args.out)

@@ -1,16 +1,19 @@
 """Feasibility solver and certificate checks for small dense LMI systems.
 
-The solver maximizes the worst normalized eigenvalue margin over the affine
-subspace satisfying all equality constraints. Pipeline: extract the affine
-structure of every constraint by basis evaluation, eliminate equalities by
-SVD, run a softmin-weighted Polyak subgradient ascent on the min-eigenvalue
-objective, and periodically polish with a cluster-aware Gauss-Newton step.
-The Gauss-Newton polish takes full steps with no line search; convergence on
-boundary-feasible problems is inherently non-monotone (transient violation
-spikes when eigenvalue clusters hand off), so the polish tracks the best
-iterate by violation and only reverts on divergence. Deterministic, no RNG.
+`solve_feasibility` extracts the affine structure of every constraint by
+basis evaluation, eliminates the equalities by SVD, deflates the declared
+boundary kernels, and then runs one log-barrier path-following method
+(Vandenberghe & Boyd, SIAM Review 1996; Boyd & Vandenberghe, Convex
+Optimization, ch. 11) on the reduced blocks: maximize the scaled margin t of
+the blocks, with t <= 1 and the free coordinates in a ball. Phase 0 lifts
+every block until the non-strict ones are within tolerance; phase 1 holds
+those there and maximizes the margin of the strict blocks. A solve ends in
+one of three ways: a point that passes the acceptance test on the original,
+undeflated blocks; a dual (Farkas) certificate, independent of the ball,
+whose bound lies below the acceptance floor; or a fixed budget of Newton
+steps. Deterministic, no RNG, no wall clock.
 
-Problems here have at most ~100 scalar unknowns; everything is dense.
+Problems here have a few hundred scalar unknowns at most; everything is dense.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
+
+PSD_TOL = 1e-9         # acceptance floor of non-strict blocks, relative to scale
+STRICT_MARGIN = 1e-8   # acceptance floor of strict blocks, relative to scale
+HOLD = PSD_TOL / 2     # phase 1 holds non-strict blocks at -HOLD s I
+MAX_NEWTON_STEPS = 200
+MIN_GAP = 1e-12        # barrier gap below which double precision has nothing left to give
+MU = 10.0              # barrier weight growth per centering
+BALL = (1e2, 1e6)      # |xi| <= R = BALL * max(1, |x_p|): start, widest
 
 
 class SymVar:
@@ -87,12 +98,21 @@ class LmiProblem:
 
 @dataclass
 class SolveResult:
+    """How a solve ended. reason is "certificate" (feasible: values pass the
+    acceptance test), "infeasible" (dual holds the Farkas matrices, one per
+    cone in its sense-adjusted coordinates, whose bound margin lies below the
+    acceptance floor), "budget exhausted" (MAX_NEWTON_STEPS Newton steps, or
+    double precision spent), or names the inconsistent equalities. margin is
+    the lifted blocks' scaled floor t at the last iterate, or the dual bound
+    when infeasible; iters counts Newton steps."""
+
     feasible: bool
     values: dict | None
     margin: float
     iters: int
     eq_residual: float
     reason: str | None = None
+    dual: list | None = None
 
 
 def _complement(Q, m):
@@ -105,14 +125,17 @@ def _complement(Q, m):
     return Qm, U[:, r:]
 
 
-def solve_feasibility(problem: LmiProblem, max_iter=20000, stall_iters=500,
-                      stall_tol=1e-10, psd_tol=1e-9, strict_margin=1e-8) -> SolveResult:
+def solve_feasibility(problem: LmiProblem) -> SolveResult:
     """Search for a feasible point of the problem.
 
     Acceptance: every non-strict cone block has min eigenvalue
-    >= -psd_tol * scale and every strict block >= strict_margin * scale,
-    with scale = max(1, ||block||_F). Infeasibility is reported as
-    best-found margin, not proved.
+    >= -PSD_TOL * scale and every strict block >= STRICT_MARGIN * scale,
+    with scale = max(1, ||block||_F). Infeasibility is reported only with a
+    dual certificate: PSD matrices W_i, one per cone in its sense-adjusted
+    coordinates, such that sum_i <W_i, F_i(x)> is constant where the
+    equalities hold and bounds the blocks' scaled margin below the floor of
+    the phase that found it (-HOLD/2 over all blocks in phase 0,
+    STRICT_MARGIN over the strict blocks in phase 1).
     """
     N = problem.dim
     z = np.zeros(N)
@@ -176,173 +199,148 @@ def solve_feasibility(problem: LmiProblem, max_iter=20000, stall_iters=500,
     for c in cones:
         F0, Fj, P = c["F0"], c["Fj"], c["P"]
         H0f = F0 + np.tensordot(xp, Fj, axes=(0, 0))
-        Hkf = np.tensordot(Z.T, Fj, axes=(1, 0)) if k else np.zeros((0,) + F0.shape)
+        Hkf = np.tensordot(Z.T, Fj, axes=(1, 0))
         full.append(dict(H0=H0f, Hk=Hkf, strict=c["strict"]))
         if P is not None:
             H0 = P.T @ H0f @ P
-            Hk = np.einsum('ab,jbc,cd->jad', P.T, Hkf, P) if k else np.zeros((0, P.shape[1], P.shape[1]))
+            Hk = P.T @ Hkf @ P
         else:
             H0, Hk = H0f, Hkf
         s_i = max(1.0, np.linalg.norm(H0),
                   max((np.linalg.norm(Hk[j]) for j in range(k)), default=0.0))
         red.append(dict(H0=H0, Hk=Hk, strict=c["strict"], s=s_i))
 
-    def dblocks(xi):
-        return [d["H0"] + np.tensordot(xi, d["Hk"], axes=(0, 0)) for d in red]
-
-    def f_of(xi):
-        vals = [np.linalg.eigvalsh(M)[0] / d["s"] for d, M in zip(red, dblocks(xi)) if M.size]
-        return min(vals) if vals else 0.0
+    def block(d, xi):
+        return d["H0"] + np.tensordot(xi, d["Hk"], axes=(0, 0))
 
     def accepted(xi):
         for d in full:
-            M = d["H0"] + (np.tensordot(xi, d["Hk"], axes=(0, 0)) if k else 0.0)
-            if not M.size:
+            if not d["H0"].size:
                 continue
-            w = np.linalg.eigvalsh(M)
+            M = block(d, xi)
             scale = max(1.0, np.linalg.norm(M))
-            thr = strict_margin * scale if d["strict"] else -psd_tol * scale
-            if w[0] < thr:
+            thr = STRICT_MARGIN * scale if d["strict"] else -PSD_TOL * scale
+            if np.linalg.eigvalsh(M)[0] < thr:
                 return False
         return True
 
-    if k == 0:
-        xi0 = np.zeros(0)
-        return SolveResult(accepted(xi0), problem.unpack(xp), f_of(xi0), 0, eq_resid)
+    def lowest(d, xi):
+        return np.linalg.eigvalsh(block(d, xi))[0] / d["s"]
 
-    # least-squares init aiming each block at tau * scale * I
-    best_init, best_init_f = None, -np.inf
-    for tau in (0.1, 0.0, 0.5):
-        rows, rhs = [], []
-        for d in red:
+    # Barrier path-following on  max t  s.t.  G_i = block_i + c_i I - w_i t s_i I >= 0,
+    # t <= 1, |xi| <= R.  Phase 0 lifts every block (w = 1, c = 0) until the
+    # non-strict ones clear -HOLD/2; phase 1 holds those at -HOLD (c = HOLD s,
+    # w = 0) and lifts the strict blocks alone.
+    live = [(i, d) for i, d in enumerate(red) if d["H0"].size]
+    theta = sum(d["H0"].shape[0] for _, d in live) + 2
+    R2, R2max = (np.array(BALL) * max(1.0, np.linalg.norm(xp))) ** 2
+    xi, t, tau, phase, steps = np.zeros(k), None, None, 0, 0
+    w = np.ones(len(live))
+    c = np.zeros(len(live))
+
+    def result(ok, margin, reason, dual=None):
+        x = xp + Z @ xi
+        return SolveResult(ok, problem.unpack(x), float(margin), steps,
+                           float(np.linalg.norm(L @ x - r)), reason, dual)
+
+    while True:
+        if phase == 0 and all(lowest(d, xi) >= -HOLD / 2 for _, d in live if not d["strict"]):
+            phase, t = 1, None
+            w = np.array([float(d["strict"]) for _, d in live])
+            c = np.array([0.0 if d["strict"] else HOLD * d["s"] for _, d in live])
+        if t is None:
+            # strictly feasible start: t one unit below the lowest lifted block
+            tmin = min((lowest(d, xi) for (_, d), wi in zip(live, w) if wi), default=1.0)
+            t, tau = min(tmin, 1.0) - 1.0, None
+        elif phase == 1 and t >= theta / tau and accepted(xi):  # t within 2x of its optimum
+            return result(True, t, "certificate")
+        if steps == MAX_NEWTON_STEPS or (tau and theta / tau < MIN_GAP):
+            return result(False, t, "budget exhausted")
+
+        # Newton step on  -tau t - sum log det G_i - log(1 - t) - log(R^2 - |xi|^2);
+        # with G = L L^T the Schur matrix is the Gram matrix of L^-1 D_j L^-T
+        g = np.zeros(k + 1)
+        H = np.zeros((k + 1, k + 1))
+        hats = []
+        for (_, d), wi, ci in zip(live, w, c):
             m = d["H0"].shape[0]
-            if m == 0:
-                continue
-            rows.append(d["Hk"].reshape(k, m * m).T / d["s"])
-            rhs.append((tau * d["s"] * np.eye(m) - d["H0"]).ravel() / d["s"])
-        if not rows:
-            break
-        xi0 = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
-        f0 = f_of(xi0)
-        if f0 > best_init_f:
-            best_init, best_init_f = xi0, f0
-    if best_init is None:
-        best_init, best_init_f = np.zeros(k), f_of(np.zeros(k))
-    xi, best_f = best_init.copy(), best_init_f
-    best_xi = xi.copy()
+            G = block(d, xi) + (ci - wi * t * d["s"]) * np.eye(m)
+            try:
+                Li = np.linalg.inv(np.linalg.cholesky(G))
+            except np.linalg.LinAlgError:
+                # a slack below the rounding of the block: precision is spent
+                return result(False, t, "budget exhausted")
+            Hh = np.concatenate([Li @ d["Hk"] @ Li.T, (-wi * d["s"] * (Li @ Li.T))[None]])
+            F = Hh.reshape(k + 1, m * m)
+            g -= np.trace(Hh, axis1=1, axis2=2)
+            H += F @ F.T
+            hats.append((Li, Hh))
+        if tau is None:
+            tau = g[k] + 1.0 / (1.0 - t)  # centered in t
+        rho = R2 - xi @ xi
+        g[:k] += 2.0 * xi / rho
+        H[:k, :k] += 2.0 / rho * np.eye(k) + 4.0 / rho ** 2 * np.outer(xi, xi)
+        g[k] += 1.0 / (1.0 - t) - tau
+        H[k, k] += 1.0 / (1.0 - t) ** 2
+        # Jacobi-scaled; the 1e-13 floor keeps the solve defined where the
+        # barrier's curvature near the optimum outruns double precision
+        sc = 1.0 / np.sqrt(np.diag(H))
+        step = -sc * np.linalg.solve(H * np.outer(sc, sc) + 1e-13 * np.eye(k + 1), sc * g)
+        dec = -g @ step
+        dG = [np.tensordot(step, Hh, axes=(0, 0)) for _, Hh in hats]
+        gam = [np.linalg.eigvalsh(x) for x in dG]
 
-    def _viol_and_rows(xq, want_rows=False, strict_lift=None):
-        viol2 = 0.0
-        rows, rhs = [], []
-        for d, M in zip(red, dblocks(xq)):
-            if not M.size:
-                continue
-            w, V = np.linalg.eigh(M)
-            scale = max(1.0, np.linalg.norm(M))
-            lift = (strict_lift if strict_lift is not None else 2 * strict_margin) * scale if d["strict"] else 0.0
-            if w[0] >= lift:
-                continue
-            viol2 += sum(((lift - w[l]) / d["s"]) ** 2 for l in range(len(w)) if w[l] < lift)
-            if want_rows:
-                cw = lift + (lift - w[0])
-                cl = [l for l in range(len(w)) if w[l] < cw][:16]
-                for ii, a in enumerate(cl):
-                    va = V[:, a]
-                    for b in cl[ii:]:
-                        vb = V[:, b]
-                        g = np.einsum('i,kij,j->k', va, d["Hk"], vb)
-                        rows.append(g / d["s"])
-                        rhs.append(((lift - w[a]) if a == b else 0.0) / d["s"])
-        return viol2, rows, rhs
+        floor = -HOLD / 2 if phase == 0 else STRICT_MARGIN
+        if dec < 1.0 and t + theta / tau < floor:
+            # Farkas candidate: the dual point of the Newton step,
+            # Z_i = L^-T (I - sum_j step_j Hh_j) L^-1 / tau, PSD inside the
+            # Dikin ellipsoid. Its pairing with the Hk_j is the ball's pull;
+            # cancel it in Z's own metric, Z_i -= Z_i S_i Z_i with
+            # S_i = sum_j a_j Hk_ij, which barely moves Z where Z is small
+            # (the range of a recession direction of the blocks)
+            Zs = [Li.T @ (np.eye(len(Li)) - x) @ Li / tau for (Li, _), x in zip(hats, dG)]
+            if k:
+                ZH = [Zi @ d["Hk"] for (_, d), Zi in zip(live, Zs)]
+                pull = sum(np.einsum('jaa->j', x) for x in ZH)
+                MZ = sum(np.tensordot(x, x, axes=([1, 2], [2, 1])) for x in ZH)
+                coef = np.linalg.lstsq(MZ, pull, rcond=None)[0]
+                Zs = [Zi - np.tensordot(coef, x, axes=(0, 0)) @ Zi for Zi, x in zip(Zs, ZH)]
+            Zs = [0.5 * (Zi + Zi.T) for Zi in Zs]
+            pull = sum(np.tensordot(d["Hk"], Zi, axes=([1, 2], [0, 1])) for (_, d), Zi in zip(live, Zs))
+            norm = sum(wi * d["s"] * np.trace(Zi) for (_, d), wi, Zi in zip(live, w, Zs))
+            size = sum(d["s"] * np.linalg.norm(Zi) for (_, d), Zi in zip(live, Zs))
+            if (norm > 0 and np.linalg.norm(pull) <= PSD_TOL * size
+                    and all(np.linalg.eigvalsh(Zi)[0] >= -1e-12 * np.linalg.norm(Zi) for Zi in Zs)):
+                # no pull left: the ball's multiplier is zero and
+                # sum_i <Z_i, G_i> = b norm - t norm >= 0 bounds t on all of R^k
+                b = sum(np.vdot(Zi, d["H0"]) + ci * np.trace(Zi)
+                        for (_, d), ci, Zi in zip(live, c, Zs)) / norm
+                if b < floor:
+                    dual = [np.zeros((cn["m"], cn["m"])) for cn in cones]
+                    for (i, _), Zi in zip(live, Zs):
+                        P = cones[i]["P"]
+                        dual[i] = (Zi if P is None else P @ Zi @ P.T) / norm
+                    return result(False, b, "infeasible", dual)
+            if xi @ xi > R2 / 2 and R2 < R2max:
+                # no proof while the iterate leans on the ball: widen it
+                R2 *= 100.0
 
-    def gn_polish(x0, max_steps=40, strict_lift=None):
-        # full non-monotone Newton steps on the active eigenvalue cluster;
-        # track the best iterate by violation, revert only on divergence
-        xq = x0.copy()
-        vq, _, _ = _viol_and_rows(xq, strict_lift=strict_lift)
-        vmin = vq
-        best_x, best_v = xq.copy(), vq
-        for _ in range(max_steps):
-            if vq <= 1e-30:
-                break
-            _, rows, rhs = _viol_and_rows(xq, want_rows=True, strict_lift=strict_lift)
-            if not rows:
-                break
-            dxi, *_ = np.linalg.lstsq(np.vstack(rows), np.array(rhs), rcond=None)
-            xq = xq + dxi
-            vq, _, _ = _viol_and_rows(xq, strict_lift=strict_lift)
-            if vq < best_v:
-                best_x, best_v = xq.copy(), vq
-            vmin = min(vmin, vq)
-            if vq > 1e6 * max(vmin, 1e-300):
-                xq = best_x.copy()
-                break
-        xq = best_x
-        return xq, f_of(xq)
+        # backtracking on the exact barrier along the step, inside the domain
+        dxi, dt = step[:k], step[k]
+        amax = min([np.inf] + [-1.0 / x[0] for x in gam if x[0] < 0] + ([(1.0 - t) / dt] if dt > 0 else []))
+        a2, a1 = dxi @ dxi, 2.0 * xi @ dxi
+        if a2 > 0:
+            amax = min(amax, (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * rho)) / (2.0 * a2))
+        a = min(1.0, 0.99 * amax)
 
-    delta = max(1e-3, abs(best_f) * 0.5)
-    since = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        mlist = []
-        for d, M in zip(red, dblocks(xi)):
-            if not M.size:
-                continue
-            w, V = np.linalg.eigh(M)
-            mlist.append((d, w, V))
-        if not mlist:
-            break
-        f_cur = min(mm[1][0] / mm[0]["s"] for mm in mlist)
-        # softmin weights over all eigenpairs near the active margin
-        T = max(1e-14, 0.05 * abs(f_cur))
-        g = np.zeros(k)
-        wsum = 0.0
-        for d, w, V in mlist:
-            marg = w / d["s"]
-            wts = np.exp(-(marg - f_cur) / T)
-            for l in np.nonzero(wts > 1e-3)[0]:
-                vv = V[:, l]
-                gl = np.einsum('i,kij,j->k', vv, d["Hk"], vv) / d["s"]
-                g += wts[l] * gl
-                wsum += wts[l]
-        g /= max(wsum, 1e-300)
-        gn = g @ g
-        if gn < 1e-300:
-            break
-        xi = xi + (best_f + delta - f_cur) / gn * g  # Polyak step toward target
-        fnew = f_of(xi)
-        if fnew > best_f:
-            since = 0 if fnew > best_f + stall_tol else since + 1
-            best_f = fnew
-            best_xi = xi.copy()
-        else:
-            since += 1
-        if since and since % 100 == 0:
-            delta *= 0.5
-        if it % 50 == 0:
-            xq, fq = gn_polish(best_xi)
-            if fq > best_f:
-                best_f, best_xi = fq, xq.copy()
-                xi = xq.copy()
-                since = 0
-            if accepted(best_xi):
-                break
-        if since > stall_iters:
-            break
-    xq, fq = gn_polish(best_xi, max_steps=15)
-    if fq > best_f:
-        best_f, best_xi = fq, xq
-    if accepted(best_xi) and any(d["strict"] for d in red):
-        # recenter strict blocks away from their acceptance floor when possible
-        for lift in (1e-3, 1e-4, 1e-5):
-            xq, fq = gn_polish(best_xi, max_steps=25, strict_lift=lift)
-            if accepted(xq) and fq > best_f:
-                best_f, best_xi = fq, xq
-                break
-    x = xp + Z @ best_xi
-    eqr = float(np.linalg.norm(L @ x - r)) if L.shape[0] else 0.0
-    return SolveResult(accepted(best_xi), problem.unpack(x), best_f, it, eqr)
+        def drop(a):
+            return (-tau * a * dt - sum(np.log1p(a * x).sum() for x in gam)
+                    - np.log1p(-a * dt / (1.0 - t)) - np.log1p(-(a * a1 + a * a * a2) / rho))
+        while dec > 0.25 and drop(a) > -0.25 * a * dec:
+            a *= 0.5
+        xi, t, steps = xi + a * dxi, t + a * dt, steps + 1
+        if dec <= 0.25:
+            tau *= MU
 
 
 @dataclass
@@ -363,8 +361,8 @@ class CertificateReport:
         return [c.margin for c in self.checks if c.kind != "zero"]
 
 
-def verify_certificate(problem: LmiProblem, values: dict, psd_tol=1e-9,
-                       strict_margin=1e-8, eq_tol=1e-8) -> CertificateReport:
+def verify_certificate(problem: LmiProblem, values: dict, psd_tol=PSD_TOL,
+                       strict_margin=STRICT_MARGIN, eq_tol=1e-8) -> CertificateReport:
     """Recompute every constraint of the problem at the given variable values.
 
     Independent of solver state: uses only the constraint functions and the

@@ -27,8 +27,6 @@ from .analysis import FreqVerdict, _pole_status, check_ni
 from .lti import StateSpace, dc_gain, poles
 from .numerics import eig_symmetric
 
-EPS_LADDER = (1e-8, 1e-4)
-
 
 @dataclass(frozen=True)
 class UncertainPlant:
@@ -148,32 +146,27 @@ class SynthesisResult:
         return self.feasible
 
 
-def synthesize_state_feedback(plant: UncertainPlant, eps: float = 1e-6,
-                              **solver_opts) -> SynthesisResult:
-    """Solve for K over a small ladder of margins starting at the requested
-    eps; return the first feasible point with its certificate."""
+def synthesize_state_feedback(plant: UncertainPlant, eps: float = 1e-6) -> SynthesisResult:
+    """Solve for K at the requested eps; the solver maximizes the strict
+    margins in the one solve. On failure `reason` is the solver's:
+    "infeasible" (with a dual certificate on `solver.dual`) or
+    "budget exhausted"."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ladder = list(dict.fromkeys((float(eps),) + EPS_LADDER))
-    last = None
-    for e in ladder:
-        res = lmimod.solve_feasibility(synth_problem(plant, e), **solver_opts)
-        last = res
-        if not res.feasible:
-            continue
-        Y, Mv = res.values["Y"], res.values["M"]
-        K = np.linalg.solve(Y, Mv.T).T
-        # pinned directions carry sym(A Y + B2 M) = 0 exactly, so the
-        # eps-margin form is checked at zero margin (its honest unpinned
-        # statement); the eps margin itself is enforced on the complement
-        # inside the solved problem
-        ver = lmimod.verify_certificate(
-            synth_verification_problem(plant, 0.0), res.values,
-            psd_tol=1e-7, strict_margin=0.0, eq_tol=1e-6)
-        return SynthesisResult(True, K, Y, Mv, e, float(np.linalg.cond(Y)),
-                               res, ver)
-    return SynthesisResult(False, None, None, None, ladder[-1], np.inf, last,
-                           None, reason="infeasible over the eps ladder")
+    eps = float(eps)
+    res = lmimod.solve_feasibility(synth_problem(plant, eps))
+    if not res.feasible:
+        return SynthesisResult(False, None, None, None, eps, np.inf, res, None,
+                               reason=res.reason)
+    Y, Mv = res.values["Y"], res.values["M"]
+    K = np.linalg.solve(Y, Mv.T).T
+    # pinned directions carry sym(A Y + B2 M) = 0 exactly, so the eps-margin
+    # form is checked at zero margin (its honest unpinned statement); the eps
+    # margin itself is enforced on the complement inside the solved problem
+    ver = lmimod.verify_certificate(
+        synth_verification_problem(plant, 0.0), res.values,
+        psd_tol=1e-7, strict_margin=0.0, eq_tol=1e-6)
+    return SynthesisResult(True, K, Y, Mv, eps, float(np.linalg.cond(Y)), res, ver)
 
 
 @dataclass
@@ -182,9 +175,9 @@ class ClosedLoopReport:
 
     `ok` gates on: Hurwitz A + B2 K by the pole test of check_ni, the NI
     verdict of record (check_ni), DC gain contraction sigma_max < 1 with a
-    symmetric PSD DC gain, the DC identity Gcl(0) = C1 Y C1^T when Y is
-    supplied, and a seeded batch of random strictly-NI uncertainty closures
-    all stable.
+    symmetric PSD DC gain, and the DC identity Gcl(0) = C1 Y C1^T when Y is
+    supplied. By the DC-gain theorem these certify the loop against every
+    admissible strictly-NI uncertainty.
     """
 
     ok: bool
@@ -194,33 +187,9 @@ class ClosedLoopReport:
     dc_contraction: bool
     dc_psd: bool
     dc_identity_error: float | None
-    mc_failures: int
-    mc_samples: int
 
 
-def _mc_sni_closures(Acl, B1, C1, samples, seed):
-    """Close random first-order strictly-NI uncertainties D(s) = dinf +
-    kg/(s+p) (scaled identity on the port) and count unstable draws. Draws
-    keep D(0) < 1 and D(inf) >= 0, the admissible class for a contractive
-    loop."""
-    rng = np.random.default_rng(seed)
-    q = C1.shape[0]
-    Iq = np.eye(q)
-    fails = 0
-    for _ in range(samples):
-        p = rng.uniform(0.1, 5.0)
-        dinf = rng.uniform(0.0, 0.3)
-        dc = rng.uniform(dinf, 1.0 - 1e-3)
-        kg = (dc - dinf) * p
-        Ad, Bd, Cd, Dd = -p * Iq, Iq, kg * Iq, dinf * Iq
-        Abig = np.block([[Acl + B1 @ Dd @ C1, B1 @ Cd], [Bd @ C1, Ad]])
-        if np.linalg.eigvals(Abig).real.max() >= 0:
-            fails += 1
-    return fails
-
-
-def verify_closed_loop(plant: UncertainPlant, K, Y=None, mc_samples: int = 20,
-                       seed: int = 20260819) -> ClosedLoopReport:
+def verify_closed_loop(plant: UncertainPlant, K, Y=None) -> ClosedLoopReport:
     K = np.asarray(K, dtype=float).reshape(plant.controls, plant.n)
     gcl = closed_loop(plant, K)
 
@@ -247,12 +216,8 @@ def verify_closed_loop(plant: UncertainPlant, K, Y=None, mc_samples: int = 20,
         ident = float(np.linalg.norm(G0 - plant.C1 @ Y @ plant.C1.T)
                       / (1.0 + np.linalg.norm(Y)))
 
-    mc_fails = _mc_sni_closures(gcl.A, plant.B1, plant.C1, mc_samples, seed) \
-        if hurwitz else mc_samples
-
     ok = bool(hurwitz and ni.holds and contraction and dc_psd
-              and (ident is None or ident <= 1e-6) and mc_fails == 0)
+              and (ident is None or ident <= 1e-6))
     return ClosedLoopReport(ok=ok, hurwitz=hurwitz, ni=ni, dc_sigma_max=smax,
                             dc_contraction=contraction, dc_psd=dc_psd,
-                            dc_identity_error=ident, mc_failures=mc_fails,
-                            mc_samples=mc_samples)
+                            dc_identity_error=ident)

@@ -126,14 +126,17 @@ def irc_eigensolve_sweep(plant, Phi, gamma_min=1e3, gamma_max=1e8, points_per_de
                      zetas, decays, stable, None)
 
 
+SYNTH_PLANT = UncertainPlant(
+    A=np.array([[-1.0, 0, 0], [1, -1, 1], [0, 1, -1]]),
+    B1=np.array([[0.0], [0.0], [1.0]]),
+    B2=np.array([[-2.0], [1.0], [0.0]]),
+    C1=np.array([[0.0, 1.0, 0.0]]),
+)
+
+
 @pytest.fixture
 def synth_plant():
-    return UncertainPlant(
-        A=np.array([[-1.0, 0, 0], [1, -1, 1], [0, 1, -1]]),
-        B1=np.array([[0.0], [0.0], [1.0]]),
-        B2=np.array([[-2.0], [1.0], [0.0]]),
-        C1=np.array([[0.0, 1.0, 0.0]]),
-    )
+    return SYNTH_PLANT
 
 
 SYNTH_Y_PUBLISHED = np.array([
@@ -143,6 +146,33 @@ SYNTH_Y_PUBLISHED = np.array([
 ])
 SYNTH_M_PUBLISHED = np.array([[-2.8122, 1.0000, 2.6260]])
 SYNTH_K_PUBLISHED = np.array([[0.22927, 1.4581, 0.22927]])
+
+
+def port_plant(modes, dc, B2):
+    """Uncertainty port of modal position-output modes (omega, kappa, psi),
+    psi rescaled so the port's DC gain is dc; state (q, q') per mode."""
+    c = np.sqrt(dc / sum(p * p / (w * w) for w, _, p in modes))
+    A = np.zeros((2 * len(modes), 2 * len(modes)))
+    B1 = np.zeros((2 * len(modes), 1))
+    C1 = np.zeros((1, 2 * len(modes)))
+    for i, (w, k, p) in enumerate(modes):
+        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, 1.0], [-w * w, -k]]
+        B1[2 * i + 1, 0] = C1[0, 2 * i] = p * c
+    return UncertainPlant(A, B1, np.asarray(B2, float).reshape(-1, 1), C1)
+
+
+# regression plants where K = 0 passes verify_closed_loop, yet synthesis
+# once reported infeasible: a three-mode port and a random two-mode port
+FAULT3_PLANT = port_plant([(9.0749, 1.5962, 1.0), (3.0269, 0.7403, 1.0), (8.862, 0.2095, 1.0)],
+                          0.5, [1.3402, -0.4922, -0.6205, 0.4898, 0.3569, 0.1054])
+PORT_PLANT = port_plant([(1.8724, 1.1723, 1.0), (9.4081, 0.3066, 1.0)], 0.5833,
+                        [-1.9176, -0.7312, 0.6775, -0.9667])
+
+# clustered modes (omega, kappa, psi) of an NI plant on which the NI
+# certificate search once failed, and flipped under a 1e-6 scale of omega
+CLUSTER_MODES = ((28.8696, 1.53127, 0.8254), (29.7918, 1.87277, 1.4945),
+                 (30.5093, 2.3151, 0.5297), (327.8529, 12.96961, 1.3382),
+                 (371.8733, 10.71296, 1.3992), (645.774, 45.30938, 0.9785))
 
 
 def random_stable(rng, n, m=1, p=None):
@@ -167,3 +197,34 @@ def random_modal(rng, max_modes=4, channels=1, output="position"):
 def random_pd(rng, m, shift=0.5):
     G = rng.standard_normal((m, m))
     return G @ G.T + shift * np.eye(m)
+
+
+def assert_farkas(problem, res):
+    """Check the dual of an infeasible solve against the problem's own
+    constraint functions (cones without a boundary kernel): each W_i is PSD,
+    sum_i <W_i, F_i(x)> (F_i the sense-adjusted cone blocks) is constant on
+    the affine set where the equalities hold, and that constant is negative,
+    so no x satisfies every cone and equality."""
+    assert not res.feasible and res.reason == "infeasible"
+    N = problem.dim
+    basis = np.vstack([np.zeros(N), np.eye(N)])
+
+    def pair(x):
+        v = problem.unpack(x)
+        return sum(np.vdot(W, c["sense"] * np.asarray(c["fn"](v), float))
+                   for W, c in zip(res.dual, problem.cones))
+
+    def eqs(x):
+        v = problem.unpack(x)
+        return np.concatenate([np.ravel(fn(v)) for fn in problem.eqs] + [np.zeros(0)])
+
+    assert len(res.dual) == len(problem.cones)
+    for W in res.dual:
+        assert np.allclose(W, W.T)
+        assert np.linalg.eigvalsh(W)[0] >= -1e-9 * np.linalg.norm(W)
+    p = np.array([pair(x) for x in basis])
+    E = np.array([eqs(x) for x in basis])
+    g, Lr = p[1:] - p[0], (E[1:] - E[0]).T
+    y = np.linalg.lstsq(Lr.T, g, rcond=None)[0] if Lr.size else np.zeros(0)
+    assert np.linalg.norm(g - Lr.T @ y) <= 1e-9 * max(1.0, np.abs(p).max())
+    assert p[0] - y @ E[0] < 0

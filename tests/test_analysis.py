@@ -11,7 +11,7 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    sni_sufficient_lag, sni_sufficient_lag2, verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
-from conftest import flexible_modes, same, tf
+from conftest import CLUSTER_MODES, flexible_modes, same, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -299,6 +299,20 @@ def test_ni_lmi_certificate_transforms_back(second_order):
     assert np.linalg.eigvalsh(lyap)[-1] <= 1e-7 * max(1.0, np.linalg.norm(lyap))
     resid = second_order.B + second_order.A @ Y @ second_order.C.T
     assert np.linalg.norm(resid) <= 1e-6 * (1.0 + np.linalg.norm(Y))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6, 1.0 - 1e-6, 1.001])
+def test_ni_lmi_clustered_modes_certified_at_every_scale(scale):
+    P = modal_to_ss(ModalModel(tuple((w * scale, k, (p,)) for w, k, p in CLUSTER_MODES)))
+    r = check_ni_lmi(P)
+    assert r.is_ni and r.verification.ok and r.solver.reason == "certificate"
+
+
+def test_ni_lmi_answers_paper_plant_n30():
+    # a verified certificate or a named budget reason, within the step cap
+    r = check_ni_lmi(modal_to_ss(ModalModel(flexible_modes(15))))
+    assert (r.is_ni and r.verification.ok) or r.reason == "no certificate: budget exhausted"
+    assert r.solver.iters <= lmimod.MAX_NEWTON_STEPS
 
 
 def test_ni_lmi_flags_nonminimal():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nisys import (LmiProblem, RectVar, SymVar, finsler_tau, ni_problem,
+from nisys import (LmiProblem, RectVar, SymVar, finsler_tau, lmi, ni_problem,
                    solve_feasibility, verify_certificate)
+from conftest import assert_farkas
 
 
 def test_first_order_analytic_certificate():
@@ -25,7 +26,7 @@ def test_lag_block_analytic_certificate():
 
 def test_fourth_order_feasible_and_verifies(second_order):
     res = solve_feasibility(ni_problem(second_order.A, second_order.B, second_order.C))
-    assert res.feasible
+    assert res.feasible and res.reason == "certificate"
     rep = verify_certificate(
         ni_problem(second_order.A, second_order.B, second_order.C), res.values)
     assert rep.ok
@@ -54,9 +55,32 @@ def test_solver_is_deterministic(second_order):
 
 
 def test_unstable_system_infeasible():
-    # A = +1: A Y + Y A^T = 2Y <= 0 contradicts Y > 0
-    res = solve_feasibility(ni_problem([[1.0]], [[1.0]], [[1.0]]))
-    assert not res.feasible
+    # A = +1: the equality pins Y = -1, contradicting Y > 0
+    prob = ni_problem([[1.0]], [[1.0]], [[1.0]])
+    assert_farkas(prob, solve_feasibility(prob))
+
+
+def test_infeasible_dual_cancels_the_balls_pull():
+    # a stable plant that is not NI, on which the search leans on the ball:
+    # the Newton step's dual proves infeasibility only once the ball's pull
+    # along the Hk_j is cancelled
+    A = np.array([[-1.5083, 1.5969, -0.3235, 0.0916, -0.6511, -0.8257],
+                  [-0.615, -0.9953, 0.3084, -0.3625, -0.1228, 0.1556],
+                  [0.1121, 1.4961, -0.4736, 0.2181, -0.4415, 0.2092],
+                  [1.5309, 1.4942, 0.4944, -0.8004, 0.9003, 2.0333],
+                  [1.7955, -0.4875, -0.7939, -1.7716, -1.6782, 0.0596],
+                  [1.3119, -0.7581, -1.1126, -0.2761, 0.3891, -1.2001]])
+    B = np.array([[0.2175], [-1.5408], [-0.7282], [-1.0148], [1.4128], [0.842]])
+    C = np.array([[1.721, -1.3916, 1.1012, 0.054, 0.0335, -0.0749]])
+    prob = ni_problem(A, B, C)
+    assert_farkas(prob, solve_feasibility(prob))
+
+
+def test_budget_exhausted_at_step_cap(second_order, monkeypatch):
+    monkeypatch.setattr(lmi, "MAX_NEWTON_STEPS", 3)
+    res = solve_feasibility(ni_problem(second_order.A, second_order.B, second_order.C))
+    assert not res.feasible and res.reason == "budget exhausted"
+    assert res.iters == 3 and res.dual is None
 
 
 def test_inconsistent_equalities_reported():

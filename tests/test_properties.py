@@ -18,9 +18,10 @@ from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_rea
                    modal_to_ss, positive_feedback, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type, rotated_system, star_product)
 from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, poles
+from nisys import closed_loop, synthesize_state_feedback, verify_closed_loop
 from nisys.analysis import ORIGIN_TOL
 from nisys.lti import eigensystem
-from conftest import flexible_modes, random_pd, tf
+from conftest import FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, random_pd, tf
 
 
 def lag_block(rng, m):
@@ -364,3 +365,33 @@ def test_dc_verdict_gain_family_mimo():
         rep = dc_gain_verdict(M, N)
         assert rep.hypotheses_hold
         assert rep.stable == rep.internally_stable == (g < 1.0)
+
+
+# ------------------------------------- synthesized gains against the theorem
+
+def unstable_sni_closures(plant, K, samples=50, seed=20260819):
+    """Close random first-order strictly-NI uncertainties D(s) = dinf +
+    kg/(s+p) (scaled identity on the port) around the loop of gain K and
+    count unstable closures. Draws keep D(0) < 1 and D(inf) >= 0, the
+    admissible class for a contractive loop."""
+    rng = np.random.default_rng(seed)
+    Acl, B1, C1 = closed_loop(plant, K).A, plant.B1, plant.C1
+    Iq = np.eye(plant.port_size)
+    fails = 0
+    for _ in range(samples):
+        p = rng.uniform(0.1, 5.0)
+        dinf = rng.uniform(0.0, 0.3)
+        dc = rng.uniform(dinf, 1.0 - 1e-3)
+        Abig = np.block([[Acl + dinf * B1 @ C1, (dc - dinf) * p * B1], [C1, -p * Iq]])
+        fails += np.linalg.eigvals(Abig).real.max() >= 0
+    return fails
+
+
+@pytest.mark.parametrize("plant", [SYNTH_PLANT, FAULT3_PLANT, PORT_PLANT],
+                         ids=["paper", "fault3", "port"])
+def test_synthesized_gains_survive_random_sni_closures(plant):
+    # verify_closed_loop certifies every admissible uncertainty by the DC-gain
+    # theorem; random closures are the independent check of that claim
+    res = synthesize_state_feedback(plant)
+    assert res.feasible and verify_closed_loop(plant, res.K, Y=res.Y).ok
+    assert unstable_sni_closures(plant, res.K) == 0
