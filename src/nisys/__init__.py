@@ -33,6 +33,7 @@ from .controllers import (
     choose_phi,
     design_irc_gamma,
     irc,
+    irc_root_locus,
     ppf,
     ppf_mimo,
     resonant_acc,
@@ -88,8 +89,8 @@ __all__ = [
     "check_sni_zeros", "check_strictly_positive_real", "classify",
     "default_grid", "hermitian_imaginary_part", "phi_imaginary_axis_zeros",
     "phi_system", "rotated_system", "sni_sufficient_lag", "sni_sufficient_lag2",
-    "IrcDesign", "choose_phi", "design_irc_gamma", "irc", "ppf", "ppf_mimo",
-    "resonant_acc", "resonant_vel_type",
+    "IrcDesign", "choose_phi", "design_irc_gamma", "irc", "irc_root_locus", "ppf",
+    "ppf_mimo", "resonant_acc", "resonant_vel_type",
     "CertificateReport", "LmiProblem", "RectVar", "SolveResult", "SymVar",
     "finsler_tau", "ni_problem", "solve_feasibility", "verify_certificate",
     "LtiError", "ModalModel", "StateSpace", "add", "dc_gain",

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import eval_grid
 from .analysis import _filtered_grid, _pole_status, classify, default_grid
-from .controllers import choose_phi, design_irc_gamma
+from .controllers import choose_phi, design_irc_gamma, irc_root_locus
 from .lti import LtiError, StateSpace, eigensystem, poles
 from .numerics import NumericsError
 from .stability import dc_gain_verdict
@@ -166,19 +166,20 @@ def cmd_design_irc(args) -> int:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["gamma", "pole_index", "re", "im", "zeta"])
-        for k, g in enumerate(des.gammas):
-            for i, pole in enumerate(des.loci[k]):
+        for g, row in zip(des.gammas, irc_root_locus(plant, Phi, des.gammas)):
+            for i, pole in enumerate(row):
                 z = -pole.real / abs(pole) if abs(pole) > 0 else float("nan")
                 w.writerow([_fmt(g), i, _fmt(pole.real), _fmt(pole.imag), _fmt(z)])
         _emit(buf.getvalue(), args.out)
     else:
         rep = {
             "feasible": bool(des.feasible),
-            "phi": float(Phi[0, 0]) if Phi.size == 1 else Phi.tolist(),
+            "phi": float(Phi[0, 0]),
             "gamma_star": None if not des.feasible else des.gamma_star,
             "zeta_at_star": None if not des.feasible else des.zeta_at_star,
             "decay_at_star": None if not des.feasible else des.decay_at_star,
             "controller": None if des.controller is None else _ss_json(des.controller),
+            "note": des.note,
         }
         _emit(_json_dump(rep), args.out)
     return OK if des.feasible else PROPERTY_FALSE

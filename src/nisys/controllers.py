@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import CHUNK
+from .analysis import check_ni
 from .lti import StateSpace, add, dc_gain, eigensystem
 from .numerics import eig_symmetric
+from .stability import _dc_gain_hypotheses
 
 
 def _check_pos(name, v):
@@ -139,20 +141,23 @@ def choose_phi(plant: StateSpace, margin: float = 1.2) -> np.ndarray:
 
 @dataclass
 class IrcDesign:
-    """Gain sweep result: the locus of closed-loop poles over gamma, the
-    damping and decay-rate profiles of the dominant pair, and the selected
-    gain (decay-rate argmax, then locally refined)."""
+    """Gain sweep result: the damping and decay-rate profiles of the
+    dominant pair over the gain grid, the gains at which the loop is stable,
+    and the selected gain (decay-rate argmax, then locally refined). `note`
+    is None when the DC-gain theorem decided stability and only the dominant
+    pair was continued; otherwise it names the all-root sweep that ran, and
+    why."""
 
     feasible: bool
     gamma_star: float
     zeta_at_star: float
     decay_at_star: float
     gammas: np.ndarray
-    loci: np.ndarray          # (len(gammas), n+1), column j one branch of the locus
     zetas: np.ndarray
     decays: np.ndarray
     stable: np.ndarray
     controller: StateSpace | None
+    note: str | None = None
 
 
 def linear_sum_assignment(cost):
@@ -241,158 +246,211 @@ def _aberth(z, before, lam, r, g, gd, trace):
     return z, ok
 
 
-def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
-                     gamma_max: float = 1e8,
-                     points_per_decade: int = 200) -> IrcDesign:
-    """Sweep the integral resonant gain gamma on a log grid, follow each
-    closed-loop pole across the sweep in its own column, and select the
-    gamma that maximizes the decay rate of the dominant pair (the two
-    slowest open-loop poles), refined on a local fine grid.
+# a Newton step on the dominant pair stops once it moves the root by at most
+# this fraction of its modulus: the error it leaves is about the square of
+# that, below rounding
+_NEWTON_TOL = 1e-9
+# the linear predictor carries the dominant pair over some 50 to 300 gains
+# of a 200-per-decade grid before Newton needs more than _MAX_ITERS steps;
+# rows of a longer block past that point are iterated and then dropped
+_PAIR_BLOCK = 128
 
-    Scalar-gain (single-input single-output plant) form: the closed loop is
-    [[A, B], [gamma C, gamma D - gamma Phi]]. With A = V diag(lam) V^{-1}
-    (`eigensystem`), its poles are the roots of prod(s - lam_i) (s - gamma d
-    - gamma sum_i r_i / (s - lam_i)), with residues r = (C V) * (V^{-1} B)
-    and d = D - Phi. The first gain starts Aberth's iteration (`_aberth`)
-    from the first-order roots lam_i + gamma r_i / (lam_i - gamma d) and
-    gamma d + gamma sum_i r_i / (gamma d - lam_i). After that the sweep
-    advances a block of consecutive gains per stacked iteration, each row
-    started from the linear extrapolation in log gamma of the last two
-    accepted rows, at O(n^2) per row and step against O(n^3) for an
-    eigensolve. The iteration's temporaries together hold at most CHUNK
-    complex entries, so a block shrinks to one gain from n = 90 up, where
-    arithmetic, not call overhead, sets the cost. A row is accepted, in
-    order, while its roots pass `_aberth`'s tests, which include that each
-    root lies nearest its own start and its own column of the row before:
-    an accepted row keeps its columns with no assignment. The first row that
-    fails starts the next block; if it fails there too (a double root at a
-    breakaway point), a dense eigensolve of the closed loop gives its poles,
-    matched to the row before by assignment, the only use of scipy here.
-    Every gain takes the eigensolve when A has no well-conditioned
-    eigenbasis; that sweep is bit for bit the eigensolve sweep. An
-    eigenvalue whose residue is zero to rounding (a mode without output or
-    input) is a closed-loop pole at every gain: it is deflated out of the
-    iteration and stands in its own column of each continued row. The
-    accepted poles agree with an eigensolve's to rounding (at worst 6e-12
-    relative on the benchmark's paper plants), real poles are exactly real
-    and pairs exactly conjugate. Where a pair splits on the real axis or
-    two real poles join into a pair, the roots fail the nearest-start test
-    and the assignment decides the columns; which column takes which of two
-    real poles is a tie there, broken by rounding in either path.
-    """
-    if not plant.is_siso:
-        raise ValueError("gain sweep is defined for single-input single-output plants")
-    if plant.n == 0:
-        raise ValueError("gain sweep needs a dynamic plant: a static plant has no poles to damp")
-    phi = float(np.atleast_2d(np.asarray(Phi, dtype=float))[0, 0])
-    if phi <= 0:
-        raise ValueError("Phi must be positive")
-    if not (0 < gamma_min < gamma_max):
-        raise ValueError("need 0 < gamma_min < gamma_max")
+
+def _newton_pair(z, before, lam, r, g, gd):
+    """Newton's iteration on the secular equation f(s) = s - g d - g sum_i
+    r_i / (s - lam_i) for b consecutive gains at once, at O(n) per row and
+    step: z (b,) starts one root at each gain g (b,), gd = g d, and before
+    is the root at the gain that precedes g[0].
+
+    Returns the roots and a (b,) mask of accepted rows: the last step moved
+    the root by at most _NEWTON_TOL of its modulus, and it is the only root
+    of f within rho = 2 min(|z - start|, |z - root of the row before|). So
+    it is the root nearest its start, or nearest the row before: the branch
+    the start extrapolates, or the root an assignment to the row before
+    would match. Rouche's theorem shows that, when the disk |s - z| <= rho
+    holds no lam_i: on its boundary, f(s) differs from f(z) + f'(z) (s - z)
+    by g (s - z)^2 sum_i r_i / ((s - lam_i) (z - lam_i)^2), at most
+    g rho^2 sum_i |r_i| / ((|z - lam_i| - rho) |z - lam_i|^2), and that must
+    be less than |f'(z)| rho - |f(z)|."""
+    start, z = z, z.copy()
+    step = np.full(z.size, np.nan)
+    act = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_ITERS):
+            Q = 1.0 / (z[act, None] - lam)
+            w = (z[act] - gd[act] - g[act] * (Q @ r)) / (1.0 + g[act] * ((Q * Q) @ r))
+            z[act] -= w
+            step[act] = s = np.abs(w / z[act])
+            act = act[s > _NEWTON_TOL]
+            if not act.size:
+                break
+        Q = 1.0 / (z[:, None] - lam)
+        f = z - gd - g * (Q @ r)
+        fp = 1.0 + g * ((Q * Q) @ r)
+        dist = np.abs(z[:, None] - lam)
+        rho = 2.0 * np.minimum(np.abs(z - start), np.abs(z - np.append(before, z[:-1])))
+        rest = g * rho * rho * (np.abs(r) / ((dist - rho[:, None]) * dist * dist)).sum(1)
+        ok = ((step <= _NEWTON_TOL) & np.isfinite(z) & (dist > rho[:, None]).all(1)
+              & (np.abs(f) + rest < np.abs(fp) * rho))
+    return z, ok
+
+
+def _continue(gs, prev, hist, block, solve, fallback):
+    """Rows at the gains gs, shape (len(gs),) + prev.shape, continued from
+    prev, the row before gs[0], and hist, the (log gamma, row) pairs (at
+    most two) that precede gs. With two, a block of up to `block` gains
+    starts from the linear extrapolation in log gamma of the last two rows;
+    with one, one gain from that row; with none, one gain from the start
+    solve(None, ...) picks. solve(Z, prev, g) returns the rows at the gains
+    g and a mask of accepted rows, and the leading accepted rows are kept.
+    The first row that fails starts the next block; if it fails there too,
+    fallback(g, prev) gives it."""
+    ts = np.log(gs)
+    out = np.empty((gs.size,) + prev.shape, dtype=complex)
+    i = 0
+    while i < gs.size:
+        if len(hist) == 2:
+            (t0, z0), (t1, z1) = hist
+            b = min(block, gs.size - i)
+            Z = z1 + (z1 - z0) * ((ts[i:i + b] - t1) / (t1 - t0))[:, None]
+        else:
+            Z = hist[0][1][None] if hist else None
+        rows, ok = solve(Z, prev, gs[i:i + (1 if Z is None else len(Z))])
+        acc = ok.size if ok.all() else int(ok.argmin())
+        if acc:
+            out[i:i + acc] = rows[:acc]
+            i += acc
+        else:
+            out[i] = fallback(gs[i], prev)
+            i += 1
+        prev = out[i - 1]
+        hist = (hist + [(ts[0], out[0])])[-2:] if i == 1 else [
+            (ts[i - 2], out[i - 2]), (ts[i - 1], prev)]
+    return out
+
+
+def _residues(plant, basis):
+    """Residues r = (C V) * (V^{-1} B) of a SISO plant's modes, with A = V
+    diag(lam) V^{-1}, and the mask of those zero to rounding: a mode with no
+    output or no input, whose eigenvalue is a closed-loop pole at every
+    gain."""
+    V, Vi, _ = basis
+    B, C = plant.B, plant.C
+    CV, W = (C @ V)[0], (Vi @ B)[:, 0]
+    tol = plant.n * np.finfo(float).eps
+    zero = ((np.abs(CV) <= tol * np.linalg.norm(C) * np.linalg.norm(V, axis=0))
+            | (np.abs(W) <= tol * np.linalg.norm(B) * np.linalg.norm(Vi, axis=1)))
+    return CV * W, zero
+
+
+def _locus_tracker(plant, phi):
+    """rows(gs, prev, hist), the `_continue` of all n + 1 closed-loop poles
+    of [plant, irc(gamma, phi)]: column j one branch of the locus
+    throughout. A root iterated onto an eigenvalue whose residue is zero
+    stalls, so such eigenvalues are deflated out of `_aberth` and kept in
+    their own columns. A row that fails the continuation twice, and every
+    row when A has no eigenbasis, is a dense eigensolve of the closed loop,
+    matched to the row before by assignment."""
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     n = plant.n
     d = D[0, 0] - phi
+    ol, basis = eigensystem(plant)
 
-    def closed_A(g):
+    def eigensolve(g, prev):
         Acl = np.zeros((n + 1, n + 1))
         Acl[:n, :n] = A
         Acl[:n, n:] = B
         Acl[n:, :n] = g * C
         Acl[n, n] = g * d
-        return Acl
+        return _match(prev, np.linalg.eigvals(Acl))
 
-    ndec = np.log10(gamma_max / gamma_min)
-    npts = max(2, int(np.ceil(ndec * points_per_decade)) + 1)
-    gammas = np.geomspace(gamma_min, gamma_max, npts)
+    if basis is None:
+        # no row is continued: every row is an eigensolve
+        return lambda gs, prev, hist: _continue(
+            gs, prev, hist, 1, lambda Z, p, g: (None, np.zeros(1, bool)), eigensolve)
+    res, zero = _residues(plant, basis)
+    lam, r, fixed = ol[~zero], res[~zero], ol[zero]
+    trA = np.trace(A) - fixed.sum().real
+    live, dead = np.append(np.flatnonzero(~zero), n), np.flatnonzero(zero)
+    # gains per stacked step: one step holds about four (b, k, k)
+    # temporaries at once, which together stay within CHUNK complex
+    # entries; a longer block predicts its last rows too far ahead
+    block = max(1, CHUNK // (4 * live.size * live.size))
 
-    ol, basis = eigensystem(plant)
-    if basis is not None:
-        V, Vi, _ = basis
-        CV, W = (C @ V)[0], (Vi @ B)[:, 0]
-        # a mode with no output or no input, to rounding, has a zero residue:
-        # its eigenvalue is a closed-loop pole at every gain, and a root
-        # iterated onto it stalls, so it is deflated out of the iteration and
-        # kept in its own column
-        tol = n * np.finfo(float).eps
-        zero = ((np.abs(CV) <= tol * np.linalg.norm(C) * np.linalg.norm(V, axis=0))
-                | (np.abs(W) <= tol * np.linalg.norm(B) * np.linalg.norm(Vi, axis=1)))
-        lam, r, fixed = ol[~zero], (CV * W)[~zero], ol[zero]
-        trA = np.trace(A) - fixed.sum().real
-        live, dead = np.append(np.flatnonzero(~zero), n), np.flatnonzero(zero)
-        # gains per stacked step: one step holds about four (b, k, k)
-        # temporaries at once, which together stay within CHUNK complex
-        # entries; a longer block predicts its last rows too far ahead
-        block = max(1, CHUNK // (4 * live.size * live.size))
+    def solve(Z, prev, g):
+        if Z is None:
+            # first-order roots: lam_i + g r_i / (lam_i - g d), and
+            # g d + g sum_i r_i / (g d - lam_i) for the controller pole
+            gd = g[0] * d
+            Z = np.append(lam + g[0] * r / (lam - gd), gd + g[0] * (r / (gd - lam)).sum())[None]
+        else:
+            Z = Z[:, live]
+        p, ok = _aberth(Z, prev[live], lam, r, g, g * d, trA + g * d)
+        rows = np.empty((len(p), n + 1), dtype=complex)
+        rows[:, live], rows[:, dead] = p, fixed
+        return rows, ok
 
-    def track(gs, prev, hist):
-        """Pole rows at the gains gs, shape (len(gs), n + 1), column j one
-        branch of the locus throughout: prev is the row before gs[0], hist
-        the (log gamma, row) pairs (at most two) that precede gs. Rows the
-        iteration continued keep their columns; an eigensolve row is matched
-        to the row before it by assignment."""
-        ts = np.log(gs)
-        out = np.empty((gs.size, n + 1), dtype=complex)
-        i = 0
-        while i < gs.size:
-            acc = 0
-            if basis is not None:
-                if len(hist) == 2:
-                    # a block of gains, each started from the linear
-                    # extrapolation in log gamma of the last two rows
-                    (t0, z0), (t1, z1) = hist
-                    z0, z1 = z0[live], z1[live]
-                    b = min(block, gs.size - i)
-                    Z = z1 + (z1 - z0) * ((ts[i:i + b] - t1) / (t1 - t0))[:, None]
-                elif hist:
-                    Z = hist[0][1][None, live]
-                else:
-                    # first-order roots: lam_i + g r_i / (lam_i - g d), and
-                    # g d + g sum_i r_i / (g d - lam_i) for the controller pole
-                    g, gd = gs[0], gs[0] * d
-                    Z = np.append(lam + g * r / (lam - gd), gd + g * (r / (gd - lam)).sum())[None]
-                g = gs[i:i + len(Z)]
-                p, ok = _aberth(Z, prev[live], lam, r, g, g * d, trA + g * d)
-                acc = ok.size if ok.all() else int(ok.argmin())
-                out[i:i + acc, live] = p[:acc]
-                out[i:i + acc, dead] = fixed
-            if acc:
-                i += acc
-            else:
-                # no eigenbasis, or the iteration failed at its first row
-                out[i] = _match(prev, np.linalg.eigvals(closed_A(gs[i])))
-                i += 1
-            prev = out[i - 1]
-            hist = (hist + [(ts[0], out[0])])[-2:] if i == 1 else [
-                (ts[i - 2], out[i - 2]), (ts[i - 1], prev)]
-        return out
+    return lambda gs, prev, hist: _continue(gs, prev, hist, block, solve, eigensolve)
 
-    order = np.argsort(np.abs(ol))
-    tracked = order[:2] if n >= 2 else order[:1]
 
-    def decay_zeta(rows):
-        """Decay rate and damping ratio of the tracked pair in each row, NaN
-        where the row has a pole with nonnegative real part."""
-        pair = rows[:, tracked]
-        stable = (rows.real < 0).all(1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zeta = (-pair.real / np.abs(pair)).min(1)
-        return (np.where(stable, (-pair.real).min(1), np.nan),
-                np.where(stable, zeta, np.nan))
+class _PairLost(Exception):
+    """The dominant pair's continuation failed at the gain args[0]."""
 
-    loci = track(gammas, np.append(ol, -gammas[0] * phi), [])
-    decays, zetas = decay_zeta(loci)
+
+def _pair_tracker(lam, r, lam0, r0, d):
+    """rows(gs, prev, hist), the `_continue` of the upper root of the
+    dominant pair alone, in rows of one column: the branch from the
+    open-loop pole lam0, of residue r0. Its conjugate is the other root. A
+    row that fails the continuation twice raises _PairLost."""
+    # (b, n) temporaries stay within CHUNK complex entries, and a block
+    # stays within _PAIR_BLOCK gains
+    block = max(1, min(_PAIR_BLOCK, CHUNK // (4 * lam.size)))
+
+    def solve(Z, before, g):
+        if Z is None:
+            # the first-order root lam0 + g r0 / (lam0 - g d)
+            Z = (lam0 + g * r0 / (lam0 - g * d))[:, None]
+            before = Z[0]
+        z, ok = _newton_pair(Z[:, 0], before, lam, r, g, g * d)
+        return z[:, None], ok
+
+    def lost(g, prev):
+        raise _PairLost(g)
+
+    return lambda gs, prev, hist: _continue(gs, prev, hist, block, solve, lost)
+
+
+def _decay_zeta(rows, cols):
+    """Decay rate and damping ratio of the poles in columns cols of each
+    row, NaN where the row has a pole with nonnegative real part."""
+    pair = rows[:, cols]
+    stable = (rows.real < 0).all(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = (-pair.real / np.abs(pair)).min(1)
+    return (np.where(stable, (-pair.real).min(1), np.nan),
+            np.where(stable, zeta, np.nan))
+
+
+def _select(gammas, phi, rows, prev, cols, note):
+    """The design from rows(...) of `_locus_tracker` or `_pair_tracker`,
+    started from prev on the grid gammas: the grid gain at which the poles
+    in columns cols decay fastest, then the fastest of 399 gains between the
+    grid gains beside it, continued from the grid rows."""
+    coarse = rows(gammas, prev, [])
+    decays, zetas = _decay_zeta(coarse, cols)
     stable = ~np.isnan(decays)
     if not stable.any():
-        return IrcDesign(False, np.nan, np.nan, np.nan, gammas, loci,
-                         zetas, decays, stable, None)
+        return IrcDesign(False, np.nan, np.nan, np.nan, gammas, zetas, decays, stable,
+                         None, note)
 
+    npts = gammas.size
     bd = int(np.nanargmax(decays))
     lo = max(bd - 1, 0)
     # the fine grid starts at gammas[lo], whose row is known: the rows lo - 1
     # and lo continue into the rest of it
     fine = np.geomspace(gammas[lo], gammas[min(bd + 1, npts - 1)], 400)[1:]
-    hist = [(np.log(gammas[i]), loci[i]) for i in range(max(lo - 1, 0), lo + 1)]
-    fdec, fzeta = decay_zeta(track(fine, loci[lo], hist))
+    hist = [(np.log(gammas[i]), coarse[i]) for i in range(max(lo - 1, 0), lo + 1)]
+    fdec, fzeta = _decay_zeta(rows(fine, coarse[lo], hist), cols)
     g_star, d_star, z_star = gammas[bd], decays[bd], zetas[bd]
     # the first fine gain whose decay rate beats the coarse best
     k = int(np.argmax(np.where(np.isnan(fdec), -np.inf, fdec)))
@@ -400,5 +458,126 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
         g_star, d_star, z_star = float(fine[k]), float(fdec[k]), float(fzeta[k])
 
     return IrcDesign(True, float(g_star), float(z_star), float(d_star),
-                     gammas, loci, zetas, decays, stable,
-                     irc(np.array([[g_star]]), np.array([[phi]])))
+                     gammas, zetas, decays, stable,
+                     irc(np.array([[g_star]]), np.array([[phi]])), note)
+
+
+def _irc_phi(plant, Phi):
+    """The scalar Phi of an IRC gain sweep on plant, validated."""
+    if not plant.is_siso:
+        raise ValueError("gain sweep is defined for single-input single-output plants")
+    if plant.n == 0:
+        raise ValueError("gain sweep needs a dynamic plant: a static plant has no poles to damp")
+    P = np.atleast_2d(np.asarray(Phi, dtype=float))
+    if P.shape != (1, 1) or not (np.isfinite(P[0, 0]) and P[0, 0] > 0):
+        raise ValueError("Phi must be a finite positive 1 x 1 gain")
+    return float(P[0, 0])
+
+
+def irc_root_locus(plant: StateSpace, Phi, gammas) -> np.ndarray:
+    """Closed-loop poles of [plant, irc(gamma, Phi)] for a single-input
+    single-output plant at each gain of the 1-D array gammas, shape
+    (len(gammas), n + 1). Column j is one branch of the locus throughout,
+    from the open-loop pole j (`eigensystem` order) and, in column n, from
+    the controller pole -gamma Phi.
+
+    With A = V diag(lam) V^{-1}, the poles at gain g are the roots of
+    prod(s - lam_i) (s - g d - g sum_i r_i / (s - lam_i)), with residues
+    r = (C V) * (V^{-1} B) and d = D - Phi. The first gain starts Aberth's
+    iteration (`_aberth`) from the first-order roots. After that a block of
+    consecutive gains advances per stacked iteration, each row started from
+    the linear extrapolation in log gamma of the last two accepted rows, at
+    O(n^2) per row and step against O(n^3) for an eigensolve; the
+    temporaries hold at most CHUNK complex entries, so a block shrinks to
+    one gain from n = 90 up. A row is accepted, in order, while its roots
+    pass `_aberth`'s tests, which include that each root lies nearest its
+    own start and its own column of the row before: an accepted row keeps
+    its columns with no assignment. The first row that fails starts the
+    next block; if it fails there too (a double root at a breakaway point),
+    a dense eigensolve gives its poles, matched to the row before by
+    assignment, the only use of scipy here. Every gain takes the eigensolve
+    when A has no well-conditioned eigenbasis. An eigenvalue whose residue
+    is zero to rounding is a closed-loop pole at every gain and stands in
+    its own column. The poles agree with an eigensolve's to rounding, real
+    poles are exactly real and pairs exactly conjugate. Where two real
+    poles meet, which column takes which is a tie, broken by rounding in
+    either path."""
+    phi = _irc_phi(plant, Phi)
+    gs = np.asarray(gammas, dtype=float)
+    if gs.ndim != 1 or not gs.size or not np.all(np.isfinite(gs) & (gs > 0)):
+        raise ValueError("gammas must be a nonempty 1-D array of finite positive gains")
+    return _locus_tracker(plant, phi)(gs, np.append(eigensystem(plant)[0], -gs[0] * phi), [])
+
+
+def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
+                     gamma_max: float = 1e8,
+                     points_per_decade: int = 200) -> IrcDesign:
+    """Select the integral resonant gain gamma for a single-input
+    single-output plant and a 1 x 1 Phi: the gamma of a log grid that
+    maximizes the decay rate of the dominant pair (the two slowest
+    open-loop poles), refined on 399 gains between the grid gains beside
+    it. The objective is that of Aphale, Fleming & Moheimani (Smart Mater.
+    Struct. 2007).
+
+    Stability is decided once, by the DC-gain theorem, when A has an
+    eigenbasis: the plant is NI (`check_ni`), irc(gamma, Phi) is SNI by
+    construction with zero feedthrough, and lambda = P(0) / Phi, the same
+    for every gamma, lies outside MARGINAL_BAND of 1. Then the loop is
+    stable at every gain when lambda < 1, and at none when lambda > 1: the
+    design is infeasible and no sweep runs. Stable, the design follows only
+    the upper root of the dominant pair, its conjugate being the other: per
+    gain, Newton's iteration on the secular equation s - g d - g sum_i r_i
+    / (s - lam_i) = 0 (`_newton_pair`, residues r and d = D - Phi as in
+    `irc_root_locus`) at O(n), stacked over blocks of gains each started
+    from the linear extrapolation in log gamma of the last two rows. A row
+    is accepted once Newton has converged and the root is shown to be the
+    only one near its start and the row before, so it continues the
+    branch. `note` is None on this path.
+
+    Every other case takes the all-root sweep of `irc_root_locus`, which
+    decides stability row by row, and `note` names the case: A without an
+    eigenbasis, a plant that is not NI, a failed hypothesis, lambda in the
+    marginal band, slowest poles that are not a conjugate pair with nonzero
+    residue (two real poles, whose tie `irc_root_locus` breaks), and a pair
+    row that fails twice. Both paths select the same gain on the same grid.
+    """
+    phi = _irc_phi(plant, Phi)
+    if not (np.isfinite(gamma_min) and np.isfinite(gamma_max) and 0 < gamma_min < gamma_max):
+        raise ValueError("need finite 0 < gamma_min < gamma_max")
+    ndec = np.log10(gamma_max / gamma_min)
+    npts = max(2, int(np.ceil(ndec * points_per_decade)) + 1)
+    gammas = np.geomspace(gamma_min, gamma_max, npts)
+
+    ol, basis = eigensystem(plant)
+    tracked = np.argsort(np.abs(ol))[:2]
+    note = None
+    if basis is None:
+        note = "no eigenbasis of A"
+    elif not check_ni(plant).holds:
+        note = "plant not NI"
+    else:
+        h = _dc_gain_hypotheses(plant, irc(gammas[:1, None], [[phi]]), True, True)
+        if not h["hypotheses_hold"]:
+            note = "DC-gain hypotheses not satisfied"
+        elif h["marginal"]:
+            note = "lambda_max within the marginal band"
+        elif h["lambda_max_dc"] > 1.0:
+            nan = np.full(npts, np.nan)
+            return IrcDesign(False, np.nan, np.nan, np.nan, gammas, nan, nan.copy(),
+                             np.zeros(npts, dtype=bool), None)
+        else:
+            res, zero = _residues(plant, basis)
+            lam0 = ol[tracked[0]]
+            if not (tracked.size == 2 and lam0.imag != 0 and ol[tracked[1]] == lam0.conj()
+                    and not zero[tracked].any()):
+                note = "two slowest poles not a conjugate pair with a nonzero residue"
+            else:
+                t0 = tracked[0] if lam0.imag > 0 else tracked[1]
+                rows = _pair_tracker(ol[~zero], res[~zero], ol[t0], res[t0],
+                                     plant.D[0, 0] - phi)
+                try:
+                    return _select(gammas, phi, rows, ol[[t0]], [0], None)
+                except _PairLost as e:
+                    note = f"dominant pair lost at gamma = {e.args[0]:.6g}"
+    return _select(gammas, phi, _locus_tracker(plant, phi),
+                   np.append(ol, -gammas[0] * phi), tracked, note + ", all-root sweep")

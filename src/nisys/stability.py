@@ -76,20 +76,11 @@ class StabilityReport:
         }
 
 
-def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
-    """Apply the DC-gain stability test to the positive feedback loop [M, N].
-
-    M must be NI and N strictly NI (check_ni and check_sni_zeros), with
-    M(inf) N(inf) = 0 and N(inf) >= 0. Then stability of the loop is
-    equivalent to lambda_max(M(0) N(0)) < 1. When a hypothesis fails, or
-    lambda_max sits within 1e-6 of 1, the verdict falls back to the direct
-    pole test and says so.
-    """
-    if M.inputs != N.outputs or M.outputs != N.inputs:
-        raise ValueError("loop dimensions do not match")
-    m_ni = check_ni(M).holds
-    n_sni = check_sni_zeros(N).is_sni
-
+def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool) -> dict:
+    """The DC-gain test of the loop [M, N] without a pole test: the
+    StabilityReport fields that say whether the theorem's hypotheses hold
+    and what lambda_max(M(0) N(0)) is, given the NI verdict m_ni of M and
+    the SNI verdict n_sni of N."""
     Minf, Ninf = inf_gain(M), inf_gain(N)
     prod = Minf @ Ninf
     gain_zero = np.linalg.norm(prod) <= 1e-9 * (1.0 + np.linalg.norm(Minf) * np.linalg.norm(Ninf))
@@ -108,20 +99,32 @@ def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
     else:
         lam, eigs_real = 0.0, True
 
-    hypotheses = bool(m_ni and n_sni and gain_zero and n_inf_psd and eigs_real)
-    marginal = abs(lam - 1.0) < MARGINAL_BAND
+    return {"lambda_max_dc": lam, "marginal": abs(lam - 1.0) < MARGINAL_BAND,
+            "hypotheses_hold": bool(m_ni and n_sni and gain_zero and n_inf_psd and eigs_real),
+            "m_is_ni": bool(m_ni), "n_is_sni": bool(n_sni),
+            "gain_product_zero": bool(gain_zero), "n_inf_psd": n_inf_psd,
+            "dc_eigs_real": eigs_real}
 
+
+def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
+    """Apply the DC-gain stability test to the positive feedback loop [M, N].
+
+    M must be NI and N strictly NI (check_ni and check_sni_zeros), with
+    M(inf) N(inf) = 0 and N(inf) >= 0. Then stability of the loop is
+    equivalent to lambda_max(M(0) N(0)) < 1. When a hypothesis fails, or
+    lambda_max sits within 1e-6 of 1, the verdict falls back to the direct
+    pole test and says so.
+    """
+    if M.inputs != N.outputs or M.outputs != N.inputs:
+        raise ValueError("loop dimensions do not match")
+    h = _dc_gain_hypotheses(M, N, check_ni(M).holds, check_sni_zeros(N).is_sni)
     direct = internal_stability(M, N)
-    if hypotheses and not marginal:
-        stable = lam < 1.0
+    if h["hypotheses_hold"] and not h["marginal"]:
+        stable = h["lambda_max_dc"] < 1.0
         note = None
     else:
         stable = direct["stable"]
         note = ("lambda_max within the marginal band, pole test used"
-                if hypotheses else "hypotheses not satisfied, pole test used")
-    return StabilityReport(
-        stable=stable, lambda_max_dc=lam, marginal=marginal,
-        hypotheses_hold=hypotheses, m_is_ni=bool(m_ni), n_is_sni=bool(n_sni),
-        gain_product_zero=bool(gain_zero), n_inf_psd=n_inf_psd,
-        dc_eigs_real=eigs_real, internally_stable=direct["stable"],
-        closed_loop_poles=direct["poles"], note=note)
+                if h["hypotheses_hold"] else "hypotheses not satisfied, pole test used")
+    return StabilityReport(stable=stable, internally_stable=direct["stable"],
+                           closed_loop_poles=direct["poles"], note=note, **h)

@@ -85,45 +85,51 @@ def flexible_plant():
 FLEXIBLE_DC_EXACT = 1e-4 * sum(1.0 / k**2 for k in range(1, 11))
 
 
-def irc_eigensolve_sweep(plant, Phi, gamma_min=1e3, gamma_max=1e8, points_per_decade=200):
-    """The integral resonant gain sweep with one dense eigensolve of the
-    closed loop per gain, each row assignment-matched to the one before: the
-    reference the continuation in design_irc_gamma reproduces. The
-    controller field is left None."""
+def irc_eigensolve_locus(plant, Phi, gammas):
+    """Closed-loop poles of [plant, irc(gamma, Phi)] at each gain, by one
+    dense eigensolve of the closed loop per gain, each row
+    assignment-matched to the one before (the first to the open-loop poles
+    and -gammas[0] Phi): the reference irc_root_locus reproduces."""
+    prev = np.append(np.linalg.eigvals(plant.A), -gammas[0] * float(Phi[0, 0]))
+    loci = np.zeros((len(gammas), plant.n + 1), dtype=complex)
+    for k, g in enumerate(gammas):
+        loci[k] = prev = _match(prev, _closed_loop_poles(plant, Phi, g))
+    return loci
+
+
+def _closed_loop_poles(plant, Phi, g):
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    n = plant.n
-    phi = float(Phi[0, 0])
+    return np.linalg.eigvals(np.block([[A, B], [g * C, g * (D - float(Phi[0, 0]))]]))
 
-    def roots(g):
-        return np.linalg.eigvals(np.block([[A, B], [g * C, g * (D - phi)]]))
 
+def irc_eigensolve_sweep(plant, Phi, gamma_min=1e3, gamma_max=1e8, points_per_decade=200):
+    """The integral resonant gain design from the eigensolve locus, each
+    row's stability read from all its poles: the reference design_irc_gamma
+    reproduces. The controller field is left None."""
     npts = max(2, int(np.ceil(np.log10(gamma_max / gamma_min) * points_per_decade)) + 1)
     gammas = np.geomspace(gamma_min, gamma_max, npts)
-    ol = np.linalg.eigvals(A)
-    tracked = np.argsort(np.abs(ol))[:2]
-    loci = np.zeros((npts, n + 1), dtype=complex)
+    tracked = np.argsort(np.abs(np.linalg.eigvals(plant.A)))[:2]
+    loci = irc_eigensolve_locus(plant, Phi, gammas)
     decays, zetas = np.full(npts, np.nan), np.full(npts, np.nan)
-    prev = np.append(ol, -gammas[0] * phi)
-    for k, g in enumerate(gammas):
-        loci[k] = prev = _match(prev, roots(g))
-        if np.all(prev.real < 0):
-            pair = prev[tracked]
+    for k, row in enumerate(loci):
+        if np.all(row.real < 0):
+            pair = row[tracked]
             decays[k] = (-pair.real).min()
             zetas[k] = (-pair.real / np.abs(pair)).min()
     stable = ~np.isnan(decays)
     if not stable.any():
-        return IrcDesign(False, np.nan, np.nan, np.nan, gammas, loci, zetas, decays, stable, None)
+        return IrcDesign(False, np.nan, np.nan, np.nan, gammas, zetas, decays, stable, None)
     bd = int(np.nanargmax(decays))
     g_star, d_star, z_star = gammas[bd], decays[bd], zetas[bd]
     prev = loci[max(bd - 1, 0)]
     for g in np.geomspace(gammas[max(bd - 1, 0)], gammas[min(bd + 1, npts - 1)], 400):
-        prev = _match(prev, roots(g))
+        prev = _match(prev, _closed_loop_poles(plant, Phi, g))
         pair = prev[tracked]
         if np.all(prev.real < 0) and (-pair.real).min() > d_star:
             g_star, d_star = float(g), float((-pair.real).min())
             z_star = float((-pair.real / np.abs(pair)).min())
-    return IrcDesign(True, float(g_star), float(z_star), float(d_star), gammas, loci,
-                     zetas, decays, stable, None)
+    return IrcDesign(True, float(g_star), float(z_star), float(d_star), gammas, zetas, decays,
+                     stable, None)
 
 
 SYNTH_PLANT = UncertainPlant(

@@ -14,7 +14,7 @@ from nisys._kernels import eval_grid
 from nisys.cli import _response_rows, main
 from nisys.lti import eigensystem
 from nisys.sysfile import SystemFileError, load_lti, load_system, load_uncertain
-from conftest import flexible_modes, irc_eigensolve_sweep, tf
+from conftest import flexible_modes, irc_eigensolve_locus, tf
 
 
 FIRST = {"kind": "ss", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -212,7 +212,7 @@ def test_design_irc_json_and_csv(tmp_path, capsys):
     rc, out, _ = run_main(["design-irc", path, "--ppd", "40"], capsys)
     assert rc == 0
     rep = json.loads(out)
-    assert rep["feasible"]
+    assert rep["feasible"] and rep["note"] is None
     assert 0.9 * 9.6584e5 < rep["gamma_star"] < 1.1 * 9.6584e5
     assert rep["controller"]["A"][0][0] == pytest.approx(
         -rep["gamma_star"] * rep["phi"])
@@ -228,17 +228,27 @@ def test_design_irc_json_and_csv(tmp_path, capsys):
     for r in rows:
         per_gamma.setdefault(r["gamma"], []).append(r)
     assert all(len(v) == 21 for v in per_gamma.values())
-    # the rows of the eigensolve sweep, in its pole order; real poles print
-    # their imaginary part as exactly 0, as an eigensolve gives them
+    # irc_root_locus on the design's grid: the rows of the eigensolve sweep,
+    # in its pole order; real poles print their imaginary part as exactly 0,
+    # as an eigensolve gives them
     plant = load_lti(path)
-    ref = irc_eigensolve_sweep(plant, choose_phi(plant), points_per_decade=40)
-    assert len(rows) == ref.loci.size == 201 * 21
-    assert [float(r["gamma"]) for r in rows[::21]] == list(ref.gammas)
+    gammas = np.geomspace(1e3, 1e8, 201)
+    ref = irc_eigensolve_locus(plant, choose_phi(plant), gammas)
+    assert len(rows) == ref.size == 201 * 21
+    assert [float(r["gamma"]) for r in rows[::21]] == list(gammas)
     assert [int(r["pole_index"]) for r in rows] == list(range(21)) * 201
     got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
-    np.testing.assert_allclose(got, ref.loci.ravel(), rtol=1e-9)
-    assert [r["im"] == "0" for r in rows] == list(ref.loci.imag.ravel() == 0)
-    assert (ref.loci.imag == 0).any()
+    np.testing.assert_allclose(got, ref.ravel(), rtol=1e-9)
+    assert [r["im"] == "0" for r in rows] == list(ref.imag.ravel() == 0)
+    assert (ref.imag == 0).any()
+
+
+@pytest.mark.parametrize("flags", [["--margin", "nan"], ["--gamma-max", "inf"]])
+def test_design_irc_bad_phi_or_limit_is_an_input_error(tmp_path, capsys, flags):
+    path = write(tmp_path, "flex.json", FLEX)
+    rc, out, err = run_main(["design-irc", path] + flags, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_design_irc_static_plant_is_an_input_error(tmp_path, capsys):

@@ -3,12 +3,13 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
-from nisys import (ModalModel, StateSpace, choose_phi, controllers, dc_gain,
-                   design_irc_gamma, evaluate, irc, modal_to_ss, ppf, ppf_mimo,
-                   resonant_acc, resonant_vel_type)
+from nisys import (ModalModel, StateSpace, add, choose_phi, controllers, dc_gain,
+                   design_irc_gamma, evaluate, irc, irc_root_locus, modal_to_ss, ppf,
+                   ppf_mimo, resonant_acc, resonant_vel_type)
 from nisys._kernels import CHUNK
 from nisys.lti import eigensystem
-from conftest import FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_sweep, random_pd
+from conftest import (FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_locus,
+                      irc_eigensolve_sweep, random_pd, tf)
 
 
 def _den(s, z, w):
@@ -111,9 +112,10 @@ def test_choose_phi_margin(flexible_plant):
 def test_design_irc_gamma_coarse(flexible_plant):
     Phi = choose_phi(flexible_plant)
     des = design_irc_gamma(flexible_plant, Phi, points_per_decade=60)
-    assert des.feasible
-    assert des.stable.any()
-    assert des.loci.shape == (len(des.gammas), flexible_plant.n + 1)
+    assert des.feasible and des.note is None
+    assert des.stable.all()
+    assert irc_root_locus(flexible_plant, Phi, des.gammas).shape == (
+        len(des.gammas), flexible_plant.n + 1)
     # selected gain maximizes the tracked decay rate on the grid
     k = np.nanargmax(des.decays)
     assert des.decay_at_star >= des.decays[k] - 1e-12
@@ -139,6 +141,19 @@ def test_design_irc_gamma_requires_siso():
     mm = ModalModel(modes=((1.0, 0.5, (1.0, 0.5)),), output="position")
     with pytest.raises(ValueError):
         design_irc_gamma(modal_to_ss(mm), np.eye(2))
+
+
+@pytest.mark.parametrize("Phi, limits", [(np.eye(2), {}), ([[np.nan]], {}), ([[np.inf]], {}),
+                                         ([[2.0]], {"gamma_max": np.inf}),
+                                         ([[2.0]], {"gamma_min": np.nan})])
+def test_design_irc_gamma_rejects_bad_phi_and_limits(flexible_plant, Phi, limits):
+    # a 2 x 2 Phi on a SISO plant was read at [0, 0], and a NaN Phi failed
+    # deep in the sweep
+    with pytest.raises(ValueError):
+        design_irc_gamma(flexible_plant, Phi, **limits)
+    if not limits:
+        with pytest.raises(ValueError):
+            irc_root_locus(flexible_plant, Phi, [1e3, 1e4])
 
 
 def test_design_irc_gamma_rejects_a_static_plant():
@@ -193,11 +208,35 @@ def _assert_same_loci(loci, ref, rtol=1e-10):
         assert np.array_equal(a.imag == 0, b[c].imag == 0)
 
 
-@pytest.mark.parametrize("name", ["flexible", "paper-n10", "paper-n40", "paper-n60",
-                                  "feedthrough", "undersized-phi", "unobservable-mode"])
-def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
+SWEEP_CASES = ["flexible", "paper-n10", "paper-n40", "paper-n60", "feedthrough",
+               "undersized-phi", "unobservable-mode"]
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_design_irc_gamma_matches_eigensolve_sweep(name):
+    # every case is decided by the DC-gain theorem: undersized-phi is
+    # infeasible with no sweep, the others continue the dominant pair alone
     plant, Phi = _sweep_case(name)
-    ref = irc_eigensolve_sweep(plant, Phi)
+    des = design_irc_gamma(plant, Phi)
+    assert des.note is None
+    _assert_same_design(des, irc_eigensolve_sweep(plant, Phi))
+
+
+def _assert_same_design(des, ref):
+    assert des.feasible == ref.feasible
+    assert np.array_equal(des.stable, ref.stable)
+    assert np.array_equal(des.gamma_star, ref.gamma_star, equal_nan=True)
+    np.testing.assert_allclose(des.decays, ref.decays, rtol=1e-9)
+    np.testing.assert_allclose(des.zetas, ref.zetas, rtol=1e-9)
+    assert des.decay_at_star == pytest.approx(ref.decay_at_star, rel=1e-12, nan_ok=True)
+    assert des.zeta_at_star == pytest.approx(ref.zeta_at_star, rel=1e-9, nan_ok=True)
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_irc_root_locus_matches_eigensolve_sweep(name, monkeypatch):
+    plant, Phi = _sweep_case(name)
+    gammas = np.geomspace(1e3, 1e8, 1001)
+    ref = irc_eigensolve_locus(plant, Phi, gammas)
 
     blocks = []
     aberth = controllers._aberth
@@ -210,17 +249,10 @@ def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(controllers, "_aberth", spy)
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigensolves.append(1) or eigvals(M))
-    des = design_irc_gamma(plant, Phi)
+    loci = irc_root_locus(plant, Phi, gammas)
     monkeypatch.undo()
 
-    assert des.feasible == ref.feasible
-    assert np.array_equal(des.stable, ref.stable)
-    assert np.array_equal(des.gamma_star, ref.gamma_star, equal_nan=True)
-    _assert_same_loci(des.loci, ref.loci)
-    np.testing.assert_allclose(des.decays, ref.decays, rtol=1e-9)
-    np.testing.assert_allclose(des.zetas, ref.zetas, rtol=1e-9)
-    assert des.decay_at_star == pytest.approx(ref.decay_at_star, rel=1e-12, nan_ok=True)
-    assert des.zeta_at_star == pytest.approx(ref.zeta_at_star, rel=1e-9, nan_ok=True)
+    _assert_same_loci(loci, ref)
     # every accepted row started each root nearer to it than to any other
     # root: the predictor extrapolates earlier rows, column by column
     assert any(ok.any() for _, _, ok in blocks)
@@ -241,7 +273,64 @@ def test_design_irc_gamma_matches_eigensolve_sweep(name, monkeypatch):
         # gives them
         ol = eigensystem(plant)[0]
         cols = np.abs(ol[:, None] - np.linalg.eigvals(plant.A[4:6, 4:6])).argmin(0)
-        assert (des.loci[:, cols] == ol[cols]).all()
+        assert (loci[:, cols] == ol[cols]).all()
+
+
+def test_design_irc_gamma_theorem_path_is_pair_continuation(monkeypatch):
+    # on the paper plants the design runs no all-root iteration, no
+    # eigensolve of the closed loop and no assignment: only Newton on the
+    # dominant pair
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(controllers, "_aberth", lambda *a: calls.append("aberth"))
+    monkeypatch.setattr(controllers, "linear_sum_assignment",
+                        lambda *a: calls.append("assignment"))
+    for count in (5, 10, 30):
+        plant = _paper_plant(count)
+        n = plant.n
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(
+            "closed-loop eigvals") if len(M) == n + 1 else eigvals(M))
+        des = design_irc_gamma(plant, choose_phi(plant))
+        assert des.feasible and des.note is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_design_irc_gamma_seeds_match_the_sweep(n):
+    for seed in range(10):
+        plant = _paper_plant(n // 2, seed)
+        Phi = choose_phi(plant)
+        des = design_irc_gamma(plant, Phi)
+        assert des.note is None
+        assert des.gamma_star == irc_eigensolve_sweep(plant, Phi).gamma_star
+        g = des.gamma_star
+        p = np.linalg.eigvals(np.block([[plant.A, plant.B], [g * plant.C, -g * Phi]]))
+        assert (p.real < 0).all()
+        assert np.abs(-p.real - des.decay_at_star).min() <= 1e-9 * des.decay_at_star
+
+
+def _assert_fallback(plant, note):
+    # gains 1e-2 to 1e3 suit poles of modulus about 1; the best gain lies
+    # inside the grid
+    Phi = choose_phi(plant)
+    des = design_irc_gamma(plant, Phi, gamma_min=1e-2, gamma_max=1e3)
+    assert des.note == note
+    assert des.feasible and 1e-2 < des.gamma_star < 1e3
+    _assert_same_design(des, irc_eigensolve_sweep(plant, Phi, gamma_min=1e-2, gamma_max=1e3))
+
+
+def test_design_irc_gamma_falls_back_for_a_plant_not_ni():
+    # a right-half-plane zero: P(s) = (1 - s/5) / (s^2 + 0.2 s + 1) is not NI
+    _assert_fallback(tf([-0.2, 1.0], [1.0, 0.2, 1.0]), "plant not NI, all-root sweep")
+
+
+def test_design_irc_gamma_falls_back_for_real_slowest_poles():
+    # NI, two real slowest poles at -1 and -2 and a mode at 100 rad/s: the
+    # real poles meet on the axis and split into a pair, where which column
+    # takes which is a tie; the sweep, not the pair continuation, decides it
+    _assert_fallback(add(tf([1.0], [1.0, 3.0, 2.0]), tf([1.0], [1.0, 2.0, 1e4])),
+                     "two slowest poles not a conjugate pair with a nonzero residue, "
+                     "all-root sweep")
 
 
 def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():
@@ -253,10 +342,32 @@ def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():
     des = design_irc_gamma(plant, Phi)
     ref = irc_eigensolve_sweep(plant, Phi)
     assert des.feasible and ref.feasible
-    for field in ("gammas", "loci", "decays", "zetas", "stable"):
+    assert des.note == "no eigenbasis of A, all-root sweep"
+    for field in ("gammas", "decays", "zetas", "stable"):
         assert getattr(des, field).tobytes() == getattr(ref, field).tobytes()
     assert (des.gamma_star, des.decay_at_star, des.zeta_at_star) == (
         ref.gamma_star, ref.decay_at_star, ref.zeta_at_star)
+    assert (irc_root_locus(plant, Phi, des.gammas).tobytes()
+            == irc_eigensolve_locus(plant, Phi, des.gammas).tobytes())
+
+
+def test_newton_pair_accepts_only_the_nearest_root(flexible_plant):
+    # Newton's iteration from starts all over the upper left of the plane,
+    # each start its own row before: most starts lead to another root than
+    # the nearest, or nowhere, and none of those is accepted
+    A, B, C = flexible_plant.A, flexible_plant.B, flexible_plant.C
+    g, d = np.array([1e5]), -choose_phi(flexible_plant)[0, 0]
+    lam, (V, Vi, _) = eigensystem(flexible_plant)
+    r = (C @ V)[0] * (Vi @ B)[:, 0]
+    roots = np.linalg.eigvals(np.block([[A, B], [g * C, g[None] * d]]))
+    x, y = np.meshgrid(np.linspace(-150.0, 10.0, 17), np.linspace(-50.0, 450.0, 51))
+    starts = (x + 1j * y).ravel()
+    runs = [controllers._newton_pair(np.array([s]), np.array([s]), lam, r, g, g * d)
+            for s in starts]
+    z, ok = np.concatenate([z for z, _ in runs]), np.concatenate([ok for _, ok in runs])
+    nearest = np.isclose(z, roots[np.abs(starts[:, None] - roots).argmin(1)], rtol=1e-9)
+    assert ok.sum() > 20 and (~nearest).sum() > starts.size // 2
+    assert not (ok & ~nearest).any()
 
 
 def test_aberth_rejects_a_root_counted_twice(flexible_plant):

@@ -61,11 +61,12 @@ print(json.dumps({{"rc": rc, "stable": rep.stable, "note": rep.note, "scipy": {S
     assert child["scipy"] == []
     # the loop verdict was the DC-gain test, not the fallback pole test
     assert child["stable"] and child["note"] is None
-    # the gain sweep continued every row: no eigensolve, so no assignment
+    # the gain design took the DC-gain theorem and the dominant pair alone
     ns = {}
     exec(PRELUDE, ns)
     with open(design, "rb") as f:
-        assert same(pickle.load(f), eval("design_irc_gamma(PLANT, choose_phi(PLANT))", ns))
+        des = pickle.load(f)
+    assert des.note is None and same(des, eval("design_irc_gamma(PLANT, choose_phi(PLANT))", ns))
     assert main(["analyze", str(system), "--out", str(tmp_path / "here.json")]) == child["rc"]
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
