@@ -332,7 +332,7 @@ def _t_zeros(sys, lam, V, Vi, cond):
     # the joint range of the R_i is spanned by the columns (C V)_i with
     # (V^{-1} B)_i != 0; it is closed under conjugation, so a real basis spans it
     X = CV * np.linalg.norm(W, axis=1)
-    U, sv = np.linalg.svd(np.hstack((X.real, X.imag)))[:2]
+    U, sv = np.linalg.svd(np.hstack((X.real, X.imag)), full_matrices=False)[:2]
     k = int(np.count_nonzero(sv > MARKOV_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
     if k == 0:
         return None, np.zeros(0, dtype=complex), 0

@@ -556,7 +556,7 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     elif not check_ni(plant).holds:
         note = "plant not NI"
     else:
-        h = _dc_gain_hypotheses(plant, irc(gammas[:1, None], [[phi]]), True, True)
+        h, _ = _dc_gain_hypotheses(plant, irc(gammas[:1, None], [[phi]]), True, True)
         if not h["hypotheses_hold"]:
             note = "DC-gain hypotheses not satisfied"
         elif h["marginal"]:

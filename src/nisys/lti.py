@@ -202,9 +202,20 @@ def poles(sys: StateSpace) -> np.ndarray:
 
 
 def dc_gain(sys: StateSpace) -> np.ndarray:
-    """D - C A^{-1} B. A pole at the origin is an error, not infinity."""
+    """D - C A^{-1} B. A pole at the origin is an error, not infinity.
+
+    Read from the kept `eigensystem` as D - (C V) diag(1/lam) (V^{-1} B)
+    when its error bound cond(V) max|lam| / min|lam| is at most
+    `numerics.COND_LIMIT`; otherwise, and without an eigenbasis, from a
+    conditioned solve with A."""
     if sys.n == 0:
         return sys.D.copy()
+    lam, basis = eigensystem(sys)
+    if basis is not None:
+        V, Vi, cond = basis
+        mag = np.abs(lam)
+        if mag.min() > 0 and cond * mag.max() <= numerics.COND_LIMIT * mag.min():
+            return sys.D - ((sys.C @ V) / lam @ (Vi @ sys.B)).real
     try:
         X = numerics.solve(sys.A, sys.B)
     except NumericsError as e:

@@ -8,12 +8,13 @@ product alone decides stability, no frequency sweep of the loop required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import _pole_status, check_ni, check_sni_zeros
-from .lti import StateSpace, dc_gain, inf_gain, positive_feedback
+from .lti import LtiError, StateSpace, dc_gain, inf_gain, positive_feedback
 
 MARGINAL_BAND = 1e-6
 
@@ -41,6 +42,14 @@ class StabilityReport:
 
     `stable` is the verdict of record: the DC-gain iff when the hypotheses
     hold and the spectrum is not marginal, otherwise the direct pole test.
+    `note` is None when the theorem decided; otherwise it says that the pole
+    test decided, and why. `lambda_max_dc` is NaN when M(0) or N(0) is
+    undefined (a pole at the origin).
+
+    `internally_stable` and `closed_loop_poles` are the pole test's own
+    answer, never read from `stable`. When the pole test decides they are
+    computed with the verdict; when the theorem decides, at their first
+    read, and `to_json` writes them as null until then.
     """
 
     stable: bool
@@ -52,17 +61,30 @@ class StabilityReport:
     gain_product_zero: bool
     n_inf_psd: bool
     dc_eigs_real: bool
-    internally_stable: bool
-    closed_loop_poles: np.ndarray
     note: str | None = None
+    _loop: tuple = field(default=(), repr=False, compare=False)
 
     def __bool__(self):
         return self.stable
 
+    @functools.cached_property
+    def _pole_test(self) -> dict:
+        return internal_stability(*self._loop)
+
+    @property
+    def internally_stable(self) -> bool:
+        return self._pole_test["stable"]
+
+    @property
+    def closed_loop_poles(self) -> np.ndarray:
+        return self._pole_test["poles"]
+
     def to_json(self) -> dict:
+        lam = float(self.lambda_max_dc)
+        ran = "_pole_test" in self.__dict__
         return {
             "stable": bool(self.stable),
-            "lambda_max_dc": float(self.lambda_max_dc),
+            "lambda_max_dc": lam if np.isfinite(lam) else None,
             "marginal": bool(self.marginal),
             "hypotheses_hold": bool(self.hypotheses_hold),
             "m_is_ni": bool(self.m_is_ni),
@@ -70,17 +92,20 @@ class StabilityReport:
             "gain_product_zero": bool(self.gain_product_zero),
             "n_inf_psd": bool(self.n_inf_psd),
             "dc_eigs_real": bool(self.dc_eigs_real),
-            "internally_stable": bool(self.internally_stable),
-            "closed_loop_poles": [[p.real, p.imag] for p in np.asarray(self.closed_loop_poles)],
+            "internally_stable": bool(self.internally_stable) if ran else None,
+            "closed_loop_poles": ([[p.real, p.imag] for p in self.closed_loop_poles]
+                                  if ran else None),
             "note": self.note,
         }
 
 
-def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool) -> dict:
-    """The DC-gain test of the loop [M, N] without a pole test: the
-    StabilityReport fields that say whether the theorem's hypotheses hold
-    and what lambda_max(M(0) N(0)) is, given the NI verdict m_ni of M and
-    the SNI verdict n_sni of N."""
+def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool):
+    """The DC-gain test of the loop [M, N] without a pole test, given the NI
+    verdict m_ni of M and the SNI verdict n_sni of N: (fields, why), where
+    fields are the StabilityReport fields that say whether the theorem's
+    hypotheses hold and what lambda_max(M(0) N(0)) is. why is None, or the
+    reason M(0) N(0) is undefined, in which case lambda_max_dc is NaN and
+    the hypotheses do not hold."""
     Minf, Ninf = inf_gain(M), inf_gain(N)
     prod = Minf @ Ninf
     gain_zero = np.linalg.norm(prod) <= 1e-9 * (1.0 + np.linalg.norm(Minf) * np.linalg.norm(Ninf))
@@ -89,21 +114,25 @@ def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool) -
     psd_ok = Ns.size == 0 or np.linalg.eigvalsh(Ns).min() >= -1e-9 * (1.0 + np.linalg.norm(Ns))
     n_inf_psd = bool(sym_ok and psd_ok)
 
-    M0, N0 = dc_gain(M), dc_gain(N)
-    P0 = M0 @ N0
-    if P0.size:
-        ev = np.linalg.eigvals(P0)
-        i = int(np.argmax(ev.real))
-        lam = float(ev[i].real)
-        eigs_real = bool(abs(ev[i].imag) <= 1e-8 * (1.0 + abs(ev[i])))
+    lam, eigs_real, why = np.nan, False, None
+    try:
+        P0 = dc_gain(M) @ dc_gain(N)
+    except LtiError as e:
+        why = str(e)
     else:
-        lam, eigs_real = 0.0, True
+        if P0.size:
+            ev = np.linalg.eigvals(P0)
+            i = int(np.argmax(ev.real))
+            lam = float(ev[i].real)
+            eigs_real = bool(abs(ev[i].imag) <= 1e-8 * (1.0 + abs(ev[i])))
+        else:
+            lam, eigs_real = 0.0, True
 
     return {"lambda_max_dc": lam, "marginal": abs(lam - 1.0) < MARGINAL_BAND,
             "hypotheses_hold": bool(m_ni and n_sni and gain_zero and n_inf_psd and eigs_real),
             "m_is_ni": bool(m_ni), "n_is_sni": bool(n_sni),
             "gain_product_zero": bool(gain_zero), "n_inf_psd": n_inf_psd,
-            "dc_eigs_real": eigs_real}
+            "dc_eigs_real": eigs_real}, why
 
 
 def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
@@ -111,20 +140,22 @@ def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
 
     M must be NI and N strictly NI (check_ni and check_sni_zeros), with
     M(inf) N(inf) = 0 and N(inf) >= 0. Then stability of the loop is
-    equivalent to lambda_max(M(0) N(0)) < 1. When a hypothesis fails, or
-    lambda_max sits within 1e-6 of 1, the verdict falls back to the direct
-    pole test and says so.
+    equivalent to lambda_max(M(0) N(0)) < 1, and the closure is not
+    eigensolved: its poles are computed at the first read of the report's
+    `internally_stable` or `closed_loop_poles`. When a hypothesis fails
+    (also when M(0) or N(0) is undefined), or lambda_max sits within 1e-6
+    of 1, the verdict falls back to the direct pole test, run here, and
+    `note` says so; it is None when the theorem decides.
     """
     if M.inputs != N.outputs or M.outputs != N.inputs:
         raise ValueError("loop dimensions do not match")
-    h = _dc_gain_hypotheses(M, N, check_ni(M).holds, check_sni_zeros(N).is_sni)
-    direct = internal_stability(M, N)
+    h, why = _dc_gain_hypotheses(M, N, check_ni(M).holds, check_sni_zeros(N).is_sni)
     if h["hypotheses_hold"] and not h["marginal"]:
-        stable = h["lambda_max_dc"] < 1.0
-        note = None
+        return StabilityReport(stable=h["lambda_max_dc"] < 1.0, _loop=(M, N), **h)
+    if h["hypotheses_hold"]:
+        note = "lambda_max within the marginal band, pole test used"
     else:
-        stable = direct["stable"]
-        note = ("lambda_max within the marginal band, pole test used"
-                if h["hypotheses_hold"] else "hypotheses not satisfied, pole test used")
-    return StabilityReport(stable=stable, internally_stable=direct["stable"],
-                           closed_loop_poles=direct["poles"], note=note, **h)
+        note = "hypotheses not satisfied, pole test used" + (f": {why}" if why else "")
+    rep = StabilityReport(stable=False, note=note, _loop=(M, N), **h)
+    rep.stable = rep.internally_stable  # the pole test decides, so it runs now
+    return rep

@@ -22,6 +22,20 @@ def same(a, b):
     return a == b
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records, per call, the shape
+    of its first argument; returns that list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]) if args else None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def tf(num, den) -> StateSpace:
     A, B, C, D = tf2ss(num, den)
     return StateSpace(A, B, C, D)

@@ -11,7 +11,7 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    sni_sufficient_lag, sni_sufficient_lag2, verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
-from conftest import CLUSTER_MODES, flexible_modes, same, tf
+from conftest import CLUSTER_MODES, counting, flexible_modes, same, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -67,19 +67,6 @@ def test_golden_unstable(unstable):
     assert c.ni_sweep.reason == "right-half-plane pole"
 
 
-def _counting(monkeypatch, module, name):
-    # one entry per call: the shape of its first argument
-    calls = []
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]) if args else None)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 # not symmetric: P(s) = [[1/(s+1), 1/(s+2)], [0, 1/(s+2)]]
 NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
                           np.zeros((2, 2)))
@@ -87,11 +74,11 @@ NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1
 
 def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
                                           unstable, monkeypatch):
-    solves = _counting(monkeypatch, lmimod, "solve_feasibility")
-    pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
-    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
-    eigs = _counting(monkeypatch, np.linalg, "eig")
-    sweeps = _counting(monkeypatch, analysis, "sweep_eigmin")
+    solves = counting(monkeypatch, lmimod, "solve_feasibility")
+    pencils = counting(monkeypatch, numerics, "generalized_eigenvalues")
+    decomps = counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = counting(monkeypatch, np.linalg, "eig")
+    sweeps = counting(monkeypatch, analysis, "sweep_eigmin")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
     # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
     cases = [(first_order, None, 0), (second_order, None, 0), (velocity_mode, None, 0),
@@ -134,22 +121,29 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
 def test_dc_gain_verdict_decomposes_each_side_once(monkeypatch):
     M = modal_to_ss(ModalModel(flexible_modes()))
     N = irc(np.array([[1e5]]), np.array([[2e-4]]))
-    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
-    eigs = _counting(monkeypatch, np.linalg, "eig")
-    eigvals = _counting(monkeypatch, np.linalg, "eigvals")
+    decomps = counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = counting(monkeypatch, np.linalg, "eig")
+    eigvals = counting(monkeypatch, np.linalg, "eigvals")
     rep = dc_gain_verdict(M, N)
-    assert rep.hypotheses_hold and rep.stable
-    # one eigensolve per side, and the eigenvalues alone of the closure
+    assert rep.hypotheses_hold and rep.stable and rep.note is None
+    # one eigensolve per side, and none of the closure: the theorem decided
     assert decomps == eigs == [(M.n, M.n), (N.n, N.n)]
     n = M.n + N.n
+    assert eigvals.count((n, n)) == 0
+    # the first read runs the pole test, the eigenvalues alone of the
+    # closure, once; the report keeps its answer
+    assert rep.internally_stable
+    assert rep.closed_loop_poles.shape == (n,)
+    assert rep.internally_stable
     assert eigvals.count((n, n)) == 1
+    assert decomps == eigs == [(M.n, M.n), (N.n, N.n)]
 
 
 def test_verify_closed_loop_decomposes_once(monkeypatch):
     plant = UncertainPlant(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0], [0.0]],
                            [[1.0, 1.0]])
-    decomps = _counting(monkeypatch, numerics, "eigendecomposition")
-    eigs = _counting(monkeypatch, np.linalg, "eig")
+    decomps = counting(monkeypatch, numerics, "eigendecomposition")
+    eigs = counting(monkeypatch, np.linalg, "eig")
     rep = verify_closed_loop(plant, np.zeros((1, 2)))
     assert rep.hurwitz and rep.ni.holds
     # the pole test and check_ni read one decomposition of the closed loop
@@ -241,7 +235,7 @@ def test_repeated_poles_take_the_t_form(monkeypatch):
     c = ppf_mimo([[1.0, 0.3], [-0.4, 0.8]], 60.0 * np.eye(2), 1e4 * np.eye(2))
     T = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
     c = StateSpace(T @ c.A @ T.T, T @ c.B, c.C @ T.T, c.D)
-    pencils = _counting(monkeypatch, numerics, "generalized_eigenvalues")
+    pencils = counting(monkeypatch, numerics, "generalized_eigenvalues")
     z = phi_imaginary_axis_zeros(c)
     assert z.note is None and len(pencils) == 0
     # the two zeros at the origin from the factor 2s; K = C A^2 B deflates

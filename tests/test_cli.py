@@ -196,6 +196,18 @@ def test_stability_command(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["stable"] and rep["hypotheses_hold"]
     assert abs(rep["lambda_max_dc"] - 0.8332471) < 1e-4
+    # the theorem decided: no closed-loop poles unless asked for
+    assert rep["note"] is None
+    assert rep["internally_stable"] is None and rep["closed_loop_poles"] is None
+    rc, out, _ = run_main(["stability", mp, np_, "--poles"], capsys)
+    assert rc == 0
+    with_poles = json.loads(out)
+    assert with_poles["internally_stable"] is True
+    assert len(with_poles["closed_loop_poles"]) == 21
+    assert all(len(p) == 2 and p[0] < 0 for p in with_poles["closed_loop_poles"])
+    assert {k: v for k, v in with_poles.items()
+            if k not in ("internally_stable", "closed_loop_poles")} == \
+        {k: v for k, v in rep.items() if k not in ("internally_stable", "closed_loop_poles")}
 
 
 def test_stability_unstable_exit_code(tmp_path, capsys):
@@ -204,7 +216,26 @@ def test_stability_unstable_exit_code(tmp_path, capsys):
               {"kind": "ss", "A": [[-1.0]], "B": [[1.0]], "C": [[2.0]]})
     rc, out, _ = run_main(["stability", m, n], capsys)
     assert rc == 2
-    assert not json.loads(out)["stable"]
+    rep = json.loads(out)
+    assert not rep["stable"] and rep["hypotheses_hold"]
+    assert rep["closed_loop_poles"] is None
+    # asking for the poles changes the report, not the exit code
+    rc, out, _ = run_main(["stability", m, n, "--poles"], capsys)
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["internally_stable"] is False and len(rep["closed_loop_poles"]) == 2
+
+
+def test_stability_pole_at_origin(tmp_path, capsys):
+    # M = 1/s has no DC gain: the pole test decides, exit 2 (unstable), not 1
+    m = write(tmp_path, "m.json", {"kind": "ss", "A": [[0.0]], "B": [[1.0]], "C": [[1.0]]})
+    n = write(tmp_path, "n.json", {"kind": "ss", "A": [[-2.0]], "B": [[1.0]], "C": [[1.0]]})
+    rc, out, err = run_main(["stability", m, n], capsys)
+    assert rc == 2 and err == ""
+    rep = json.loads(out)
+    assert rep["lambda_max_dc"] is None and not rep["hypotheses_hold"]
+    assert rep["internally_stable"] is False and len(rep["closed_loop_poles"]) == 2
+    assert "dc gain undefined" in rep["note"]
 
 
 def test_design_irc_json_and_csv(tmp_path, capsys):

@@ -7,8 +7,9 @@ from nisys import (LtiError, ModalModel, StateSpace, add, dc_gain,
                    diagonal_replicate, evaluate, inf_gain, is_minimal,
                    modal_to_ss, paraconjugate_transpose, poles,
                    positive_feedback, star_product)
+from nisys import numerics
 from nisys.lti import eigensystem, static_gain
-from conftest import random_modal, random_stable, tf
+from conftest import counting, flexible_modes, random_modal, random_stable, tf
 
 
 def test_statespace_validation():
@@ -91,6 +92,43 @@ def test_dc_and_inf_gain():
     integ = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(LtiError):
         dc_gain(integ)
+
+
+def test_dc_gain_from_eigenbasis_matches_solve(monkeypatch):
+    rng = np.random.default_rng(11)
+    systems = [modal_to_ss(ModalModel(flexible_modes(k))) for k in (1, 10, 100)]
+    systems += [modal_to_ss(random_modal(rng, 6, channels=m)) for m in (1, 2, 3)
+                for _ in range(10)]
+    systems += [random_stable(rng, n, m, p) for n, m, p in
+                ((1, 1, 1), (5, 2, 3), (12, 3, 2), (30, 2, 2)) for _ in range(5)]
+    solves = counting(monkeypatch, numerics, "solve")
+    for sys in systems:
+        got = dc_gain(sys)
+        assert got.dtype == float and got.shape == sys.D.shape
+        ref = sys.D - sys.C @ np.linalg.solve(sys.A, sys.B)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    # every one of them took the kept eigenbasis, none the solve
+    assert solves == []
+
+
+def test_dc_gain_falls_back_to_solve(monkeypatch):
+    solves = counting(monkeypatch, numerics, "solve")
+    # a Jordan block has no eigenbasis: the conditioned solve decides
+    jordan = StateSpace([[-2.0, 1.0], [0.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.5]])
+    assert eigensystem(jordan)[1] is None
+    assert np.isclose(dc_gain(jordan)[0, 0], 0.5 + 0.25, rtol=1e-14)
+    assert solves == [(2, 2)]
+    # an eigenvalue 1e13 times under the largest: beyond the eigenbasis
+    # route's bound, and the solve rejects A as near-singular
+    near = StateSpace(np.diag([-1.0, -1e-13]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    with pytest.raises(LtiError, match="near-singular"):
+        dc_gain(near)
+    assert solves == [(2, 2), (2, 2)]
+    # a pole at the origin: min|lam| = 0 takes the solve, which raises
+    integ = StateSpace(np.diag([-1.0, 0.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    with pytest.raises(LtiError, match="dc gain undefined"):
+        dc_gain(integ)
+    assert len(solves) == 3
 
 
 def test_is_minimal():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from nisys import StateSpace, dc_gain_verdict, internal_stability, irc
-from conftest import tf
+from nisys import StateSpace, dc_gain_verdict, internal_stability, irc, stability
+from conftest import counting, tf
 
 
 def test_internal_stability_direct():
@@ -33,10 +35,17 @@ def test_dc_gain_verdict_basic_stable(flexible_plant):
     assert rep.m_is_ni and rep.n_is_sni
     assert rep.gain_product_zero and rep.n_inf_psd
     assert not rep.marginal
-    assert rep.internally_stable
     assert abs(rep.lambda_max_dc - 0.8333) < 1e-3
+    assert rep.note is None
+    # the theorem decided: the pole fields are null until they are read
     j = rep.to_json()
-    assert j["stable"] is True and isinstance(j["closed_loop_poles"], list)
+    assert j["stable"] is True
+    assert j["internally_stable"] is None and j["closed_loop_poles"] is None
+    assert rep.internally_stable
+    j = rep.to_json()
+    assert j["internally_stable"] is True and isinstance(j["closed_loop_poles"], list)
+    assert len(j["closed_loop_poles"]) == flexible_plant.n + 1
+    assert json.loads(json.dumps(j)) == j
 
 
 def test_dc_gain_verdict_unstable_branch():
@@ -85,3 +94,51 @@ def test_dc_gain_verdict_dimension_check(first_order):
     N2 = irc(np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         dc_gain_verdict(first_order, N2)
+
+
+@pytest.mark.parametrize("g, hypotheses", [(1.0 + 1e-8, True), (0.5, False), (2.0, False)])
+def test_dc_gain_verdict_fallbacks_run_the_pole_test_eagerly(monkeypatch, unstable, g,
+                                                             hypotheses):
+    # the marginal band (hypotheses hold), and an M that is not NI
+    M = tf([1.0], [1.0, 1.0]) if hypotheses else unstable
+    N = irc(np.array([[1.0]]), np.array([[1.0 / g]]))
+    calls = counting(monkeypatch, stability, "internal_stability")
+    rep = dc_gain_verdict(M, N)
+    assert len(calls) == 1
+    assert rep.hypotheses_hold == hypotheses and rep.note.endswith("pole test used")
+    assert rep.stable == rep.internally_stable == internal_stability(M, N)["stable"]
+    j = rep.to_json()
+    assert j["internally_stable"] is rep.stable and len(j["closed_loop_poles"]) == M.n + N.n
+    assert len(calls) == 1
+
+
+def test_dc_gain_verdict_theorem_runs_no_pole_test_until_read(monkeypatch):
+    M = tf([1.0], [1.0, 1.0])
+    calls = counting(monkeypatch, stability, "internal_stability")
+    for g in (0.5, 2.0):
+        rep = dc_gain_verdict(M, irc(np.array([[1.0]]), np.array([[1.0 / g]])))
+        assert rep.hypotheses_hold and rep.note is None and rep.stable == (g < 1.0)
+        assert calls == []
+        # the lazy answer is the pole test's own, not a copy of the verdict
+        assert rep.internally_stable == (g < 1.0)
+        assert rep.closed_loop_poles.size == 2
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_dc_gain_verdict_pole_at_origin_falls_back():
+    # M = 1/s has no DC gain: the hypotheses are not satisfied and the
+    # pole test decides; s (s + 2) - 1 has a root at -1 + sqrt(2) > 0
+    M = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
+    rep = dc_gain_verdict(M, irc(np.array([[1.0]]), np.array([[2.0]])))
+    assert not rep.hypotheses_hold and np.isnan(rep.lambda_max_dc)
+    assert not rep.stable and not rep.internally_stable
+    assert rep.note.startswith("hypotheses not satisfied, pole test used: ")
+    assert "dc gain undefined" in rep.note
+    assert np.isclose(rep.closed_loop_poles.real.max(), np.sqrt(2.0) - 1.0)
+    j = json.loads(json.dumps(rep.to_json(), allow_nan=False))
+    assert j["lambda_max_dc"] is None and j["stable"] is False
+    # against N = -1/(s + 1) the loop is s^2 + s + 1: stable, by the pole test
+    rep = dc_gain_verdict(M, StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[0.0]]))
+    assert not rep.hypotheses_hold and np.isnan(rep.lambda_max_dc)
+    assert rep.stable and rep.internally_stable
