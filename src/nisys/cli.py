@@ -151,8 +151,6 @@ def cmd_stability(args) -> int:
     M = load_lti(args.m_system)
     N = load_lti(args.n_system)
     rep = dc_gain_verdict(M, N)
-    if args.poles:
-        rep.closed_loop_poles  # the first read runs the pole test
     _emit(_json_dump(rep.to_json()), args.out)
     return OK if rep.stable else PROPERTY_FALSE
 
@@ -241,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="DC-gain stability test of positive feedback [M, N]")
     p.add_argument("m_system", help="M: the NI side")
     p.add_argument("n_system", help="N: the strictly NI side")
-    p.add_argument("--poles", action="store_true",
-                   help="also eigensolve the closed loop and report its poles "
-                        "(computed anyway when the pole test decides)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_stability)
 

@@ -556,9 +556,9 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     elif not check_ni(plant).holds:
         note = "plant not NI"
     else:
-        h, _ = _dc_gain_hypotheses(plant, irc(gammas[:1, None], [[phi]]), True, True)
+        h, why = _dc_gain_hypotheses(plant, irc(gammas[:1, None], [[phi]]), True, True)
         if not h["hypotheses_hold"]:
-            note = "DC-gain hypotheses not satisfied"
+            note = "DC-gain hypotheses not satisfied" + (f": {why}" if why else "")
         elif h["marginal"]:
             note = "lambda_max within the marginal band"
         elif h["lambda_max_dc"] > 1.0:

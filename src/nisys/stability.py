@@ -49,7 +49,8 @@ class StabilityReport:
     `internally_stable` and `closed_loop_poles` are the pole test's own
     answer, never read from `stable`. When the pole test decides they are
     computed with the verdict; when the theorem decides, at their first
-    read, and `to_json` writes them as null until then.
+    read (`to_json` reads them). Only a report made by `dc_gain_verdict`
+    holds the loop they are computed from.
     """
 
     stable: bool
@@ -69,6 +70,9 @@ class StabilityReport:
 
     @functools.cached_property
     def _pole_test(self) -> dict:
+        if not self._loop:
+            raise ValueError("this StabilityReport holds no loop to pole-test; "
+                             "make it with dc_gain_verdict")
         return internal_stability(*self._loop)
 
     @property
@@ -81,7 +85,6 @@ class StabilityReport:
 
     def to_json(self) -> dict:
         lam = float(self.lambda_max_dc)
-        ran = "_pole_test" in self.__dict__
         return {
             "stable": bool(self.stable),
             "lambda_max_dc": lam if np.isfinite(lam) else None,
@@ -92,9 +95,8 @@ class StabilityReport:
             "gain_product_zero": bool(self.gain_product_zero),
             "n_inf_psd": bool(self.n_inf_psd),
             "dc_eigs_real": bool(self.dc_eigs_real),
-            "internally_stable": bool(self.internally_stable) if ran else None,
-            "closed_loop_poles": ([[p.real, p.imag] for p in self.closed_loop_poles]
-                                  if ran else None),
+            "internally_stable": bool(self.internally_stable),
+            "closed_loop_poles": [[p.real, p.imag] for p in self.closed_loop_poles],
             "note": self.note,
         }
 

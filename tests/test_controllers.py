@@ -3,9 +3,9 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
-from nisys import (ModalModel, StateSpace, add, choose_phi, controllers, dc_gain,
-                   design_irc_gamma, evaluate, irc, irc_root_locus, modal_to_ss, ppf,
-                   ppf_mimo, resonant_acc, resonant_vel_type)
+from nisys import (LtiError, ModalModel, StateSpace, add, choose_phi, controllers,
+                   dc_gain, design_irc_gamma, evaluate, irc, irc_root_locus, modal_to_ss,
+                   ppf, ppf_mimo, resonant_acc, resonant_vel_type)
 from nisys._kernels import CHUNK
 from nisys.lti import eigensystem
 from conftest import (FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_locus,
@@ -331,6 +331,21 @@ def test_design_irc_gamma_falls_back_for_real_slowest_poles():
     _assert_fallback(add(tf([1.0], [1.0, 3.0, 2.0]), tf([1.0], [1.0, 2.0, 1e4])),
                      "two slowest poles not a conjugate pair with a nonzero residue, "
                      "all-root sweep")
+
+
+def test_design_irc_gamma_falls_back_for_a_near_singular_A():
+    # NI, with poles at -1e-5 and -1e8: cond(A) is 1e13, so P(0) is undefined
+    # in working precision; the all-root sweep decides and the note says why
+    plant = add(add(tf([1e-5], [1.0, 1e-5]), tf([1.0], [1.0, 0.2, 1.0])),
+                tf([1e7], [1.0, 1e8]))
+    with pytest.raises(LtiError):
+        dc_gain(plant)
+    Phi = np.array([[2.5]])
+    des = design_irc_gamma(plant, Phi)
+    assert des.note.startswith("DC-gain hypotheses not satisfied: dc gain undefined, ")
+    assert des.note.endswith(", all-root sweep")
+    assert des.feasible
+    assert (des.stable == irc_eigensolve_sweep(plant, Phi).stable).all()
 
 
 def test_design_irc_gamma_defective_A_is_the_eigensolve_sweep():

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nisys import StateSpace, dc_gain_verdict, internal_stability, irc, stability
+from nisys import (StabilityReport, StateSpace, dc_gain_verdict, internal_stability, irc,
+                   stability)
 from conftest import counting, tf
 
 
@@ -37,13 +38,9 @@ def test_dc_gain_verdict_basic_stable(flexible_plant):
     assert not rep.marginal
     assert abs(rep.lambda_max_dc - 0.8333) < 1e-3
     assert rep.note is None
-    # the theorem decided: the pole fields are null until they are read
-    j = rep.to_json()
-    assert j["stable"] is True
-    assert j["internally_stable"] is None and j["closed_loop_poles"] is None
     assert rep.internally_stable
     j = rep.to_json()
-    assert j["internally_stable"] is True and isinstance(j["closed_loop_poles"], list)
+    assert j["stable"] is True and j["internally_stable"] is True
     assert len(j["closed_loop_poles"]) == flexible_plant.n + 1
     assert json.loads(json.dumps(j)) == j
 
@@ -142,3 +139,14 @@ def test_dc_gain_verdict_pole_at_origin_falls_back():
     rep = dc_gain_verdict(M, StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[0.0]]))
     assert not rep.hypotheses_hold and np.isnan(rep.lambda_max_dc)
     assert rep.stable and rep.internally_stable
+
+
+def test_hand_built_report_has_no_pole_test():
+    # a report not made by dc_gain_verdict holds no loop to pole-test
+    fields = dict(lambda_max_dc=0.5, marginal=False, hypotheses_hold=True, m_is_ni=True,
+                  n_is_sni=True, gain_product_zero=True, n_inf_psd=True, dc_eigs_real=True)
+    rep = StabilityReport(stable=True, **fields)
+    assert rep and not rep.marginal
+    for read in (lambda: rep.internally_stable, lambda: rep.closed_loop_poles, rep.to_json):
+        with pytest.raises(ValueError, match="holds no loop"):
+            read()
