@@ -59,11 +59,22 @@ def default_grid(sys: StateSpace, points_per_decade: int = DEFAULT_PPD,
         hi = float(wmax)
     if not (0 < lo < hi):
         raise ValueError("grid bounds must satisfy 0 < wmin < wmax")
+    if not points_per_decade >= 1:
+        raise ValueError("points_per_decade must be at least 1")
     npts = max(2, int(math.ceil(math.log10(hi / lo) * points_per_decade)) + 1)
     g = np.geomspace(lo, hi, npts)
     if include_zero:
         g = np.concatenate(([0.0], g))
     return g
+
+
+def _check_tol(tol):
+    """tol as a float; a NaN, infinite or negative tolerance is an error,
+    since every comparison with it would decide the verdict."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _as_grid(sys, grid, include_zero=True):
@@ -137,6 +148,7 @@ def _ni_on_grid(sys, g, tol):
 def check_ni_sweep(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Poles in the open left half-plane and lambda_min(H(w)) >= -tol
     relative at every grid frequency (w >= 0)."""
+    tol = _check_tol(tol)
     _square(sys)
     _, bad = _pole_verdict(sys)
     if bad is not None:
@@ -187,7 +199,7 @@ def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     every w, so the zeros are those on the joint range of the residues. When
     the QZ pencil is singular, falls back to check_ni_sweep on the default
     grid and says so in `note`."""
-    return _ni_spectral(sys, tol)[0]
+    return _ni_spectral(sys, _check_tol(tol))[0]
 
 
 @dataclass
@@ -518,7 +530,7 @@ def check_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -
     """Poles in the closed left half-plane (simple imaginary-axis poles
     tolerated, noted) and lambda_min(P(jw) + P(jw)^*) >= -tol relative on the
     grid."""
-    return _pr_spr(sys, grid, tol)[0]
+    return _pr_spr(sys, grid, _check_tol(tol))[0]
 
 
 def check_strictly_positive_real(sys: StateSpace, grid=None,
@@ -535,7 +547,7 @@ def check_strictly_positive_real(sys: StateSpace, grid=None,
     condition), or the limit at infinity, where `worst_frequency` is NaN.
     An imaginary-axis zero of P + P^* at some w > 0 is found only when a grid
     point lands on it."""
-    return _pr_spr(sys, grid, tol)[1]
+    return _pr_spr(sys, grid, _check_tol(tol))[1]
 
 
 def rotated_system(sys: StateSpace) -> StateSpace:
@@ -634,6 +646,7 @@ def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classific
     P(jw) + P(jw)^* on `grid` decides PR and SPR, and the NI sweep on `grid`
     is evidence. Each field equals what the standalone check returns at this
     tol (check_sni_zeros: at the default)."""
+    tol = _check_tol(tol)
     ni, axis = _ni_spectral(sys, tol)
     sni_z = _sni_zeros(ni, axis)
     pr, spr = _pr_spr(sys, grid, tol)

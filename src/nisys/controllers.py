@@ -177,102 +177,48 @@ def _match(prev, p):
     return p[perm]
 
 
-# An accepted root moved by at most this fraction of its modulus in the last
-# Aberth step; the step is cubically convergent, so the error it leaves is
-# far below that
-_STEP_TOL = 1e-6
+# Newton's step stops once it moves each root by at most this fraction of
+# its modulus: the error it leaves is about the square of that, below
+# rounding
+_NEWTON_TOL = 1e-9
 # a gain takes one or two steps from a start predicted one gain ahead; a row
 # that needs more than this starts the next block, and if it needs more there
-# too it is left to the eigensolve
+# too it is left to the fallback
 _MAX_ITERS = 8
 # the accepted roots sum to the closed-loop trace to within this fraction of
 # sum |z_k|: a root lost or counted twice moves the sum by a root spacing
 _TRACE_TOL = 1e-12
+# the linear predictor carries a branch over some 50 to 300 gains of a
+# 200-per-decade grid before Newton needs more than _MAX_ITERS steps; rows of
+# a longer block past that point are iterated and then dropped
+_BLOCK = 128
 
 
-def _aberth(z, before, lam, r, g, gd, trace):
-    """Aberth's simultaneous iteration for b consecutive gains at once. Row j
-    of z, shape (b, k), starts the k roots of p_g(s) = prod(s - lam_i) (s -
-    g d - g sum_i r_i / (s - lam_i)) at g = g[j]; g, gd = g d and trace =
-    trace(A) + g d are (b,) arrays, and before (k,) holds the roots at the
-    gain that precedes g[0]. The iteration runs on that product/secular
-    form, never on expanded coefficients, at O(n^2) per row and step; a row
-    stops once its step is small. The roots come back exactly real or in
-    exactly conjugate pairs, as a real eigensolve gives them.
-
-    Returns the roots and a (b,) mask of accepted rows: the roots are
-    finite, the last step moved each by at most _STEP_TOL of its modulus,
-    they sum to the closed-loop trace, and each lies nearer its own start,
-    and nearer its own column of the row before (before, for row 0), than
-    any other root does. Column j of an accepted row then continues branch j
-    of the locus, as an assignment to the row before would have matched
-    it."""
-    b, k = z.shape
-    start, z = z, z.copy()
-    gr = g[:, None] * r
-    step = np.full(b, np.nan)
-    act = np.arange(b)
-    diag = np.arange(k)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_ITERS):
-            za, gra = z[act], gr[act, :, None]
-            # the (b, k, n) and (b, k, k) temporaries are reused in place
-            Q = za[:, :, None] - lam
-            np.reciprocal(Q, out=Q)
-            f = (za - gd[act, None]) - (Q @ gra)[..., 0]
-            Qsum = Q.sum(2)
-            np.multiply(Q, Q, out=Q)
-            # Newton ratio p / p' = f / (f' + f sum_i 1 / (z - lam_i))
-            N = f / (1.0 + (Q @ gra)[..., 0] + f * Qsum)
-            # Aberth's step N / (1 - N sum_{j != k} 1 / (z_k - z_j)); the
-            # infinite diagonal drops the j = k term
-            Z = za[:, :, None] - za[:, None, :]
-            Z[:, diag, diag] = np.inf
-            np.reciprocal(Z, out=Z)
-            w = N / (1.0 - N * Z.sum(2))
-            z[act] = za = za - w
-            step[act] = s = np.abs(w / za).max(1)
-            act = act[s > _STEP_TOL]
-            if not act.size:
-                break
-        ok = ((step <= _STEP_TOL) & np.isfinite(z).all(1)
-              & (np.abs(z.sum(1) - trace) <= _TRACE_TOL * np.abs(z).sum(1)))
-    # average each root with the conjugate of the root whose conjugate lies
-    # nearest: itself for a real root, its partner for a pair
-    partner = np.abs(z[:, :, None] - z.conj()[:, None, :]).argmin(2)
-    z = 0.5 * (z + np.take_along_axis(z, partner, 1).conj())
-    for ref in (start, np.concatenate((before[None], z[:-1]))):
-        ok &= (np.abs(ref[:, :, None] - z[:, None, :]).argmin(2) == diag).all(1)
-    return z, ok
-
-
-# a Newton step on the dominant pair stops once it moves the root by at most
-# this fraction of its modulus: the error it leaves is about the square of
-# that, below rounding
-_NEWTON_TOL = 1e-9
-# the linear predictor carries the dominant pair over some 50 to 300 gains
-# of a 200-per-decade grid before Newton needs more than _MAX_ITERS steps;
-# rows of a longer block past that point are iterated and then dropped
-_PAIR_BLOCK = 128
-
-
-def _newton_pair(z, before, lam, r, g, gd):
+def _newton(z, before, lam, r, g, gd, trace=None):
     """Newton's iteration on the secular equation f(s) = s - g d - g sum_i
-    r_i / (s - lam_i) for b consecutive gains at once, at O(n) per row and
-    step: z (b,) starts one root at each gain g (b,), gd = g d, and before
-    is the root at the gain that precedes g[0].
+    r_i / (s - lam_i) for b consecutive gains at once, at O(n) per root and
+    step: row j of z, shape (b, k), starts k roots at the gain g[j], gd = g d
+    (both (b,)), and before (k,) holds the roots at the gain before g[0]. A
+    row stops once all its roots have converged.
 
-    Returns the roots and a (b,) mask of accepted rows: the last step moved
-    the root by at most _NEWTON_TOL of its modulus, and it is the only root
-    of f within rho = 2 min(|z - start|, |z - root of the row before|). So
-    it is the root nearest its start, or nearest the row before: the branch
-    the start extrapolates, or the root an assignment to the row before
-    would match. Rouche's theorem shows that, when the disk |s - z| <= rho
-    holds no lam_i: on its boundary, f(s) differs from f(z) + f'(z) (s - z)
-    by g (s - z)^2 sum_i r_i / ((s - lam_i) (z - lam_i)^2), at most
+    Returns the roots and a (b,) mask of accepted rows. In an accepted row
+    the last step moved each root by at most _NEWTON_TOL of its modulus, and
+    each is the only root of f within rho = 2 min(|z - start|, |z - its
+    column of the row before|), so the root nearest one of the two. Rouche's
+    theorem shows that, when the disk |s - z| <= rho holds no lam_i: on its
+    boundary, f(s) differs from f(z) + f'(z) (s - z) by
+    g (s - z)^2 sum_i r_i / ((s - lam_i) (z - lam_i)^2), at most
     g rho^2 sum_i |r_i| / ((|z - lam_i| - rho) |z - lam_i|^2), and that must
-    be less than |f'(z)| rho - |f(z)|."""
-    start, z = z, z.copy()
+    be less than |f'(z)| rho - |f(z)|. Two starts may still reach one root,
+    and two that crossed each other's. Given trace, the (b,) closed-loop
+    traces, an accepted row also sums to it, so that it holds every root of
+    f once, and each root is the nearest of them to its own column of the
+    row before."""
+    b, k = z.shape
+    start = z.ravel()
+    z = start.copy()
+    if k > 1:
+        g, gd = np.repeat(g, k), np.repeat(gd, k)
     step = np.full(z.size, np.nan)
     act = np.arange(z.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -280,7 +226,11 @@ def _newton_pair(z, before, lam, r, g, gd):
             Q = 1.0 / (z[act, None] - lam)
             w = (z[act] - gd[act] - g[act] * (Q @ r)) / (1.0 + g[act] * ((Q * Q) @ r))
             z[act] -= w
-            step[act] = s = np.abs(w / z[act])
+            s = np.abs(w / z[act])
+            if k > 1:
+                # each root of a row steps on until the row's slowest has converged
+                s = np.repeat(s.reshape(-1, k).max(1), k)
+            step[act] = s
             act = act[s > _NEWTON_TOL]
             if not act.size:
                 break
@@ -288,10 +238,15 @@ def _newton_pair(z, before, lam, r, g, gd):
         f = z - gd - g * (Q @ r)
         fp = 1.0 + g * ((Q * Q) @ r)
         dist = np.abs(z[:, None] - lam)
-        rho = 2.0 * np.minimum(np.abs(z - start), np.abs(z - np.append(before, z[:-1])))
+        rho = 2.0 * np.minimum(np.abs(z - start), np.abs(z - np.append(before, z[:-k])))
         rest = g * rho * rho * (np.abs(r) / ((dist - rho[:, None]) * dist * dist)).sum(1)
         ok = ((step <= _NEWTON_TOL) & np.isfinite(z) & (dist > rho[:, None]).all(1)
-              & (np.abs(f) + rest < np.abs(fp) * rho))
+              & (np.abs(f) + rest < np.abs(fp) * rho)).reshape(b, k).all(1)
+        z = z.reshape(b, k)
+        if trace is not None:
+            ok &= np.abs(z.sum(1) - trace) <= _TRACE_TOL * np.abs(z).sum(1)
+            last = np.concatenate((before[None], z[:-1]))
+            ok &= (np.abs(last[:, :, None] - z[:, None, :]).argmin(2) == np.arange(k)).all(1)
     return z, ok
 
 
@@ -304,7 +259,10 @@ def _continue(gs, prev, hist, block, solve, fallback):
     solve(None, ...) picks. solve(Z, prev, g) returns the rows at the gains
     g and a mask of accepted rows, and the leading accepted rows are kept.
     The first row that fails starts the next block; if it fails there too,
-    fallback(g, prev) gives it."""
+    fallback(g, prev) gives it. A gain equal to the one before it repeats
+    that row, and is not iterated."""
+    keep = np.append(True, gs[1:] != gs[:-1])
+    gs = gs[keep]
     ts = np.log(gs)
     out = np.empty((gs.size,) + prev.shape, dtype=complex)
     i = 0
@@ -326,7 +284,7 @@ def _continue(gs, prev, hist, block, solve, fallback):
         prev = out[i - 1]
         hist = (hist + [(ts[0], out[0])])[-2:] if i == 1 else [
             (ts[i - 2], out[i - 2]), (ts[i - 1], prev)]
-    return out
+    return out[np.cumsum(keep) - 1]
 
 
 def _residues(plant, basis):
@@ -346,11 +304,13 @@ def _residues(plant, basis):
 def _locus_tracker(plant, phi):
     """rows(gs, prev, hist), the `_continue` of all n + 1 closed-loop poles
     of [plant, irc(gamma, phi)]: column j one branch of the locus
-    throughout. A root iterated onto an eigenvalue whose residue is zero
-    stalls, so such eigenvalues are deflated out of `_aberth` and kept in
-    their own columns. A row that fails the continuation twice, and every
-    row when A has no eigenbasis, is a dense eigensolve of the closed loop,
-    matched to the row before by assignment."""
+    throughout. `_newton` iterates every root, and the closed-loop trace
+    keeps a row from counting one root twice. A root iterated onto an
+    eigenvalue whose residue is zero stalls, so such eigenvalues are
+    deflated out of `_newton` and kept in their own columns. A row that
+    fails the continuation twice, and every row when A has no eigenbasis,
+    is a dense eigensolve of the closed loop, matched to the row before by
+    assignment."""
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     n = plant.n
     d = D[0, 0] - phi
@@ -372,10 +332,9 @@ def _locus_tracker(plant, phi):
     lam, r, fixed = ol[~zero], res[~zero], ol[zero]
     trA = np.trace(A) - fixed.sum().real
     live, dead = np.append(np.flatnonzero(~zero), n), np.flatnonzero(zero)
-    # gains per stacked step: one step holds about four (b, k, k)
-    # temporaries at once, which together stay within CHUNK complex
-    # entries; a longer block predicts its last rows too far ahead
-    block = max(1, CHUNK // (4 * live.size * live.size))
+    # (b k, n) and (b, k, k) temporaries stay within CHUNK complex entries,
+    # and a block within _BLOCK gains; lam is empty when every residue is zero
+    block = max(1, min(_BLOCK, CHUNK // (4 * live.size * max(lam.size, 1))))
 
     def solve(Z, prev, g):
         if Z is None:
@@ -385,7 +344,13 @@ def _locus_tracker(plant, phi):
             Z = np.append(lam + g[0] * r / (lam - gd), gd + g[0] * (r / (gd - lam)).sum())[None]
         else:
             Z = Z[:, live]
-        p, ok = _aberth(Z, prev[live], lam, r, g, g * d, trA + g * d)
+        p, ok = _newton(Z, prev[live], lam, r, g, g * d, trA + g * d)
+        # average each root with the conjugate of the root whose conjugate
+        # lies nearest: itself for a real root, its partner for a pair, so
+        # that the roots come back exactly real or exactly conjugate, as a
+        # real eigensolve gives them
+        partner = np.abs(p[:, :, None] - p.conj()[:, None, :]).argmin(2)
+        p = 0.5 * (p + np.take_along_axis(p, partner, 1).conj())
         rows = np.empty((len(p), n + 1), dtype=complex)
         rows[:, live], rows[:, dead] = p, fixed
         return rows, ok
@@ -403,16 +368,15 @@ def _pair_tracker(lam, r, lam0, r0, d):
     open-loop pole lam0, of residue r0. Its conjugate is the other root. A
     row that fails the continuation twice raises _PairLost."""
     # (b, n) temporaries stay within CHUNK complex entries, and a block
-    # stays within _PAIR_BLOCK gains
-    block = max(1, min(_PAIR_BLOCK, CHUNK // (4 * lam.size)))
+    # stays within _BLOCK gains
+    block = max(1, min(_BLOCK, CHUNK // (4 * lam.size)))
 
     def solve(Z, before, g):
         if Z is None:
             # the first-order root lam0 + g r0 / (lam0 - g d)
             Z = (lam0 + g * r0 / (lam0 - g * d))[:, None]
             before = Z[0]
-        z, ok = _newton_pair(Z[:, 0], before, lam, r, g, g * d)
-        return z[:, None], ok
+        return _newton(Z, before, lam, r, g, g * d)
 
     def lost(g, prev):
         raise _PairLost(g)
@@ -481,27 +445,26 @@ def irc_root_locus(plant: StateSpace, Phi, gammas) -> np.ndarray:
     from the open-loop pole j (`eigensystem` order) and, in column n, from
     the controller pole -gamma Phi.
 
-    With A = V diag(lam) V^{-1}, the poles at gain g are the roots of
-    prod(s - lam_i) (s - g d - g sum_i r_i / (s - lam_i)), with residues
-    r = (C V) * (V^{-1} B) and d = D - Phi. The first gain starts Aberth's
-    iteration (`_aberth`) from the first-order roots. After that a block of
-    consecutive gains advances per stacked iteration, each row started from
-    the linear extrapolation in log gamma of the last two accepted rows, at
-    O(n^2) per row and step against O(n^3) for an eigensolve; the
-    temporaries hold at most CHUNK complex entries, so a block shrinks to
-    one gain from n = 90 up. A row is accepted, in order, while its roots
-    pass `_aberth`'s tests, which include that each root lies nearest its
-    own start and its own column of the row before: an accepted row keeps
-    its columns with no assignment. The first row that fails starts the
-    next block; if it fails there too (a double root at a breakaway point),
-    a dense eigensolve gives its poles, matched to the row before by
-    assignment, the only use of scipy here. Every gain takes the eigensolve
-    when A has no well-conditioned eigenbasis. An eigenvalue whose residue
-    is zero to rounding is a closed-loop pole at every gain and stands in
-    its own column. The poles agree with an eigensolve's to rounding, real
-    poles are exactly real and pairs exactly conjugate. Where two real
-    poles meet, which column takes which is a tie, broken by rounding in
-    either path."""
+    With A = V diag(lam) V^{-1}, residues r = (C V) * (V^{-1} B) and
+    d = D - Phi, the poles at gain g are the roots of prod(s - lam_i) times
+    the secular function s - g d - g sum_i r_i / (s - lam_i). `_newton`
+    finds them all, at O(n^2) per row and step against O(n^3) for an
+    eigensolve: from the first-order roots at the first gain, then for a
+    block of gains at once, each row started from the linear extrapolation
+    in log gamma of the last two rows; a repeated gain repeats its row.
+    Temporaries hold at most CHUNK complex entries, so a block is one gain
+    from n = 90 up. A row is accepted, in order, when its roots are
+    certified, sum to the closed-loop trace, and are each the nearest to
+    their own column of the row before: it keeps its columns with no
+    assignment. The first row that fails starts the next block; if it fails
+    there too (a double root at a breakaway point), a dense eigensolve gives
+    its poles, matched to the row before by assignment, the only use of
+    scipy here. Every gain takes the eigensolve when A has no
+    well-conditioned eigenbasis. An eigenvalue whose residue is zero to
+    rounding is a closed-loop pole at every gain, in its own column. The
+    poles agree with an eigensolve's to rounding, real poles exactly real
+    and pairs exactly conjugate. Where two real poles meet, which column
+    takes which is a tie, broken by rounding in either path."""
     phi = _irc_phi(plant, Phi)
     gs = np.asarray(gammas, dtype=float)
     if gs.ndim != 1 or not gs.size or not np.all(np.isfinite(gs) & (gs > 0)):
@@ -525,14 +488,9 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     for every gamma, lies outside MARGINAL_BAND of 1. Then the loop is
     stable at every gain when lambda < 1, and at none when lambda > 1: the
     design is infeasible and no sweep runs. Stable, the design follows only
-    the upper root of the dominant pair, its conjugate being the other: per
-    gain, Newton's iteration on the secular equation s - g d - g sum_i r_i
-    / (s - lam_i) = 0 (`_newton_pair`, residues r and d = D - Phi as in
-    `irc_root_locus`) at O(n), stacked over blocks of gains each started
-    from the linear extrapolation in log gamma of the last two rows. A row
-    is accepted once Newton has converged and the root is shown to be the
-    only one near its start and the row before, so it continues the
-    branch. `note` is None on this path.
+    the upper root of the dominant pair, its conjugate being the other, by
+    the iteration of `irc_root_locus` on that one root, at O(n) per gain
+    and step. `note` is None on this path.
 
     Every other case takes the all-root sweep of `irc_root_locus`, which
     decides stability row by row, and `note` names the case: A without an
@@ -544,6 +502,8 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     phi = _irc_phi(plant, Phi)
     if not (np.isfinite(gamma_min) and np.isfinite(gamma_max) and 0 < gamma_min < gamma_max):
         raise ValueError("need finite 0 < gamma_min < gamma_max")
+    if not points_per_decade >= 1:
+        raise ValueError("points_per_decade must be at least 1")
     ndec = np.log10(gamma_max / gamma_min)
     npts = max(2, int(np.ceil(ndec * points_per_decade)) + 1)
     gammas = np.geomspace(gamma_min, gamma_max, npts)

@@ -30,6 +30,19 @@ def test_default_grid_overrides():
     assert np.isclose(g[0], 1.0) and np.isclose(g[-1], 100.0)
     with pytest.raises(ValueError):
         default_grid(sys, wmin=10.0, wmax=1.0)
+    for ppd in (0, -3):
+        with pytest.raises(ValueError, match="points_per_decade"):
+            default_grid(sys, points_per_decade=ppd)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("check", [classify, check_ni, check_ni_sweep, check_positive_real,
+                                   check_strictly_positive_real])
+def test_checks_reject_a_tol_not_finite_and_nonnegative(check, tol):
+    # a NaN tol crashed the SPR limit test, and -1 passed a plant as SPR
+    # but not PR: no comparison with such a tol means anything
+    with pytest.raises(ValueError, match="tol"):
+        check(tf([1.0], [1.0, 1.0]), tol=tol)
 
 
 def test_hermitian_imaginary_part_siso_sign():

@@ -108,6 +108,13 @@ def test_analyze_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "-1"], ["--ppd", "0"]])
+def test_analyze_rejects_a_bad_tol_or_ppd(tmp_path, capsys, flags):
+    rc, out, err = run_main(["analyze", write(tmp_path, "f.json", FIRST)] + flags, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "x.json", "--bogus"],
                                   ["frobnicate"], ["design-irc", "x.json", "--ppd", "many"]])
 def test_usage_error_exit_code(argv, capsys):

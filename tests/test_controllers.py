@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,10 +147,12 @@ def test_design_irc_gamma_requires_siso():
 
 @pytest.mark.parametrize("Phi, limits", [(np.eye(2), {}), ([[np.nan]], {}), ([[np.inf]], {}),
                                          ([[2.0]], {"gamma_max": np.inf}),
-                                         ([[2.0]], {"gamma_min": np.nan})])
+                                         ([[2.0]], {"gamma_min": np.nan}),
+                                         ([[2.0]], {"points_per_decade": 0}),
+                                         ([[2.0]], {"points_per_decade": -3})])
 def test_design_irc_gamma_rejects_bad_phi_and_limits(flexible_plant, Phi, limits):
-    # a 2 x 2 Phi on a SISO plant was read at [0, 0], and a NaN Phi failed
-    # deep in the sweep
+    # a 2 x 2 Phi on a SISO plant was read at [0, 0], a NaN Phi failed
+    # deep in the sweep, and fewer than one gain per decade swept 2 gains
     with pytest.raises(ValueError):
         design_irc_gamma(flexible_plant, Phi, **limits)
     if not limits:
@@ -239,31 +243,36 @@ def test_irc_root_locus_matches_eigensolve_sweep(name, monkeypatch):
     ref = irc_eigensolve_locus(plant, Phi, gammas)
 
     blocks = []
-    aberth = controllers._aberth
+    newton = controllers._newton
 
-    def spy(z, *args):
-        p, ok = aberth(z, *args)
-        blocks.append((z, p, ok))
+    def spy(z, before, lam, r, g, *args):
+        p, ok = newton(z, before, lam, r, g, *args)
+        blocks.append((z, before, lam.size, g, p, ok))
         return p, ok
     eigensolves = []
     eigvals = np.linalg.eigvals
-    monkeypatch.setattr(controllers, "_aberth", spy)
+    monkeypatch.setattr(controllers, "_newton", spy)
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigensolves.append(1) or eigvals(M))
     loci = irc_root_locus(plant, Phi, gammas)
     monkeypatch.undo()
 
     _assert_same_loci(loci, ref)
-    # every accepted row started each root nearer to it than to any other
-    # root: the predictor extrapolates earlier rows, column by column
-    assert any(ok.any() for _, _, ok in blocks)
-    for z, p, ok in blocks:
-        for zr, pr in zip(z[ok], p[ok]):
-            assert np.array_equal(np.abs(zr[:, None] - pr).argmin(1), np.arange(zr.size))
-    # the stacked step advances several gains at once, but its (b, k, k)
+    # each accepted root is the eigensolve root nearest its start or its
+    # column of the row before, and also the one nearest that column: the
+    # predictor extrapolates earlier rows, column by column, and the row
+    # before is the branch an assignment would continue
+    assert any(ok.any() for *_, ok in blocks)
+    for z, before, _, g, p, ok in blocks:
+        for j in np.flatnonzero(ok):
+            e = ref[np.searchsorted(gammas, g[j])]
+            start, last = (e[np.abs(x[:, None] - e).argmin(1)]
+                           for x in (z[j], before if j == 0 else p[j - 1]))
+            assert np.allclose(p[j], last, rtol=1e-9)
+            assert (np.isclose(p[j], start, rtol=1e-9) | np.isclose(p[j], last, rtol=1e-9)).all()
+    # the stacked step advances several gains at once, but its (b k, n)
     # temporaries stay within CHUNK complex entries
-    k = blocks[0][0].shape[1]
-    assert max(len(z) for z, _, _ in blocks) > 1
-    assert all(len(z) * k * k <= CHUNK for z, _, _ in blocks)
+    assert max(len(z) for z, *_ in blocks) > 1
+    assert all(4 * z.size * n <= CHUNK for z, _, n, *_ in blocks)
     if name != "undersized-phi":
         # no breakaway: not one eigensolve, and no assignment
         assert eigensolves == []
@@ -282,7 +291,9 @@ def test_design_irc_gamma_theorem_path_is_pair_continuation(monkeypatch):
     # dominant pair
     calls = []
     eigvals = np.linalg.eigvals
-    monkeypatch.setattr(controllers, "_aberth", lambda *a: calls.append("aberth"))
+    newton = controllers._newton
+    monkeypatch.setattr(controllers, "_newton", lambda z, *a: newton(z, *a) if z.shape[1] == 1
+                        else calls.append("all-root"))
     monkeypatch.setattr(controllers, "linear_sum_assignment",
                         lambda *a: calls.append("assignment"))
     for count in (5, 10, 30):
@@ -377,28 +388,104 @@ def test_newton_pair_accepts_only_the_nearest_root(flexible_plant):
     roots = np.linalg.eigvals(np.block([[A, B], [g * C, g[None] * d]]))
     x, y = np.meshgrid(np.linspace(-150.0, 10.0, 17), np.linspace(-50.0, 450.0, 51))
     starts = (x + 1j * y).ravel()
-    runs = [controllers._newton_pair(np.array([s]), np.array([s]), lam, r, g, g * d)
+    runs = [controllers._newton(np.array([[s]]), np.array([s]), lam, r, g, g * d)
             for s in starts]
-    z, ok = np.concatenate([z for z, _ in runs]), np.concatenate([ok for _, ok in runs])
+    z, ok = np.concatenate([z[0] for z, _ in runs]), np.concatenate([ok for _, ok in runs])
     nearest = np.isclose(z, roots[np.abs(starts[:, None] - roots).argmin(1)], rtol=1e-9)
     assert ok.sum() > 20 and (~nearest).sum() > starts.size // 2
     assert not (ok & ~nearest).any()
 
 
-def test_aberth_rejects_a_root_counted_twice(flexible_plant):
-    # from the closed-loop poles the iteration returns them; with the second
-    # start moved to within rounding of the first pole, the two starts stay
-    # on that pole with vanishing steps, and the second pole is lost: the
-    # roots no longer sum to the closed-loop trace
+def test_newton_rejects_a_root_counted_twice(flexible_plant):
+    # from starts near the closed-loop poles the iteration returns them;
+    # with the second start moved near the first pole, both roots converge
+    # to that pole, each certified the nearest root to its own start, and
+    # the second pole is lost: only the closed-loop trace tells
     A, B, C = flexible_plant.A, flexible_plant.B, flexible_plant.C
     g, d = 1e5, -choose_phi(flexible_plant)[0, 0]
     lam, (V, Vi, _) = eigensystem(flexible_plant)
     r = (C @ V)[0] * (Vi @ B)[:, 0]
     roots = np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]]))
     g, gd, trace = np.array([g]), np.array([g * d]), np.array([np.trace(A) + g * d])
-    p, ok = controllers._aberth(roots[None], roots, lam, r, g, gd, trace)
+    z = roots * (1 + 1e-7)
+    p, ok = controllers._newton(z[None], z, lam, r, g, gd, trace)
     assert ok[0]
     np.testing.assert_allclose(p[0], roots, rtol=1e-12)
-    z = roots.copy()
-    z[1] = z[0] * (1 + 1e-13)
-    assert not controllers._aberth(z[None], roots, lam, r, g, gd, trace)[1][0]
+    z[1] = roots[0] * (1 - 1e-7)
+    p, ok = controllers._newton(z[None], z, lam, r, g, gd)
+    assert ok[0] and p[0, 0] == pytest.approx(p[0, 1], rel=1e-12)
+    assert not controllers._newton(z[None], z, lam, r, g, gd, trace)[1][0]
+
+
+def test_newton_rejects_starts_that_crossed(flexible_plant):
+    # two starts extrapolated past each other: each root converges to the
+    # one its start lies nearest, and the trace holds, but each is nearer the
+    # other's column of the row before, so the row is the swapped one
+    A, B, C = flexible_plant.A, flexible_plant.B, flexible_plant.C
+    g, d = 1e5, -choose_phi(flexible_plant)[0, 0]
+    lam, (V, Vi, _) = eigensystem(flexible_plant)
+    r = (C @ V)[0] * (Vi @ B)[:, 0]
+    roots = np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]]))
+    g, gd, trace = np.array([g]), np.array([g * d]), np.array([np.trace(A) + g * d])
+    z = roots * (1 + 1e-7)
+    assert controllers._newton(z[None], roots, lam, r, g, gd, trace)[1][0]
+    z[[0, 2]] = z[[2, 0]]
+    p, ok = controllers._newton(z[None], roots, lam, r, g, gd, trace)
+    np.testing.assert_allclose(np.sort_complex(p[0]), np.sort_complex(roots), rtol=1e-12)
+    assert not ok[0]
+
+
+def test_irc_root_locus_takes_repeated_gains(flexible_plant, monkeypatch):
+    # a gain listed twice repeats its row: no zero step in log gamma reaches
+    # the predictor, and the grid stays on the iteration
+    Phi = choose_phi(flexible_plant)
+    gammas = np.repeat(np.geomspace(1e3, 1e4, 41), 2)
+    eigensolves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigensolves.append(1) or eigvals(M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loci = irc_root_locus(flexible_plant, Phi, gammas)
+    monkeypatch.undo()
+    assert eigensolves == []
+    assert np.array_equal(loci[::2], loci[1::2])
+    _assert_same_loci(loci, irc_eigensolve_locus(flexible_plant, Phi, gammas))
+
+
+def test_irc_root_locus_of_a_plant_with_no_input(flexible_plant):
+    # B = 0: every residue is zero, the open-loop poles are closed-loop
+    # poles at every gain, and only the controller pole g (D - Phi) moves
+    plant = StateSpace(flexible_plant.A, 0.0 * flexible_plant.B, flexible_plant.C,
+                       flexible_plant.D)
+    Phi, gammas = np.array([[2.0]]), np.geomspace(1e3, 1e5, 41)
+    loci = irc_root_locus(plant, Phi, gammas)
+    _assert_same_loci(loci, irc_eigensolve_locus(plant, Phi, gammas))
+
+
+def test_design_irc_gamma_falls_back_in_the_marginal_band():
+    # Phi = P(0) (1 + 1e-8): lambda = 1 - 1e-8 is too near 1 for the
+    # theorem to decide, so every row's stability is read from all its poles
+    plant = _paper_plant(5)
+    Phi = dc_gain(plant) * (1 + 1e-8)
+    des = design_irc_gamma(plant, Phi)
+    assert des.note == "lambda_max within the marginal band, all-root sweep"
+    ref = irc_eigensolve_sweep(plant, Phi)
+    assert np.array_equal(des.stable, ref.stable) and des.gamma_star == ref.gamma_star
+
+
+def test_design_irc_gamma_falls_back_when_the_pair_is_lost(monkeypatch):
+    # a dominant-pair row rejected at one gain, in its block and again on
+    # its own, hands the design to the all-root sweep
+    plant = _paper_plant(5)
+    Phi = choose_phi(plant)
+    lost = np.geomspace(1e3, 1e8, 1001)[300]
+    newton = controllers._newton
+
+    def reject(z, before, lam, r, g, *args):
+        p, ok = newton(z, before, lam, r, g, *args)
+        return p, ok & ((g != lost) | (z.shape[1] > 1))
+    monkeypatch.setattr(controllers, "_newton", reject)
+    des = design_irc_gamma(plant, Phi)
+    assert des.note == f"dominant pair lost at gamma = {lost:.6g}, all-root sweep"
+    ref = irc_eigensolve_sweep(plant, Phi)
+    assert np.array_equal(des.stable, ref.stable) and des.gamma_star == ref.gamma_star
