@@ -1,6 +1,6 @@
 """Analysis and synthesis for negative-imaginary systems.
 
-Core objects: StateSpace / ModalModel realizations, zero-pencil verdicts for
+Core objects: StateSpace / ModalModel realizations, zeros-of-Phi verdicts for
 the negative-imaginary properties, frequency sweeps for the positive-real
 ones, LMI certificates on demand, the DC-gain stability test for positive
 feedback loops, standard NI controller families with a gain tuning loop, and

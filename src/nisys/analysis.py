@@ -7,20 +7,18 @@ H(w) = j Phi(jw) change sign only at its imaginary-axis zeros, so H is
 tested once between each pair of them (`check_ni`), and an NI system is SNI
 iff Phi has no such zero away from s = 0 (`check_sni_zeros`).
 
-The zeros come from the eigenbasis of A = V diag(lam) V^{-1}. When D and
-every residue R_i = (C V)_i (V^{-1} B)_i are symmetric, as for collocated
-plants and SISO ones, Phi(s) = 2s G(s^2) with
-G(t) = sum_i R_i / (t - lam_i^2), and the zeros of G in t = s^2 are the
-eigenvalues of a deflated matrix of order at most n (`_t_zeros`). Residues
-of rank below m make H(w) singular at every w; G is then restricted to
-their joint range. The QZ pencil of the doubled realization, of order
-2n + m, is the fallback in three cases, each named in the verdict's `note`:
-non-symmetric residues or D, no well-conditioned eigenbasis, and no
-nonsingular leading Markov parameter of G.
+All zeros come from one rank-revealing staircase in numpy (`_zeros`). When
+D and every residue R_i = (C V)_i (V^{-1} B)_i of A = V diag(lam) V^{-1}
+are symmetric, as for collocated and SISO plants, Phi(s) = 2s G(s^2) with
+G(t) = sum_i R_i / (t - lam_i^2), and the staircase runs on G, of order n
+(`_t_zeros`); otherwise on the doubled realization, of order 2n, in the
+real eigenbasis or, without one, that of `phi_system`, and the verdict's
+`note` says why. A Phi of normal rank below m makes H(w) singular at every w.
 
 PR and SPR are decided from one sweep of P(jw) + P(jw)^* on a grid: PR by
-its sign, SPR by its strict sign at every w > 0 plus the limit conditions at
-w = 0 and w -> infinity (`check_strictly_positive_real`). The NI lemma LMI
+its sign, SPR by its strict sign at every w > 0, the limit conditions at
+w = 0 and w -> infinity, and no imaginary-axis zero of
+Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
 (`check_ni_lmi`) and the lag-augmentation sufficient conditions for
 strictness are certificates on demand.
 """
@@ -41,7 +39,7 @@ AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
 NI_SWEEP_TOL = 1e-8   # relative, scaled by 1 + ||P(jw)||
 SYM_TOL = 1e-8        # relative asymmetry of D and of each residue read as rounding
-MARKOV_TOL = 1e-9     # relative size of a Markov parameter of G read as rounding
+RANK_TOL = 1e-9       # relative singular value read as rounding by the zero staircase
 DEFAULT_PPD = 200
 
 
@@ -174,19 +172,15 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL):
     p, bad = _pole_verdict(sys)
     if bad is not None:
         return bad, None
-    try:
-        z = phi_imaginary_axis_zeros(sys)
-    except numerics.NumericsError:
-        v = check_ni_sweep(sys, tol=tol)
-        v.note = "zero pencil singular (H(w) singular at every w), default-grid sweep used"
-        return v, None
+    z = phi_imaginary_axis_zeros(sys)
     axis, fin = z
     v = _ni_on_grid(sys, _breakpoint_grid(fin, p), tol)
-    if z.singular:
-        v.note = ("H(w) singular at every w: breakpoints from the zeros of Phi "
-                  "on the joint range of the residues")
-        return v, None
     v.note = z.note
+    if z.singular:
+        v.note = "; ".join(filter(None, (
+            "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
+            z.note)))
+        return v, None
     return v, axis
 
 
@@ -195,10 +189,9 @@ def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     lambda_min(H(w)) >= -tol relative at every w >= 0, decided by testing H
     once in each interval between the imaginary-axis zeros of
     Phi(s) = M(s) - M^T(-s) and at each pole magnitude. `note` says when the
-    zeros came from the QZ fallback and why, or when H(w) is singular at
-    every w, so the zeros are those on the joint range of the residues. When
-    the QZ pencil is singular, falls back to check_ni_sweep on the default
-    grid and says so in `note`."""
+    zeros came from the doubled realization and why, and when H(w) is
+    singular at every w, so the zeros are those below the normal rank of
+    Phi."""
     return _ni_spectral(sys, _check_tol(tol))[0]
 
 
@@ -251,18 +244,22 @@ def check_ni_lmi(sys: StateSpace) -> NiLmiResult:
 
 def phi_system(sys: StateSpace) -> StateSpace:
     """Realization of Phi(s) = M(s) - M^T(-s)."""
-    n = sys.n
-    A = np.block([[sys.A, np.zeros((n, n))], [np.zeros((n, n)), -sys.A.T]])
-    B = np.vstack([sys.B, sys.C.T])
-    C = np.hstack([sys.C, sys.B.T])
-    return StateSpace(A, B, C, sys.D - sys.D.T)
+    return StateSpace(*_doubled(sys.A, sys.B, sys.C, sys.D, -1.0))
+
+
+def _doubled(A, B, C, D, sign):
+    """(A2, B2, C2, D2) realizing P(s) + sign P^T(-s) for P = (A, B, C, D):
+    Phi for sign -1, the PR function Psi for sign +1."""
+    Z = np.zeros_like(A)
+    return (np.block([[A, Z], [Z, -A.T]]), np.vstack([B, -sign * C.T]),
+            np.hstack([C, B.T]), D + sign * D.T)
 
 
 class PhiZeros(tuple):
     """The pair (axis_zeros, all_finite) of phi_imaginary_axis_zeros, with
-    `note`: None when the t = s^2 form computed the zeros, else why the QZ
-    pencil did; and `singular`: True when H(w) is singular at every w, so the
-    zeros are those of Phi on the joint range of the residues."""
+    `note`: None when the t = s^2 form computed the zeros, else why the
+    doubled realization did; and `singular`: True when H(w) is singular at
+    every w, so the zeros are those where Phi drops below its normal rank."""
 
     def __new__(cls, axis, fin, note=None, singular=False):
         self = super().__new__(cls, (axis, fin))
@@ -278,127 +275,137 @@ def _split(fin, axis_tol, singular=False):
 def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL) -> PhiZeros:
     """Invariant zeros of Phi(s) = M(s) - M^T(-s) lying on the imaginary axis.
 
-    Returns (axis_zeros, all_finite) as a PhiZeros. When D and every residue
-    R_i of M are symmetric, Phi(s) = 2s G(s^2) with
-    G(t) = sum_i R_i / (t - lam_i^2), and the zeros are s = +-sqrt(t) over
-    the zeros t of G, from one eigenproblem of order n (see `_t_zeros`),
-    plus one zero at the origin per channel from the factor 2s. When the
-    residues span fewer than m directions, H(w) is singular at every w: the
-    zeros are then those of Phi on the joint range of the residues, and
-    `singular` is True. When the residues are not symmetric, A has no
-    well-conditioned eigenbasis, or G has no nonsingular leading Markov
-    parameter, the zeros are the finite generalized eigenvalues of the
-    system-matrix pencil of the doubled realization (QZ, order 2n + m), and
-    `note` says why; that path raises NumericsError when the pencil is
-    singular.
+    Returns (axis_zeros, all_finite) as a PhiZeros, from one staircase
+    (`_zeros`). When D and every residue R_i of M are symmetric, the zeros
+    are s = +-sqrt(t) over the zeros t of G(t) = sum_i R_i / (t - lam_i^2)
+    (`_t_zeros`), plus one at the origin per unit of normal rank of G.
+    Otherwise they come from the doubled realization of order 2n, in the
+    real eigenbasis of A or, when it has no well-conditioned one, that of
+    phi_system, and `note` says which and why. When Phi has normal rank
+    below m, `singular` is True and the zeros are those below it.
     """
+    return _axis_zeros(sys, -1.0, axis_tol)
+
+
+def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
+    """The zeros of phi_imaginary_axis_zeros for P(s) + sign P^T(-s): Phi
+    for sign -1, the PR function Psi for sign +1."""
     why = "A has no well-conditioned eigenbasis"
     lam, basis = eigensystem(sys)
     if basis is not None:
-        why, t, k = _t_zeros(sys, lam, *basis)
-    if why is not None:
-        z = _phi_zeros_qz(sys, axis_tol)
-        z.note = f"zeros of Phi from the QZ pencil: {why}"
-        return z
-    s = np.sqrt(t)
-    return _split(np.concatenate((s, -s, np.zeros(k, dtype=complex))), axis_tol,
-                  singular=k < sys.inputs)
+        why, t, k = _t_zeros(sys, lam, *basis, sign=sign)
+    if why is None:
+        s = np.sqrt(t)
+        origin = np.zeros(k if sign < 0 else 0, dtype=complex)
+        return _split(np.concatenate((s, -s, origin)), axis_tol, singular=k < sys.inputs)
+    if basis is None:
+        how, (A, B, C) = "the doubled realization", (sys.A, sys.B, sys.C)
+    else:
+        V, Vi, _ = basis
+        how = "the doubled real modal realization"
+        A, B, C = _real_form(lam, sys.C @ V, Vi @ sys.B, np.flatnonzero(lam.imag > 0))
+    # B and C meet in one block of the doubled realization: balance them
+    a = np.sqrt((np.linalg.norm(B) or 1.0) / (np.linalg.norm(C) or 1.0))
+    z, k = _zeros(*_doubled(A, B / a, C * a, sys.D, sign))
+    z = _split(z, axis_tol, singular=k < sys.inputs)
+    z.note = f"zeros from {how}, order 2n: {why}"
+    return z
 
 
-def _t_zeros(sys, lam, V, Vi, cond):
+def _real_form(lam, CV, W, pair):
+    """(L, B, C): a real realization C (sI - L)^{-1} B of
+    CV (sI - diag(lam))^{-1} W (the t-form passes lam^2). eig of a real A puts
+    conj(v) right after each complex column v of V, with its index in `pair`;
+    on (Re v, Im v), diag(lam) acts as [[Re lam, Im lam], [-Im lam, Re lam]]."""
+    L = np.diag(lam.real)
+    L[pair, pair + 1], L[pair + 1, pair] = lam[pair].imag, -lam[pair].imag
+    C, B = CV.real.copy(), W.real.copy()
+    C[:, pair + 1] = CV[:, pair].imag
+    B[pair], B[pair + 1] = 2.0 * W[pair].real, -2.0 * W[pair].imag
+    return L, B, C
+
+
+def _t_zeros(sys, lam, V, Vi, cond, sign=-1.0):
     """(None, t, k): the zeros t of G(t) = sum_i R_i / (t - lam_i^2), with
-    Phi(s) = 2s G(s^2), and the rank k of the joint range of the residues
-    R_i = (C V)_i (V^{-1} B)_i; or (reason, None, None) when this form does
-    not apply.
-
-    G = (C V) (t I - diag(lam^2))^{-1} (V^{-1} B) is first restricted to the
-    joint range of the R_i. With mu = lam^2 / max|lam^2|, the first
-    nonsingular Markov parameter K = C V diag(mu)^r V^{-1} B, all earlier ones
-    zero, makes the common kernel of C V diag(mu)^j (j = 0..r) invariant
-    under (I - V^{-1} B K^{-1} C V diag(mu)^r) diag(mu), and the zeros are its
-    eigenvalues there, times max|lam^2|. The kernel, of dimension
-    n - (r + 1) k, is deflated exactly by an orthonormal SVD basis: left in,
-    its complement would show as zeros at infinity read as finite. The
-    Markov parameters, the kernel and the eigensolve are real: each pair of
-    conjugate columns (v, conj v) of V is replaced by (Re v, Im v), and
-    diag(mu) by the block-diagonal matrix of A^2 / max|lam^2| in that basis.
+    Phi(s) = 2s G(s^2), and the normal rank k of G; or (reason, None, None)
+    when D or a residue R_i = (C V)_i (V^{-1} B)_i is not symmetric. With
+    sign +1, G is the PR function Psi(s) = D + D^T + sum_i 2 lam_i R_i /
+    (s^2 - lam_i^2) in t = s^2 instead. G is realized in real coordinates
+    (`_real_form`), of order n, for the staircase (`_zeros`).
     """
     n, m = sys.n, sys.inputs
     if np.linalg.norm(sys.D - sys.D.T) > SYM_TOL * (1.0 + np.linalg.norm(sys.D)):
         return "residues or feedthrough not symmetric", None, None
-    if n == 0:
-        return None, np.zeros(0, dtype=complex), 0
     W, CV = Vi @ sys.B, sys.C @ V
     # eigenvalues within rounding of each other are one pole, and only the
     # sum of their residues is defined: group them under the first
     near = cond * n * np.finfo(float).eps * np.linalg.norm(sys.A, 1)
-    rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1)
-    R = np.zeros((n, m, m), dtype=complex)
-    np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
-    size = np.zeros(n)
-    np.add.at(size, rep, np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1))
-    if np.any(np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) > SYM_TOL * size):
-        return "residues or feedthrough not symmetric", None, None
+    rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1) if n else np.zeros(0, int)
+    term = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
+    if m > 1:   # a 1 x 1 residue is symmetric
+        R, size = np.zeros((n, m, m), dtype=complex), np.zeros(n)
+        np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
+        np.add.at(size, rep, term)
+        if np.any(np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) > SYM_TOL * size):
+            return "residues or feedthrough not symmetric", None, None
     pair = np.flatnonzero(lam.imag > 0)
     lam = lam[rep]
-    # the joint range of the R_i is spanned by the columns (C V)_i with
-    # (V^{-1} B)_i != 0; it is closed under conjugation, so a real basis spans it
-    X = CV * np.linalg.norm(W, axis=1)
-    U, sv = np.linalg.svd(np.hstack((X.real, X.imag)), full_matrices=False)[:2]
-    k = int(np.count_nonzero(sv > MARKOV_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    if k == 0:
-        return None, np.zeros(0, dtype=complex), 0
-    if k < m:
-        CV, W = U[:, :k].T @ CV, W @ U[:, :k]
     mu = lam * lam
-    c = np.abs(mu).max() or 1.0
-    mu = mu / c
-    size = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
-    # G(0) = P'(0). A rank drop of G(0) by d puts d zeros at t = 0, which the
-    # eigensolve leaves at rounding level, far off the origin once rooted
-    d = 0
-    if np.all(mu != 0):
-        sv = np.linalg.svd((CV / mu) @ W, compute_uv=False)
-        d = np.count_nonzero(sv <= MARKOV_TOL * (size @ (1.0 / np.abs(mu))))
-    # real coordinates: eig of a real A puts conj(v) right after each complex
-    # column v of V; on (Re v, Im v), A^2 acts as [[Re mu, Im mu], [-Im mu, Re mu]]
-    M = np.diag(mu.real)
-    M[pair, pair + 1], M[pair + 1, pair] = mu[pair].imag, -mu[pair].imag
-    Cc, Wc = CV, W
-    CV, W = Cc.real.copy(), Wc.real.copy()
-    CV[:, pair + 1] = Cc[:, pair].imag
-    W[pair], W[pair + 1] = 2.0 * Wc[pair].real, -2.0 * Wc[pair].imag
-    F, rows = CV, []
-    for r in range(n):
-        rows.append(F)
-        K = F @ W
-        floor = MARKOV_TOL * (size @ np.abs(mu) ** r)
-        sv = np.linalg.svd(K, compute_uv=False)
-        if sv[-1] > floor:
-            break
-        if sv[0] > floor:
-            return "G has no nonsingular leading Markov parameter", None, None
-        F = F @ M
+    if sign < 0:
+        Dt = np.zeros((m, m))
     else:
-        return "G has no nonsingular leading Markov parameter", None, None
-    Hk = np.vstack(rows)
-    Q = np.linalg.svd(Hk)[2][Hk.shape[0]:].T
-    MQ = M @ Q
-    Z = Q.T @ MQ - (Q.T @ W) @ np.linalg.solve(K, F @ MQ)
-    t = c * np.linalg.eigvals(Z).astype(complex)
-    t[np.argsort(np.abs(t))[:d]] = 0.0
+        Dt, W, term = sys.D + sys.D.T, 2.0 * lam[:, None] * W, 2.0 * np.abs(lam) * term
+    t, k = _zeros(*_real_form(mu, CV, W, pair), Dt)
+    # A rank drop of G(0) by d puts d zeros at t = 0, which the eigensolve
+    # leaves at rounding level, far off the origin once rooted
+    if np.all(mu != 0):
+        sv = np.linalg.svd(Dt - (CV / mu) @ W, compute_uv=False)
+        floor = RANK_TOL * (np.linalg.norm(Dt) + term @ (1.0 / np.abs(mu)))
+        d = np.count_nonzero(sv <= floor) - (m - k)
+        t[np.argsort(np.abs(t))[:max(d, 0)]] = 0.0
     return None, t, k
 
 
-def _phi_zeros_qz(sys: StateSpace, axis_tol: float = AXIS_TOL) -> PhiZeros:
-    """The zeros of phi_imaginary_axis_zeros as the finite generalized
-    eigenvalues of the system-matrix pencil of the doubled realization.
-    Raises NumericsError when the pencil is singular."""
-    phi = phi_system(sys)
-    n2, m = phi.n, phi.inputs
-    M1 = np.block([[phi.A, phi.B], [phi.C, phi.D]])
-    M2 = np.block([[np.eye(n2), np.zeros((n2, m))], [np.zeros((m, n2 + m))]])
-    return _split(numerics.generalized_eigenvalues(M1, M2), axis_tol)
+def _zeros(A, B, C, D):
+    """(z, r): the finite invariant zeros z of the realization (A, B, C, D)
+    and the normal rank r of its transfer function, by the rank-revealing
+    staircase of Emami-Naeini & Van Dooren (Automatica 1982). s is scaled
+    by ||A||_1, the inputs by ||B|| and the outputs by ||C||, so that each
+    block is of order one and a singular value below RANK_TOL max(1, ||D||)
+    reads as rounding. `_reduce`, on the system and on its dual in turn,
+    leaves D square and invertible; z are the eigenvalues of A - B D^{-1} C."""
+    c = np.abs(A).sum(axis=0).max(initial=0.0) or 1.0
+    b, g = np.linalg.norm(B) or 1.0, np.linalg.norm(C) or 1.0
+    A, B, C, D = A / c, B / b, C / g, D * (c / (b * g))
+    tol = RANK_TOL * max(1.0, np.linalg.norm(D))
+    A, B, C, D = _reduce(A, B, C, D, tol)
+    while D.shape[0] != D.shape[1]:
+        A, C, B, D = (X.T for X in _reduce(A.T, C.T, B.T, D.T, tol))
+        A, B, C, D = _reduce(A, B, C, D, tol)
+    z = np.linalg.eigvals(A - B @ np.linalg.solve(D, C))
+    return c * z.astype(complex), D.shape[0]
+
+
+def _reduce(A, B, C, D, tol):
+    """A system with the same finite zeros as (A, B, C, D) whose D has full
+    row rank. Outputs in the left kernel of D fix the mu state directions
+    (rows of V2) that their C part spans: those states leave, their rows
+    [V2 A V1, V2 B] become outputs (V1 spans the states that stay), and zero
+    output rows go."""
+    while True:
+        U, sv = np.linalg.svd(D)[:2] if D.any() else (np.eye(len(D)), ())
+        r = np.count_nonzero(np.greater(sv, tol))
+        if r == len(D):
+            return A, B, C, D
+        UC = U.T @ C
+        sc, Vt = np.linalg.svd(UC[r:])[1:]
+        mu = np.count_nonzero(sc > tol)
+        if mu == 0:
+            return A, B, UC[:r], U[:, :r].T @ D
+        V1, V2 = Vt[mu:].T, Vt[:mu]
+        AV1 = A @ V1
+        A, B, C, D = (V1.T @ AV1, V1.T @ B, np.vstack((V2 @ AV1, UC[:r] @ V1)),
+                      np.vstack((V2 @ B, U[:, :r].T @ D)))
 
 
 @dataclass
@@ -416,7 +423,7 @@ class SniZerosResult:
 def check_sni_zeros(sys: StateSpace) -> SniZerosResult:
     """Strictness verdict of record: an NI system is SNI iff M(s) - M^T(-s)
     has no imaginary-axis transmission zeros except possibly at s = 0. The
-    NI verdict is check_ni's, from the same zero pencil."""
+    NI verdict is check_ni's, from the same zeros."""
     return _sni_zeros(*_ni_spectral(sys))
 
 
@@ -428,7 +435,7 @@ def _sni_zeros(ni, axis):
         return SniZerosResult(False, none, none, reason=f"not NI ({why})", ni=ni)
     if axis is None:
         return SniZerosResult(False, none, none, ni=ni,
-                              reason="zero pencil singular: H(w) is singular at every w")
+                              reason="Phi has normal rank below m: H(w) is singular at every w")
     violating = axis[np.abs(axis) > ORIGIN_TOL]
     return SniZerosResult(violating.size == 0, axis, violating, ni=ni)
 
@@ -495,6 +502,14 @@ def _spr_hurwitz(sys, g, lam, pn, tol):
     why = _spr_at_infinity(sys, tol)
     if why is not None:
         return FreqVerdict(False, np.nan, why[1], g, "w -> infinity: " + why[0])
+    # the grid sees P + P^* singular at some w > 0 only on a grid point; the
+    # imaginary-axis zeros of Psi(s) = P(s) + P^T(-s) are those w. Psi is
+    # not singular at every w here, since P(0) + P(0)^T passed as definite
+    z = _axis_zeros(sys, 1.0)
+    if z[0].size:
+        w = float(np.abs(z[0].imag).min())
+        return FreqVerdict(False, w, 0.0, g,
+                           f"P(jw) + P(jw)^* is not positive definite at w = {w:g}")
     return FreqVerdict(True, float(ws[i]), float(margins[i]), g)
 
 
@@ -543,10 +558,10 @@ def check_strictly_positive_real(sys: StateSpace, grid=None,
     4. at w -> infinity, D + D^T > 0, or on an orthonormal basis M of the
        kernel of D + D^T, M^T (CB - (CB)^T) M = 0 and
        -M^T (CAB + (CAB)^T) M > 0.
+    5. (tested last) Psi(s) = P(s) + P^T(-s) has no imaginary-axis zero:
+       P(jw) + P(jw)^* is nonsingular between grid points too.
     `reason` names the failed condition: a pole, the frequency (0 for the DC
-    condition), or the limit at infinity, where `worst_frequency` is NaN.
-    An imaginary-axis zero of P + P^* at some w > 0 is found only when a grid
-    point lands on it."""
+    condition), or the limit at infinity, where `worst_frequency` is NaN."""
     return _pr_spr(sys, grid, _check_tol(tol))[1]
 
 
@@ -642,7 +657,7 @@ class Classification:
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
     """Run the full battery. check_ni and check_sni_zeros, sharing one zero
-    pencil, are the verdicts of record for NI/SNI; one sweep of
+    solve, are the verdicts of record for NI/SNI; one sweep of
     P(jw) + P(jw)^* on `grid` decides PR and SPR, and the NI sweep on `grid`
     is evidence. Each field equals what the standalone check returns at this
     tol (check_sni_zeros: at the default)."""

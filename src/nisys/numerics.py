@@ -5,10 +5,9 @@ other modules rely on: inputs are validated as finite, near-symmetric inputs
 are symmetrized before a symmetric decomposition, and ill-conditioned solves
 raise instead of returning garbage.
 
-Only `balance` (scipy's `matrix_balance`) and `generalized_eigenvalues` (a
-QZ of a pencil) need scipy. Each imports it at its first call, so that a
-process that never reaches them, such as an NI or loop verdict on a
-symmetric plant, runs on numpy alone and skips scipy's import time.
+Only `balance` (scipy's `matrix_balance`) needs scipy. It imports it at its
+first call, so that a process that never reaches it, such as any NI, SNI,
+PR or loop verdict, runs on numpy alone and skips scipy's import time.
 """
 
 from __future__ import annotations
@@ -100,23 +99,3 @@ def balance(A):
 
     Ab, T = matrix_balance(A, permute=False)
     return Ab, T
-
-
-def generalized_eigenvalues(M1, M2) -> np.ndarray:
-    """Finite generalized eigenvalues of the pencil (M1, M2).
-
-    A singular pencil (det(M1 - s M2) = 0 for every s) shows as a pair
-    (alpha, beta) with both at rounding level, and raises NumericsError.
-    """
-    M1 = as_matrix(M1, square=True, name="M1")
-    M2 = as_matrix(M2, square=True, name="M2")
-    from scipy.linalg import eig
-
-    alpha, beta = eig(M1, M2, right=False, homogeneous_eigvals=True)
-    tol = M1.shape[0] * np.finfo(float).eps
-    if np.any((np.abs(alpha) <= tol * np.linalg.norm(M1))
-              & (np.abs(beta) <= tol * np.linalg.norm(M2))):
-        raise NumericsError("singular pencil")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ev = alpha / beta
-    return ev[np.isfinite(ev)]

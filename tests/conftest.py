@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.signal import tf2ss
 
-from nisys import ModalModel, StateSpace, UncertainPlant, modal_to_ss
+from nisys import ModalModel, NumericsError, StateSpace, UncertainPlant, modal_to_ss, phi_system
+from nisys.analysis import AXIS_TOL, _split
 from nisys.controllers import IrcDesign, _match
 
 
@@ -34,6 +35,36 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def generalized_eigenvalues(M1, M2) -> np.ndarray:
+    """Finite generalized eigenvalues of the pencil (M1, M2), by the QZ of
+    scipy.linalg.eig. A singular pencil (det(M1 - s M2) = 0 for every s)
+    shows as a pair (alpha, beta) with both at rounding level, and raises
+    NumericsError."""
+    from scipy.linalg import eig
+
+    alpha, beta = eig(M1, M2, right=False, homogeneous_eigvals=True)
+    tol = M1.shape[0] * np.finfo(float).eps
+    if np.any((np.abs(alpha) <= tol * np.linalg.norm(M1))
+              & (np.abs(beta) <= tol * np.linalg.norm(M2))):
+        raise NumericsError("singular pencil")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ev = alpha / beta
+    return ev[np.isfinite(ev)]
+
+
+def phi_zeros_qz(sys, axis_tol=AXIS_TOL):
+    """The oracle of phi_imaginary_axis_zeros: the finite generalized
+    eigenvalues of the system-matrix pencil of phi_system, of order 2n + m.
+    QZ may read infinite zeros as finite ones far past the poles, and splits
+    a multiple zero at the origin. Raises NumericsError when the pencil is
+    singular."""
+    phi = phi_system(sys)
+    n2, m = phi.n, phi.inputs
+    M1 = np.block([[phi.A, phi.B], [phi.C, phi.D]])
+    M2 = np.block([[np.eye(n2), np.zeros((n2, m))], [np.zeros((m, n2 + m))]])
+    return _split(generalized_eigenvalues(M1, M2), axis_tol)
 
 
 def tf(num, den) -> StateSpace:

@@ -9,9 +9,9 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    classify, dc_gain_verdict, default_grid, hermitian_imaginary_part,
                    irc, phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
                    sni_sufficient_lag, sni_sufficient_lag2, verify_closed_loop)
-from nisys.analysis import _breakpoint_grid, _phi_zeros_qz, phi_imaginary_axis_zeros
+from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
-from conftest import CLUSTER_MODES, counting, flexible_modes, same, tf
+from conftest import CLUSTER_MODES, counting, flexible_modes, phi_zeros_qz, same, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -88,24 +88,27 @@ NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1
 def test_classify_computes_each_fact_once(first_order, second_order, velocity_mode,
                                           unstable, monkeypatch):
     solves = counting(monkeypatch, lmimod, "solve_feasibility")
-    pencils = counting(monkeypatch, numerics, "generalized_eigenvalues")
+    zeros = counting(monkeypatch, analysis, "_zeros")
     decomps = counting(monkeypatch, numerics, "eigendecomposition")
     eigs = counting(monkeypatch, np.linalg, "eig")
     sweeps = counting(monkeypatch, analysis, "sweep_eigmin")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
-    # symmetric plants read the zeros of Phi in t = s^2, without a QZ pencil
-    cases = [(first_order, None, 0), (second_order, None, 0), (velocity_mode, None, 0),
-             (second_order, grid, 0), (unstable, None, 0), (NONSYMMETRIC, None, 1)]
+    # one staircase per zero set: Phi in t = s^2 (order n) for symmetric
+    # plants and in the doubled realization (order 2n) for NONSYMMETRIC, and
+    # Psi for the SPR plant, whose grid conditions all pass
+    cases = [(first_order, None, [(1, 1), (1, 1)]), (second_order, None, [(4, 4)]),
+             (velocity_mode, None, [(2, 2)]), (second_order, grid, [(4, 4)]),
+             (unstable, None, []), (NONSYMMETRIC, None, [(4, 4)])]
     for sys, g, want in cases:
         # a fresh system, so no poles are kept from an earlier case
         sys = StateSpace(sys.A, sys.B, sys.C, sys.D)
         solves.clear()
-        pencils.clear()
+        zeros.clear()
         decomps.clear()
         eigs.clear()
         sweeps.clear()
         c = classify(sys, grid=g)
-        assert len(solves) == 0 and len(pencils) == want
+        assert len(solves) == 0 and zeros == want
         # A is decomposed once: the poles, every sweep and the zeros of Phi
         # read that one eigensolve. A stable system is swept for NI on the
         # breakpoints and on the grid, and for PR and SPR together on the grid
@@ -122,12 +125,12 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         assert c.ni == ni.holds and c.sni == sni_zeros.is_sni
         # the LMI certificate stays as an independent oracle of the verdict
         assert ni.holds == check_ni_lmi(sys).is_ni
-    # the hot path at n = 200 stays off the QZ pencil
-    pencils.clear()
+    # the hot path at n = 200 takes the t-form, of order n
+    zeros.clear()
     decomps.clear()
     plant = modal_to_ss(ModalModel(flexible_modes(100)))
     assert check_ni(plant).holds
-    assert len(pencils) == 0 and len(decomps) == 1
+    assert zeros == [(200, 200)] and len(decomps) == 1
     assert poles(plant).tobytes() == np.linalg.eigvals(plant.A).tobytes()
 
 
@@ -200,7 +203,7 @@ def test_check_ni_tests_pole_magnitudes():
 
 def _qz_verdict(sys):
     # check_ni's verdict from the breakpoints of the QZ pencil's zeros
-    return check_ni_sweep(sys, grid=_breakpoint_grid(_phi_zeros_qz(sys)[1], poles(sys))).holds
+    return check_ni_sweep(sys, grid=_breakpoint_grid(phi_zeros_qz(sys)[1], poles(sys))).holds
 
 
 def test_singular_zero_pencil():
@@ -210,12 +213,23 @@ def test_singular_zero_pencil():
     assert not r.is_sni and "singular at every w" in r.reason
     assert phi_imaginary_axis_zeros(p).singular
     with pytest.raises(numerics.NumericsError):
-        _phi_zeros_qz(p)
+        phi_zeros_qz(p)
     acc = resonant_acc([(np.array([1.0, 0.5]), 0.3, 2.0)])
     v = check_ni(acc)
-    assert v.holds and "joint range of the residues" in v.note
+    assert v.holds and "below its normal rank" in v.note
     r = check_sni_zeros(acc)
     assert not r.is_sni and "singular at every w" in r.reason
+
+
+def test_static_plant_verdicts():
+    # n = 0: Phi = D - D^T = 0, so H(w) is singular at every w; P + P^* = 2 D
+    z = phi_imaginary_axis_zeros(StateSpace(np.zeros((0, 0)), np.zeros((0, 2)),
+                                            np.zeros((2, 0)), [[1.0, 0.5], [0.5, 2.0]]))
+    assert z.singular and z[1].size == 0
+    for D, spr in (([[1.0, 0.5], [0.5, 2.0]], True), ([[0.0]], False)):
+        m = len(D)
+        c = classify(StateSpace(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((m, 0)), D))
+        assert (c.ni, c.sni, c.pr, c.spr) == (True, False, True, spr)
 
 
 def test_rank_one_narrow_band():
@@ -226,8 +240,38 @@ def test_rank_one_narrow_band():
     p = StateSpace(nb.A, nb.B @ v.T, v @ nb.C, v @ nb.D @ v.T)
     ni = check_ni(p)
     assert not ni.holds and abs(ni.worst_frequency - 10.0577) < 1e-3
-    assert "joint range of the residues" in ni.note
+    assert "below its normal rank" in ni.note
     assert not check_sni_zeros(p).is_sni
+
+
+def test_singular_nonsymmetric_narrow_band():
+    # diag(NARROW_BAND, Q, 0): Q = I/(s+1) + I/(s+2) + X s/((s+1)(s+2)), X
+    # skew, is NI with non-symmetric residues, and the zero channel makes
+    # H(w) singular at every w. The QZ pencil is singular; the zeros of Phi
+    # below its normal rank still find the band between default-grid points
+    nb = NARROW_BAND
+    X = 0.1 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A = np.zeros((nb.n + 4, nb.n + 4))
+    A[:nb.n, :nb.n] = nb.A
+    A[nb.n:, nb.n:] = np.diag([-1.0, -1.0, -2.0, -2.0])
+    B = np.zeros((nb.n + 4, 4))
+    B[:nb.n, :1] = nb.B
+    B[nb.n:, 1:3] = np.vstack((np.eye(2), np.eye(2)))
+    C = np.zeros((4, nb.n + 4))
+    C[:1, :nb.n] = nb.C
+    C[1:3, nb.n:] = np.hstack((np.eye(2) - X, np.eye(2) + 2.0 * X))
+    p = StateSpace(A, B, C, np.zeros((4, 4)))
+    with pytest.raises(numerics.NumericsError):
+        phi_zeros_qz(p)
+    assert check_ni_sweep(p).holds
+    z = phi_imaginary_axis_zeros(p)
+    assert z.singular and "not symmetric" in z.note
+    ni = check_ni(p)
+    assert not ni.holds and abs(ni.worst_frequency - 10.0577) < 1e-3
+    assert "below its normal rank" in ni.note
+    # without the band, the same structure is NI
+    q = StateSpace(A[1:, 1:], B[1:, 1:], C[1:, 1:], np.zeros((3, 3)))
+    assert check_ni(q).holds and check_ni_sweep(q).holds
 
 
 def test_sni_zeros_ignore_zeros_at_infinity():
@@ -248,32 +292,40 @@ def test_repeated_poles_take_the_t_form(monkeypatch):
     c = ppf_mimo([[1.0, 0.3], [-0.4, 0.8]], 60.0 * np.eye(2), 1e4 * np.eye(2))
     T = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
     c = StateSpace(T @ c.A @ T.T, T @ c.B, c.C @ T.T, c.D)
-    pencils = counting(monkeypatch, numerics, "generalized_eigenvalues")
+    zeros = counting(monkeypatch, analysis, "_zeros")
     z = phi_imaginary_axis_zeros(c)
-    assert z.note is None and len(pencils) == 0
-    # the two zeros at the origin from the factor 2s; K = C A^2 B deflates
-    # the other four, at infinity
+    assert z.note is None and zeros == [(4, 4)]
+    # the two zeros at the origin from the factor 2s; the other four are at
+    # infinity (K = C A^2 B is the first nonzero Markov parameter)
     assert z[1].size == 2 and np.all(z[1] == 0)
     assert check_sni_zeros(c).is_sni and _qz_verdict(c)
 
 
 @pytest.mark.parametrize("sys, why", [
-    (NONSYMMETRIC, "residues or feedthrough not symmetric"),
+    pytest.param(NONSYMMETRIC, "residues or feedthrough not symmetric", id="nonsymmetric"),
     # 1/(s+1)^2 from a Jordan block
-    (StateSpace([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
-     "no well-conditioned eigenbasis"),
-    # diag(1/(s+1), 1/((s+2)(s+3))): CB = diag(1, 0) is singular but not zero
-    (StateSpace(np.diag([-1.0, -2.0, -3.0]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
-                [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], np.zeros((2, 2))),
-     "no nonsingular leading Markov parameter"),
+    pytest.param(StateSpace([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+                 "no well-conditioned eigenbasis", id="jordan"),
+    # diag(1/(s+1), 1/((s+2)(s+3))): CB = diag(1, 0) is singular but not
+    # zero, and the staircase keeps it on the t-form
+    pytest.param(StateSpace(np.diag([-1.0, -2.0, -3.0]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                            [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], np.zeros((2, 2))),
+                 None, id="singular-cb"),
 ])
-def test_qz_fallback_is_named(sys, why):
+def test_zero_realization_is_named(sys, why):
+    # the t-form leaves `note` None; the doubled realization names why
     z = phi_imaginary_axis_zeros(sys)
-    assert why in z.note
-    q = _phi_zeros_qz(sys)
-    assert same(z[0], q[0]) and same(z[1], q[1])
+    assert z.note is None if why is None else why in z.note
+    q = phi_zeros_qz(sys)
+    assert np.allclose(np.sort_complex(z[1]), np.sort_complex(q[1]), rtol=0, atol=1e-12)
+    assert z[0].size == q[0].size
+    # B and C meet in one block of the doubled realization; scaled by 1e6 and
+    # 1e-6 they realize the same plant, with the same zeros
+    s = phi_imaginary_axis_zeros(StateSpace(sys.A, 1e6 * sys.B, 1e-6 * sys.C, sys.D))
+    assert not s.singular
+    assert np.allclose(np.sort_complex(s[1]), np.sort_complex(z[1]), rtol=0, atol=1e-9)
     v = check_ni(sys)
-    assert why in v.note and v.holds == _qz_verdict(sys)
+    assert v.note == z.note and v.holds == _qz_verdict(sys)
 
 
 def test_ni_sweep_rejects_axis_pole():
@@ -401,6 +453,13 @@ SPR_CASES = [
     # D + D^T > 0 decides the limit
     pytest.param(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]]), None, True, True, None,
                  id="(s+2)/(s+1)"),
+    # P + P^* vanishes at w = 1, between the default grid's points: only the
+    # imaginary-axis zeros of P(s) + P^T(-s) see it
+    pytest.param(tf([1.0, 0.0, 1.0], [1.0, 2.5, 1.0]), None, True, False, "at w = 1",
+                 id="(s^2+1)/((s+0.5)(s+2))"),
+    # (s^2 + 1)/(s + 1)^2 = 1 - 2/(s+1) + 2/(s+1)^2, from a Jordan block
+    pytest.param(StateSpace([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], [[2.0, -2.0]], [[1.0]]),
+                 None, True, False, "at w = 1", id="(s^2+1)/(s+1)^2"),
     pytest.param(tf([1.0], [1.0, 0.0, 1.0]), None, False, False, "imaginary-axis pole",
                  id="1/(s^2+1)"),
     pytest.param(tf([1.0], [1.0, -1.0]), None, False, False, "right-half-plane pole",

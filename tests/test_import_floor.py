@@ -1,5 +1,5 @@
-"""The import floor: a verdict on a symmetric plant and a gain sweep on a
-diagonalizable plant run on numpy alone, and the three calls that need scipy
+"""The import floor: every verdict, on any plant, and a gain sweep on a
+diagonalizable plant run on numpy alone, and the two calls that need scipy
 import it at their first use. Each check runs in a fresh interpreter, since
 this process has imported scipy already."""
 
@@ -17,8 +17,8 @@ from conftest import same
 
 PRELUDE = """
 import numpy as np
-from nisys import (ModalModel, StateSpace, check_ni, choose_phi, dc_gain_verdict,
-                   design_irc_gamma, irc, is_minimal, modal_to_ss)
+from nisys import (ModalModel, StateSpace, check_ni, check_sni_zeros, choose_phi,
+                   dc_gain_verdict, design_irc_gamma, irc, is_minimal, modal_to_ss)
 PLANT = modal_to_ss(ModalModel(tuple((100.0 * k, 2.0, (1.0,)) for k in (1, 2, 3))))
 NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
                           np.zeros((2, 2)))
@@ -71,12 +71,9 @@ print(json.dumps({{"rc": rc, "stable": rep.stable, "note": rep.note, "scipy": {S
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
 
-@pytest.mark.parametrize("call", ["is_minimal(PLANT)", "check_ni(NONSYMMETRIC)",
-                                  "design_irc_gamma(JORDAN, choose_phi(JORDAN))"])
-def test_scipy_loads_at_first_use(call, tmp_path):
-    # is_minimal balances A (matrix_balance), check_ni on a non-symmetric
-    # plant takes the QZ pencil, a gain sweep on a plant without an
-    # eigenbasis matches its eigensolve rows by assignment
+def _first_use(call, tmp_path):
+    """The scipy modules loaded before and after `call` in a fresh
+    interpreter; checks that its result equals this process's."""
     out = tmp_path / "out.pickle"
     child = _fresh(f"""
 import json, pickle, sys
@@ -88,8 +85,24 @@ with open({str(out)!r}, "wb") as f:
     pickle.dump(result, f)
 print(json.dumps({{"before": before, "after": after}}))
 """)
-    assert child["before"] == [] and "scipy" in child["after"]
     ns = {}
     exec(PRELUDE, ns)
     with open(out, "rb") as f:
         assert same(pickle.load(f), eval(call, ns))
+    return child["before"], child["after"]
+
+
+@pytest.mark.parametrize("call", ["check_ni(NONSYMMETRIC)", "check_sni_zeros(JORDAN)"])
+def test_zero_verdicts_import_no_scipy(call, tmp_path):
+    # the zeros of Phi of a non-symmetric plant, and of a plant without an
+    # eigenbasis, come from the numpy staircase
+    assert _first_use(call, tmp_path) == ([], [])
+
+
+@pytest.mark.parametrize("call", ["is_minimal(PLANT)",
+                                  "design_irc_gamma(JORDAN, choose_phi(JORDAN))"])
+def test_scipy_loads_at_first_use(call, tmp_path):
+    # is_minimal balances A (matrix_balance), and a gain sweep on a plant
+    # without an eigenbasis matches its eigensolve rows by assignment
+    before, after = _first_use(call, tmp_path)
+    assert before == [] and "scipy" in after

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_real,
                    check_sni_zeros, check_strictly_positive_real, dc_gain,
@@ -17,11 +18,12 @@ from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_rea
                    hermitian_imaginary_part, inf_gain, internal_stability, irc,
                    modal_to_ss, positive_feedback, ppf, ppf_mimo, resonant_acc,
                    resonant_vel_type, rotated_system, star_product)
-from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, poles
+from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, phi_system, poles
 from nisys import closed_loop, synthesize_state_feedback, verify_closed_loop
 from nisys.analysis import ORIGIN_TOL
 from nisys.lti import eigensystem
-from conftest import FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, random_pd, tf
+from conftest import (FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, phi_zeros_qz,
+                      random_pd, random_stable, tf)
 
 
 def lag_block(rng, m):
@@ -249,7 +251,7 @@ def test_rotation_links_ni_and_pr_verdicts():
 
 
 def test_check_ni_agrees_with_dense_sweep():
-    # the zero-pencil verdict against a 2000-points-per-decade sweep, on NI
+    # the zeros-of-Phi verdict against a 2000-points-per-decade sweep, on NI
     # draws, their sums, and the negated (not NI) draws
     rng = np.random.default_rng(163)
     for i in range(30):
@@ -261,12 +263,12 @@ def test_check_ni_agrees_with_dense_sweep():
         assert check_ni(P).holds == dense.holds == (i % 2 == 0)
 
 
-# ------------------------------------------- t = s^2 zeros against QZ oracle
+# ------------------------------------------- zeros of Phi against QZ oracle
 
 def _qz_verdict(P, monkeypatch):
     # check_ni with the zeros of Phi from the QZ pencil
     with monkeypatch.context() as mp:
-        mp.setattr(analysis, "phi_imaginary_axis_zeros", analysis._phi_zeros_qz)
+        mp.setattr(analysis, "phi_imaginary_axis_zeros", phi_zeros_qz)
         return check_ni(P)
 
 
@@ -276,11 +278,25 @@ def _off_origin(z, p):
     return z[np.abs(z) > 1e-6 * p.min()]
 
 
+def _jordan_plant(rng, m):
+    # a Jordan block of order 2 or 3 beside a random stable part: A has no
+    # eigenbasis, so the zeros come from phi_system
+    k = int(rng.integers(2, 4))
+    J = -float(rng.uniform(0.5, 5.0)) * np.eye(k) + np.eye(k, k=1)
+    R = random_stable(rng, int(rng.integers(1, 3)), m)
+    A = np.block([[J, np.zeros((k, R.n))], [np.zeros((R.n, k)), R.A]])
+    B = np.vstack((rng.standard_normal((k, m)), R.B))
+    C = np.hstack((rng.standard_normal((m, k)), R.C))
+    return StateSpace(A, B, C, np.zeros((m, m)))
+
+
 def test_phi_zeros_agree_with_qz_oracle(monkeypatch):
     # NI and SNI draws, their negations, and sums of a draw and a scaled
-    # negated draw, which put zeros of Phi on the axis
+    # negated draw, which put zeros of Phi on the axis; then sums of two
+    # draws, whose first Markov parameter may be singular but not zero,
+    # non-symmetric MIMO plants, and plants whose A is a Jordan block
     rng = np.random.default_rng(167)
-    crossings = 0
+    plants = []
     for i in range(90):
         m = int(rng.integers(1, 3))
         P = (ni_draw, sni_draw)[i % 2](rng, m)
@@ -288,22 +304,49 @@ def test_phi_zeros_agree_with_qz_oracle(monkeypatch):
             P = scale_output(P, -1.0)
         elif i % 3 == 2:
             P = add(P, scale_output(ni_draw(rng, m), -float(rng.uniform(0.05, 0.5))))
+        plants.append(P)
+    for i in range(90):
+        m = int(rng.integers(2, 4))
+        plants.append((add(ni_draw(rng, m), ni_draw(rng, m)),
+                       random_stable(rng, int(rng.integers(1, 7)), m),
+                       _jordan_plant(rng, m))[i % 3])
+    crossings = regular = 0
+    for P in plants:
         ni, sni = check_ni(P), check_sni_zeros(P)
-        qni = _qz_verdict(P, monkeypatch)
-        assert ni.holds == qni.holds
         z = phi_imaginary_axis_zeros(P)
         if z.singular:
+            # the QZ pencil is singular too: a dense sweep is the NI oracle
+            dense = check_ni_sweep(P, grid=default_grid(P, points_per_decade=2000))
+            assert ni.holds == dense.holds and not sni.is_sni
             continue
+        qni = _qz_verdict(P, monkeypatch)
+        assert ni.holds == qni.holds
         p = np.abs(poles(P))
+        q = phi_zeros_qz(P)
+        # the t-form puts a multiple zero at the origin exactly there, and
+        # QZ splits it by up to about 1e-5 of the slowest pole's magnitude
+        near = 1e-4 * p.min()
+        got, fin = z[1][np.abs(z[1]) > near], q[1][np.abs(q[1]) > near]
+        assert z[1].size - got.size == q[1].size - fin.size
+        cost = np.abs(got[:, None] - fin) / np.abs(fin)
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.size == got.size and np.all(cost[rows, cols] <= 1e-6)
+        # QZ reads infinite zeros as finite ones: beyond 1e12, and, where the
+        # leading Markov parameter of Phi is singular, as a cluster far past
+        # the poles (60 such points here, at 4.9e3 |p|max and beyond; in
+        # 60-digit arithmetic sigma_min / sigma_max of Phi at each is within
+        # 3 % of its value 1 % off it, so none is a zero)
+        assert np.all(np.abs(np.delete(fin, cols)) > 1e3 * p.max())
         axis = z[0][np.abs(z[0]) > ORIGIN_TOL]
         assert _off_origin(axis, p).size == axis.size
-        q = _off_origin(analysis._phi_zeros_qz(P)[0], p)
-        assert sni.is_sni == (qni.holds and q.size == 0)
-        a, b = np.sort(np.abs(axis.imag)), np.sort(np.abs(q.imag))
+        qaxis = _off_origin(q[0][np.isin(q[0], fin[cols])], p)
+        assert sni.is_sni == (qni.holds and qaxis.size == 0)
+        a, b = np.sort(np.abs(axis.imag)), np.sort(np.abs(qaxis.imag))
         assert a.size == b.size
         assert np.all(np.abs(a - b) <= 1e-8 * b)
         crossings += a.size > 0
-    assert crossings >= 10
+        regular += 1
+    assert crossings >= 10 and regular >= 150
 
 
 def test_t_zeros_residual_on_paper_plant():
