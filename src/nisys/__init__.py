@@ -25,8 +25,6 @@ from .analysis import (
     phi_imaginary_axis_zeros,
     phi_system,
     rotated_system,
-    sni_sufficient_lag,
-    sni_sufficient_lag2,
 )
 from .controllers import (
     IrcDesign,
@@ -88,7 +86,7 @@ __all__ = [
     "check_ni", "check_ni_lmi", "check_ni_sweep", "check_positive_real",
     "check_sni_zeros", "check_strictly_positive_real", "classify",
     "default_grid", "hermitian_imaginary_part", "phi_imaginary_axis_zeros",
-    "phi_system", "rotated_system", "sni_sufficient_lag", "sni_sufficient_lag2",
+    "phi_system", "rotated_system",
     "IrcDesign", "choose_phi", "design_irc_gamma", "irc", "irc_root_locus", "ppf",
     "ppf_mimo", "resonant_acc", "resonant_vel_type",
     "CertificateReport", "LmiProblem", "RectVar", "SolveResult", "SymVar",

@@ -16,11 +16,10 @@ real eigenbasis or, without one, that of `phi_system`, and the verdict's
 `note` says why. A Phi of normal rank below m makes H(w) singular at every w.
 
 PR and SPR are decided from one sweep of P(jw) + P(jw)^* on a grid: PR by
-its sign, SPR by its strict sign at every w > 0, the limit conditions at
-w = 0 and w -> infinity, and no imaginary-axis zero of
+its sign and the residues at imaginary-axis poles, SPR by its strict sign
+at every w > 0, the limits at w = 0 and w -> infinity, and no axis zero of
 Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
-(`check_ni_lmi`) and the lag-augmentation sufficient conditions for
-strictness are certificates on demand.
+(`check_ni_lmi`) is a certificate on demand.
 """
 
 from __future__ import annotations
@@ -474,8 +473,29 @@ def _pr_spr(sys, grid, tol):
     lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, 1, eigensystem(sys))
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
-    pr = FreqVerdict(bool(rel[i] >= -tol), float(ge[i]), float(lam[i]), ge, note=note)
+    why = _axis_residue_fault(sys, axis) if axis.size else None
+    pr = FreqVerdict(bool(rel[i] >= -tol) and why is None, float(ge[i]), float(lam[i]), ge,
+                     why, note)
     return pr, spr if spr is not None else _spr_hurwitz(sys, ge, lam, pn, tol)
+
+
+def _axis_residue_fault(sys, axis):
+    """Why the residue R_i = (C V)_i (V^{-1} B)_i, A = V diag(lam) V^{-1}, of
+    a pole lam_i in axis, Im lam_i >= 0 (a conjugate's residue is conjugate),
+    is not Hermitian PSD within SYM_TOL ||C|| ||V_i|| ||(V^{-1})_i|| ||B||, its
+    size before cancellation; None when every one is."""
+    lam, basis = eigensystem(sys)
+    if basis is None:
+        return "imaginary-axis pole, and A has no eigenbasis to read its residue from"
+    V, Vi, _ = basis
+    tol = (SYM_TOL * np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
+           * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
+    for i in np.flatnonzero(np.isin(lam, axis) & (lam.imag >= 0)):
+        R = np.outer(sys.C @ V[:, i], Vi[i] @ sys.B)
+        if (np.linalg.norm(R - R.conj().T) > tol[i]
+                or np.linalg.eigvalsh(R + R.conj().T)[0] < -2.0 * tol[i]):
+            return f"imaginary-axis pole at s = j{lam[i].imag:g}: residue not Hermitian PSD"
+    return None
 
 
 def _spr_hurwitz(sys, g, lam, pn, tol):
@@ -542,9 +562,10 @@ def _spr_at_infinity(sys, tol):
 
 
 def check_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
-    """Poles in the closed left half-plane (simple imaginary-axis poles
-    tolerated, noted) and lambda_min(P(jw) + P(jw)^*) >= -tol relative on the
-    grid."""
+    """Positive real (Anderson & Vongpanitlerd 1973): poles in the closed
+    left half-plane, each imaginary-axis pole simple (noted) with a Hermitian
+    PSD residue, read from the eigenbasis of A (not PR without one), and
+    lambda_min(P(jw) + P(jw)^*) >= -tol relative on the grid."""
     return _pr_spr(sys, grid, _check_tol(tol))[0]
 
 
@@ -569,56 +590,6 @@ def rotated_system(sys: StateSpace) -> StateSpace:
     """Realization of Q(s) = s (P(s) - P(inf)); for symmetric feedthrough,
     Q(jw) + Q(jw)^* = w H(w) exactly, linking the NI and PR sweeps."""
     return StateSpace(sys.A, sys.B, sys.C @ sys.A, sys.C @ sys.B)
-
-
-def _augmented_lag(sys, shifts, eps):
-    A, B, C = sys.A, sys.B, sys.C
-    n, m = sys.n, sys.inputs
-    k = len(shifts)
-    At = np.zeros((n + k * m, n + k * m))
-    At[:n, :n] = A
-    Bt = np.vstack([B] + [eps * np.eye(m)] * k)
-    Ct = np.hstack([C] + [-np.eye(m)] * k)
-    for i, a in enumerate(shifts):
-        r = n + i * m
-        At[r:r + m, r:r + m] = -a * np.eye(m)
-    return At, Bt, Ct
-
-
-def _lag_feasible(sys, shifts, eps):
-    _square(sys)
-    if eps <= 0 or any(a <= 0 for a in shifts):
-        raise ValueError("shift and eps parameters must be positive")
-    if np.linalg.norm(sys.D - sys.D.T) > 1e-9 * (1.0 + np.linalg.norm(sys.D)):
-        return False
-    ev = poles(sys)
-    for a in shifts:
-        if ev.size and np.min(np.abs(ev + a)) <= 1e-9 * (1.0 + a):
-            raise ValueError(f"-{a:g} is an eigenvalue of A; pick a different shift")
-    At, Bt, Ct = _augmented_lag(sys, shifts, eps)
-    CB = Ct @ Bt
-    S = CB + CB.T
-    # necessary condition for the augmented certificate; fails fast when
-    # sym(CB) of the original system is not positive definite enough
-    if numerics.eig_symmetric(S)[0] < -1e-9 * max(1.0, np.linalg.norm(S)):
-        return False
-    res = lmimod.solve_feasibility(lmimod.ni_problem(At, Bt, Ct))
-    return bool(res.feasible)
-
-
-def sni_sufficient_lag(sys: StateSpace, alpha: float, eps: float) -> bool:
-    """Sufficient SNI test by single-lag augmentation: feasibility of the NI
-    certificate for the system with eps/(s+alpha) I subtracted. True implies
-    SNI; False is inconclusive."""
-    return _lag_feasible(sys, (float(alpha),), float(eps))
-
-
-def sni_sufficient_lag2(sys: StateSpace, alpha: float, beta: float, eps: float) -> bool:
-    """Double-lag variant with two distinct shifts alpha != beta."""
-    alpha, beta = float(alpha), float(beta)
-    if alpha == beta:
-        raise ValueError("the two shifts must be distinct")
-    return _lag_feasible(sys, (alpha, beta), float(eps))
 
 
 @dataclass

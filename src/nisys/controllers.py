@@ -160,20 +160,23 @@ class IrcDesign:
     note: str | None = None
 
 
-def linear_sum_assignment(cost):
-    """scipy.optimize.linear_sum_assignment, imported at the first call: only
-    a gain-sweep row that takes the eigensolve needs it, and a process that
-    never has one does not pay for importing scipy."""
-    from scipy.optimize import linear_sum_assignment as assign
-
-    return assign(cost)
-
-
 def _match(prev, p):
+    """p reordered so that p[j] continues the branch prev[j]: each prev[j]'s
+    nearest root when those all differ, the unique pairing of least total
+    distance (its cost, the sum of the row minima, bounds every pairing's);
+    otherwise, at a breakaway tie, nearest pair first, each root used once."""
     cost = np.abs(prev[:, None] - p[None, :])
-    r, c = linear_sum_assignment(cost)
-    perm = np.empty(len(p), dtype=int)
-    perm[r] = c
+    near = cost.argmin(1)
+    if np.bincount(near, minlength=p.size).max() == 1:
+        return p[near]
+    perm = np.empty(p.size, dtype=int)
+    rows = cols = np.arange(p.size)
+    while rows.size:
+        sub = cost[np.ix_(rows, cols)]
+        r = sub.argmin(1)
+        mutual = sub.argmin(0)[r] == np.arange(rows.size)
+        perm[rows[mutual]] = cols[r[mutual]]
+        rows, cols = rows[~mutual], np.delete(cols, r[mutual])
     return p[perm]
 
 
@@ -310,7 +313,7 @@ def _locus_tracker(plant, phi):
     deflated out of `_newton` and kept in their own columns. A row that
     fails the continuation twice, and every row when A has no eigenbasis,
     is a dense eigensolve of the closed loop, matched to the row before by
-    assignment."""
+    `_match`."""
     A, B, C, D = plant.A, plant.B, plant.C, plant.D
     n = plant.n
     d = D[0, 0] - phi
@@ -456,15 +459,15 @@ def irc_root_locus(plant: StateSpace, Phi, gammas) -> np.ndarray:
     from n = 90 up. A row is accepted, in order, when its roots are
     certified, sum to the closed-loop trace, and are each the nearest to
     their own column of the row before: it keeps its columns with no
-    assignment. The first row that fails starts the next block; if it fails
+    matching. The first row that fails starts the next block; if it fails
     there too (a double root at a breakaway point), a dense eigensolve gives
-    its poles, matched to the row before by assignment, the only use of
-    scipy here. Every gain takes the eigensolve when A has no
-    well-conditioned eigenbasis. An eigenvalue whose residue is zero to
-    rounding is a closed-loop pole at every gain, in its own column. The
-    poles agree with an eigensolve's to rounding, real poles exactly real
-    and pairs exactly conjugate. Where two real poles meet, which column
-    takes which is a tie, broken by rounding in either path."""
+    its poles, matched to the row before by `_match`. Every gain takes the
+    eigensolve when A has no well-conditioned eigenbasis. An eigenvalue
+    whose residue is zero to rounding is a closed-loop pole at every gain,
+    in its own column. The poles agree with an eigensolve's to rounding,
+    real poles exactly real and pairs exactly conjugate. Where two real
+    poles meet, which column takes which is a tie, broken by rounding, and
+    nearest pair first where an eigensolve row takes it."""
     phi = _irc_phi(plant, Phi)
     gs = np.asarray(gammas, dtype=float)
     if gs.ndim != 1 or not gs.size or not np.all(np.isfinite(gs) & (gs > 0)):

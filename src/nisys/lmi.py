@@ -357,9 +357,6 @@ class CertificateReport:
     ok: bool
     checks: list = field(default_factory=list)
 
-    def cone_margins(self):
-        return [c.margin for c in self.checks if c.kind != "zero"]
-
 
 def verify_certificate(problem: LmiProblem, values: dict, psd_tol=PSD_TOL,
                        strict_margin=STRICT_MARGIN, eq_tol=1e-8) -> CertificateReport:

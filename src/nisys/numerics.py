@@ -1,13 +1,10 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Thin wrappers over numpy/scipy LAPACK drivers that pin down the contracts the
+Thin wrappers over numpy's LAPACK routines that pin down the contracts the
 other modules rely on: inputs are validated as finite, near-symmetric inputs
 are symmetrized before a symmetric decomposition, and ill-conditioned solves
-raise instead of returning garbage.
-
-Only `balance` (scipy's `matrix_balance`) needs scipy. It imports it at its
-first call, so that a process that never reaches it, such as any NI, SNI,
-PR or loop verdict, runs on numpy alone and skips scipy's import time.
+raise instead of returning garbage. `balance` is LAPACK's diagonal
+balancing, written in numpy.
 """
 
 from __future__ import annotations
@@ -90,12 +87,45 @@ def sigma_max(A) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def balance(A):
-    """Diagonal similarity scaling (Ab, T) with Ab = inv(T) A T, T diagonal."""
-    A = as_matrix(A, square=True, name="A")
-    if A.shape[0] == 0:
-        return A.copy(), np.eye(0)
-    from scipy.linalg import matrix_balance
+# gebal's bounds on a scale factor: safe minimum over precision, and its inverse
+_SFMIN1 = np.finfo(float).tiny / np.finfo(float).eps
+_SFMAX1 = 1.0 / _SFMIN1
 
-    Ab, T = matrix_balance(A, permute=False)
-    return Ab, T
+
+def _norm2(x):
+    """np.linalg.norm(x), bit for bit where that is finite, summed at a
+    power-of-2 scale so that the squares neither overflow nor underflow."""
+    e = np.frexp(np.abs(x).max())[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
+def balance(A):
+    """Diagonal similarity scaling (Ab, T) with Ab = inv(T) A T, T diagonal:
+    LAPACK's gebal, job 'S', no permutation (Parlett & Reinsch 1969; James,
+    Langou & Lowery 2014). Column i times f and row i over f, f the power of
+    2 that brings their 2-norms closest, kept when their sum drops below
+    0.95 of its old value; sweeps over i repeat until none is kept."""
+    A = as_matrix(A, square=True, name="A")
+    Ab, t = A.astype(float), np.ones(A.shape[0])
+    converged = False
+    while not converged:
+        converged = True
+        for i in range(t.size):
+            c, r = _norm2(Ab[:, i]), _norm2(Ab[i])
+            if c == 0 or r == 0:
+                continue
+            ca, ra, s, f, g = np.abs(Ab[:, i]).max(), np.abs(Ab[i]).max(), c + r, 1.0, r / 2
+            while c < g and max(f, c, ca) < _SFMAX1 / 2 and min(r, g, ra) > 2 * _SFMIN1:
+                f, c, ca, r, g, ra = 2 * f, 2 * c, 2 * ca, r / 2, g / 2, ra / 2
+            g = c / 2
+            while g >= r and max(r, ra) < _SFMAX1 / 2 and min(f, c, g, ca) > 2 * _SFMIN1:
+                f, c, g, ca, r, ra = f / 2, c / 2, g / 2, ca / 2, 2 * r, 2 * ra
+            # the product of the scale factors stays within [_SFMIN1, _SFMAX1]
+            if (c + r < 0.95 * s and not (f < 1 and t[i] < 1 and f * t[i] <= _SFMIN1)
+                    and not (f > 1 and t[i] > 1 and t[i] >= _SFMAX1 / f)):
+                t[i] *= f
+                Ab[i] /= f
+                Ab[:, i] *= f
+                converged = False
+    return Ab, np.diag(t)

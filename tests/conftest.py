@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.signal import tf2ss
 
 from nisys import ModalModel, NumericsError, StateSpace, UncertainPlant, modal_to_ss, phi_system
 from nisys.analysis import AXIS_TOL, _split
-from nisys.controllers import IrcDesign, _match
+from nisys.controllers import IrcDesign
 
 
 def same(a, b):
@@ -130,6 +131,13 @@ def flexible_plant():
 FLEXIBLE_DC_EXACT = 1e-4 * sum(1.0 / k**2 for k in range(1, 11))
 
 
+def assignment_match(prev, p):
+    """p reordered by scipy's linear_sum_assignment on the distances to
+    prev: the pairing of least total distance, the oracle of
+    controllers._match."""
+    return p[linear_sum_assignment(np.abs(prev[:, None] - p[None, :]))[1]]
+
+
 def irc_eigensolve_locus(plant, Phi, gammas):
     """Closed-loop poles of [plant, irc(gamma, Phi)] at each gain, by one
     dense eigensolve of the closed loop per gain, each row
@@ -138,7 +146,7 @@ def irc_eigensolve_locus(plant, Phi, gammas):
     prev = np.append(np.linalg.eigvals(plant.A), -gammas[0] * float(Phi[0, 0]))
     loci = np.zeros((len(gammas), plant.n + 1), dtype=complex)
     for k, g in enumerate(gammas):
-        loci[k] = prev = _match(prev, _closed_loop_poles(plant, Phi, g))
+        loci[k] = prev = assignment_match(prev, _closed_loop_poles(plant, Phi, g))
     return loci
 
 
@@ -168,7 +176,7 @@ def irc_eigensolve_sweep(plant, Phi, gamma_min=1e3, gamma_max=1e8, points_per_de
     g_star, d_star, z_star = gammas[bd], decays[bd], zetas[bd]
     prev = loci[max(bd - 1, 0)]
     for g in np.geomspace(gammas[max(bd - 1, 0)], gammas[min(bd + 1, npts - 1)], 400):
-        prev = _match(prev, _closed_loop_poles(plant, Phi, g))
+        prev = assignment_match(prev, _closed_loop_poles(plant, Phi, g))
         pair = prev[tracked]
         if np.all(prev.real < 0) and (-pair.real).min() > d_star:
             g_star, d_star = float(g), float((-pair.real).min())

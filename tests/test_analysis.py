@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from nisys import analysis
 from nisys import lmi as lmimod
@@ -8,7 +9,7 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    check_positive_real, check_sni_zeros, check_strictly_positive_real,
                    classify, dc_gain_verdict, default_grid, hermitian_imaginary_part,
                    irc, phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
-                   sni_sufficient_lag, sni_sufficient_lag2, verify_closed_loop)
+                   verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
 from conftest import CLUSTER_MODES, counting, flexible_modes, phi_zeros_qz, same, tf
@@ -412,6 +413,35 @@ def test_pr_velocity_and_integrator_handling(velocity_mode):
     assert v.note is not None
 
 
+@pytest.mark.parametrize("sys, pole", [
+    pytest.param(StateSpace([[0.0]], [[1.0]], [[-1.0]], [[0.0]]), "j0", id="-1/s"),
+    pytest.param(tf([1.0, 0.0], [1.0, 0.0, 1.0]), None, id="s/(s^2+1)"),
+    pytest.param(tf([-1.0, 0.0], [1.0, 0.0, 1.0]), "j1", id="-s/(s^2+1)"),
+    # residue [[1, 1], [1, 1]], and the residue [[1, 0], [1, 0]], not symmetric
+    pytest.param(StateSpace([[0.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.zeros((2, 2))), None,
+                 id="ones/s"),
+    pytest.param(StateSpace([[0.0]], [[1.0, 0.0]], [[1.0], [1.0]], np.zeros((2, 2))), "j0",
+                 id="e1-column/s"),
+])
+def test_pr_reads_the_residues_of_axis_poles(sys, pole):
+    # on the SISO plants P(jw) + P(jw)^* = 0 away from the pole, so only the
+    # residue there tells the plants that are not PR (1/s: the test above)
+    v = check_positive_real(sys)
+    assert v.holds == (pole is None) and classify(sys).pr == v.holds
+    assert v.note.startswith("imaginary-axis pole(s) present")
+    if pole is not None:
+        assert v.reason == f"imaginary-axis pole at s = {pole}: residue not Hermitian PSD"
+
+
+def test_pr_refuses_an_axis_pole_without_an_eigenbasis():
+    # 1/(s+1)^2 + 1/s, the double pole in a Jordan block: the residue at
+    # s = 0 is not read, and the verdict says so
+    sys = StateSpace([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+                     [[0.0], [1.0], [1.0]], [[1.0, 0.0, 1.0]], [[0.0]])
+    v = check_positive_real(sys)
+    assert not v.holds and v.reason.endswith("A has no eigenbasis to read its residue from")
+
+
 def test_pr_rejects_repeated_axis_pole():
     # 1/s^2 is not PR
     sys = StateSpace([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
@@ -496,27 +526,32 @@ def test_rotated_system_identity(second_order):
         assert np.allclose(Q + Q.conj().T, w * H, atol=1e-10)
 
 
-def test_lag_sufficiency_on_irc():
-    c = irc(np.array([[2.0]]), np.array([[1.5]]))
-    assert sni_sufficient_lag(c, 1.0, 0.1)
-    assert sni_sufficient_lag(c, 1.0, 0.01)
-    assert sni_sufficient_lag(c, 10.0, 0.5)
+def _lag_certified(sys, shifts, eps):
+    """The sufficient SNI test by lag augmentation: the NI lemma LMI is
+    feasible for sys with eps / (s + a) I subtracted for each shift a."""
+    m = sys.inputs
+    A = block_diag(sys.A, *(-a * np.eye(m) for a in shifts))
+    B = np.vstack([sys.B] + [eps * np.eye(m)] * len(shifts))
+    C = np.hstack([sys.C] + [-np.eye(m)] * len(shifts))
+    return lmimod.solve_feasibility(lmimod.ni_problem(A, B, C)).feasible
 
 
-def test_lag_sufficiency_fails_fast_on_zero_cb(second_order):
-    # CB = 0: the necessary condition lmin(sym(CB)) >= 2 eps cannot hold
-    # (shifts chosen off the plant poles -1, -0.5, -1 +- 2j)
-    assert not sni_sufficient_lag(second_order, 3.0, 0.1)
-    assert not sni_sufficient_lag2(second_order, 3.0, 4.0, 0.05)
+IRC = irc([[2.0]], [[1.5]])
+# B^T (sI + diag(1, 2))^{-1} B, SNI since B has full rank
+LAG_B = np.array([[1.0, 0.5], [-0.3, 2.0]])
+COLLOCATED = StateSpace(-np.diag([1.0, 2.0]), LAG_B, LAG_B.T, np.zeros((2, 2)))
 
 
-def test_lag_sufficiency_rejects_eigenvalue_shift(first_order):
-    with pytest.raises(ValueError):
-        sni_sufficient_lag(first_order, 1.0, 0.1)  # -1 is an eigenvalue of A
-    with pytest.raises(ValueError):
-        sni_sufficient_lag2(first_order, 2.0, 2.0, 0.1)  # equal shifts
-
-
-def test_lag_two_variant_on_irc():
-    c = irc(np.array([[2.0]]), np.array([[1.5]]))
-    assert sni_sufficient_lag2(c, 1.0, 2.0, 0.05)
+@pytest.mark.parametrize("sys, shifts, eps", [
+    pytest.param(IRC, (1.0,), 0.1, id="irc"),
+    pytest.param(IRC, (1.0,), 0.01, id="irc-small-eps"),
+    pytest.param(IRC, (10.0,), 0.5, id="irc-fast-lag"),
+    pytest.param(IRC, (1.0, 2.0), 0.05, id="irc-two-lags"),
+    pytest.param(COLLOCATED, (3.0,), 0.1, id="collocated"),
+    pytest.param(COLLOCATED, (3.0, 4.0), 0.05, id="collocated-two-lags"),
+])
+def test_lag_certificate_implies_sni_zeros(sys, shifts, eps):
+    # the lag LMI is sufficient for SNI: where it is feasible, the exact
+    # zeros test must say SNI
+    assert _lag_certified(sys, shifts, eps)
+    assert check_sni_zeros(sys).is_sni

@@ -10,7 +10,7 @@ from nisys import (LtiError, ModalModel, StateSpace, add, choose_phi, controller
                    ppf, ppf_mimo, resonant_acc, resonant_vel_type)
 from nisys._kernels import CHUNK
 from nisys.lti import eigensystem
-from conftest import (FLEXIBLE_DC_EXACT, flexible_modes, irc_eigensolve_locus,
+from conftest import (FLEXIBLE_DC_EXACT, assignment_match, flexible_modes, irc_eigensolve_locus,
                       irc_eigensolve_sweep, random_pd, tf)
 
 
@@ -294,8 +294,7 @@ def test_design_irc_gamma_theorem_path_is_pair_continuation(monkeypatch):
     newton = controllers._newton
     monkeypatch.setattr(controllers, "_newton", lambda z, *a: newton(z, *a) if z.shape[1] == 1
                         else calls.append("all-root"))
-    monkeypatch.setattr(controllers, "linear_sum_assignment",
-                        lambda *a: calls.append("assignment"))
+    monkeypatch.setattr(controllers, "_match", lambda *a: calls.append("matching"))
     for count in (5, 10, 30):
         plant = _paper_plant(count)
         n = plant.n
@@ -433,6 +432,34 @@ def test_newton_rejects_starts_that_crossed(flexible_plant):
     p, ok = controllers._newton(z[None], roots, lam, r, g, gd, trace)
     np.testing.assert_allclose(np.sort_complex(p[0]), np.sort_complex(roots), rtol=1e-12)
     assert not ok[0]
+
+
+def test_match_pairs_each_root_with_its_nearest():
+    # shuffled eigensolve rows of a locus where two real poles meet and
+    # split into a pair, and shuffled perturbations of random rows of 201
+    # roots: where each root of the row before has a different nearest
+    # root, the pairing is scipy's assignment, bit for bit; at a breakaway
+    # tie, two roots sharing a nearest one, it is a permutation of the row
+    # that takes the nearest pair first
+    rng = np.random.default_rng(11)
+    plant = add(tf([1.0], [1.0, 3.0, 2.0]), tf([1.0], [1.0, 2.0, 1e4]))
+    loci = irc_eigensolve_locus(plant, choose_phi(plant), np.geomspace(1e-2, 1e3, 1001))
+    rows = [(prev, rng.permutation(p)) for prev, p in zip(loci, loci[1:])]
+    for _ in range(20):
+        prev = rng.standard_normal(201) + 1j * rng.standard_normal(201)
+        rows.append((prev, rng.permutation(prev + 1e-3 * rng.standard_normal(201))))
+    ties = 0
+    for prev, p in rows:
+        cost = np.abs(prev[:, None] - p)
+        out = controllers._match(prev, p)
+        if np.unique(cost.argmin(1)).size == p.size:
+            assert out.tobytes() == assignment_match(prev, p).tobytes()
+        else:
+            ties += 1
+            assert np.array_equal(np.sort_complex(out), np.sort_complex(p))
+            i, j = np.unravel_index(cost.argmin(), cost.shape)
+            assert out[i] == p[j]
+    assert ties == 2
 
 
 def test_irc_root_locus_takes_repeated_gains(flexible_plant, monkeypatch):

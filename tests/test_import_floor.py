@@ -1,7 +1,8 @@
-"""The import floor: every verdict, on any plant, and a gain sweep on a
-diagonalizable plant run on numpy alone, and the two calls that need scipy
-import it at their first use. Each check runs in a fresh interpreter, since
-this process has imported scipy already."""
+"""numpy is the only runtime dependency. A verdict and a gain design on a
+diagonalizable plant load no scipy module, and with scipy made unimportable
+every CLI subcommand and the library calls that balance A, solve the NI
+certificate LMI or match eigensolve rows give the results of this process,
+where the tests have loaded scipy. Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -12,13 +13,14 @@ import sys
 import pytest
 
 import nisys
-from nisys.cli import main
+from nisys.cli import ERROR, main
 from conftest import same
 
 PRELUDE = """
 import numpy as np
-from nisys import (ModalModel, StateSpace, check_ni, check_sni_zeros, choose_phi,
-                   dc_gain_verdict, design_irc_gamma, irc, is_minimal, modal_to_ss)
+from nisys import (ModalModel, StateSpace, check_ni, check_ni_lmi, check_sni_zeros, choose_phi,
+                   dc_gain_verdict, design_irc_gamma, irc, irc_root_locus, is_minimal,
+                   modal_to_ss)
 PLANT = modal_to_ss(ModalModel(tuple((100.0 * k, 2.0, (1.0,)) for k in (1, 2, 3))))
 NONSYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
                           np.zeros((2, 2)))
@@ -28,9 +30,20 @@ JORDAN = StateSpace([[-50.0, 1.0, 0, 0], [0, -50.0, 0, 0], [0, 0, 0, 1.0], [0, 0
 """
 
 SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+# an import of scipy or of any scipy module raises ImportError after this
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 SISO = {"kind": "modal", "output": "position",
         "modes": [{"omega": 100.0 * k, "kappa": 2.0, "psi": [1.0]} for k in (1, 2, 3)]}
+NONSYMMETRIC = {"kind": "ss", "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                "C": [[1.0, 1.0], [0.0, 1.0]], "D": [[0.0, 0.0], [0.0, 0.0]]}
+JORDAN = {"kind": "ss", "A": [[-50.0, 1.0, 0, 0], [0, -50.0, 0, 0], [0, 0, 0, 1.0],
+                              [0, 0, -1e4, -2.0]],
+          "B": [[0.0], [1.0], [0.0], [1.0]], "C": [[1.0, 0.0, 1.0, 0.0]], "D": [[0.0]]}
+FIRST = {"kind": "ss", "A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
+SECOND = {"kind": "ss", "A": [[-2.0]], "B": [[1.0]], "C": [[1.0]]}
+UPLANT = {"kind": "uncertain", "A": [[-1, 0, 0], [1, -1, 1], [0, 1, -1]],
+          "B1": [[0], [0], [1]], "B2": [[-2], [1], [0]], "C1": [[0, 1, 0]]}
 
 
 def _fresh(code):
@@ -71,38 +84,58 @@ print(json.dumps({{"rc": rc, "stable": rep.stable, "note": rep.note, "scipy": {S
     assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
 
-def _first_use(call, tmp_path):
-    """The scipy modules loaded before and after `call` in a fresh
-    interpreter; checks that its result equals this process's."""
+def _without_scipy(call, tmp_path):
+    """Run `call` in a fresh interpreter where scipy is unimportable, and
+    check that its result equals this process's."""
     out = tmp_path / "out.pickle"
-    child = _fresh(f"""
-import json, pickle, sys
+    _fresh(f"""
+{NO_SCIPY}
+import pickle
 {PRELUDE}
-before = {SCIPY}
-result = {call}
-after = {SCIPY}
 with open({str(out)!r}, "wb") as f:
-    pickle.dump(result, f)
-print(json.dumps({{"before": before, "after": after}}))
+    pickle.dump({call}, f)
+print("{{}}")
 """)
     ns = {}
     exec(PRELUDE, ns)
     with open(out, "rb") as f:
         assert same(pickle.load(f), eval(call, ns))
-    return child["before"], child["after"]
 
 
-@pytest.mark.parametrize("call", ["check_ni(NONSYMMETRIC)", "check_sni_zeros(JORDAN)"])
-def test_zero_verdicts_import_no_scipy(call, tmp_path):
+@pytest.mark.parametrize("call", [
     # the zeros of Phi of a non-symmetric plant, and of a plant without an
     # eigenbasis, come from the numpy staircase
-    assert _first_use(call, tmp_path) == ([], [])
+    "check_ni(NONSYMMETRIC)", "check_sni_zeros(JORDAN)",
+    # is_minimal and check_ni_lmi balance A
+    "is_minimal(PLANT)", "is_minimal(JORDAN)", "check_ni_lmi(JORDAN)",
+    # without an eigenbasis every gain is an eigensolve, matched to the row before
+    "design_irc_gamma(JORDAN, choose_phi(JORDAN))",
+    "irc_root_locus(JORDAN, choose_phi(JORDAN), np.geomspace(1e3, 1e8, 101))"])
+def test_zero_verdicts_import_no_scipy(call, tmp_path):
+    _without_scipy(call, tmp_path)
 
 
-@pytest.mark.parametrize("call", ["is_minimal(PLANT)",
-                                  "design_irc_gamma(JORDAN, choose_phi(JORDAN))"])
-def test_scipy_loads_at_first_use(call, tmp_path):
-    # is_minimal balances A (matrix_balance), and a gain sweep on a plant
-    # without an eigenbasis matches its eigensolve rows by assignment
-    before, after = _first_use(call, tmp_path)
-    assert before == [] and "scipy" in after
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    paths = {}
+    for name, obj in (("siso", SISO), ("nonsym", NONSYMMETRIC), ("jordan", JORDAN),
+                      ("m", FIRST), ("n", SECOND), ("uplant", UPLANT)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    runs = [["analyze", paths["siso"]], ["analyze", paths["nonsym"]],
+            ["analyze", paths["jordan"]], ["nyquist", paths["siso"]],
+            ["bode", paths["siso"], "--format", "json"], ["stability", paths["m"], paths["n"]],
+            ["design-irc", paths["siso"]], ["design-irc", paths["jordan"], "--format", "csv"],
+            ["synth-sf", paths["uplant"]]]
+    child = _fresh(f"""
+{NO_SCIPY}
+import json
+import nisys.cli
+runs = {runs!r}
+print(json.dumps([nisys.cli.main(argv + ["--out", {str(tmp_path / "child")!r} + str(i)])
+                  for i, argv in enumerate(runs)]))
+""")
+    assert child == [main(argv + ["--out", str(tmp_path / "here") + str(i)])
+                     for i, argv in enumerate(runs)]
+    assert ERROR not in child
+    for i in range(len(runs)):
+        assert (tmp_path / f"child{i}").read_bytes() == (tmp_path / f"here{i}").read_bytes()

@@ -250,6 +250,22 @@ def test_rotation_links_ni_and_pr_verdicts():
         assert check_positive_real(P).holds or not check_strictly_positive_real(P).holds
 
 
+def test_spr_rotated_channels_of_spread_gain():
+    # Q diag(g_i / (s + a_i) + d_i) Q^T, Q a rotation, is SPR for every
+    # g_i, a_i > 0 and d_i >= 0: channel gains four decades apart, half
+    # of the plants with d_i = 0, where the limit at infinity decides on
+    # the kernel of D + D^T
+    rng = np.random.default_rng(13)
+    for k in range(400):
+        t = rng.uniform(0.0, np.pi)
+        Q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        g, a = 10.0 ** rng.uniform(-4, 0, 2), 10.0 ** rng.uniform(-1, 1, 2)
+        d = 10.0 ** rng.uniform(-4, 0, 2) if k % 2 else np.zeros(2)
+        P = StateSpace(-np.diag(a), np.sqrt(g)[:, None] * Q.T, Q * np.sqrt(g),
+                       (Q * d) @ Q.T)
+        assert check_strictly_positive_real(P).holds, (k, g, a, d)
+
+
 def test_check_ni_agrees_with_dense_sweep():
     # the zeros-of-Phi verdict against a 2000-points-per-decade sweep, on NI
     # draws, their sums, and the negated (not NI) draws
