@@ -1,31 +1,42 @@
 """Classification of LTI systems by frequency-domain sign properties.
 
 Covers the negative-imaginary family (NI, strictly NI) and the positive-real
-family (PR, strictly PR). The NI and SNI verdicts of record read the
-transmission zeros of Phi(s) = M(s) - M^T(-s): the eigenvalues of
-H(w) = j Phi(jw) change sign only at its imaginary-axis zeros, so H is
-tested once between each pair of them (`check_ni`), and an NI system is SNI
-iff Phi has no such zero away from s = 0 (`check_sni_zeros`).
+family (PR, strictly PR). The residues R_i = (C V)_i (V^{-1} B)_i of the
+kept A = V diag(lam) V^{-1}, grouped where eigenvalues agree to rounding,
+are computed once per system (`_residues`), and every verdict below reads
+them.
+
+NI is decided first term by term: P is D plus one term per real pole and
+per conjugate pair, and when each term is NI on its own up to a bound that
+sums to at most tol, so is P (`_ni_by_terms`). That is a finite test on
+the residues, and no zero is solved for; the structural plants of the
+paper, modes sensed at the actuator, pass it. Otherwise, and whenever A has
+no eigenbasis, the NI verdict reads the transmission zeros of
+Phi(s) = M(s) - M^T(-s): the eigenvalues of H(w) = j Phi(jw) change sign
+only at its imaginary-axis zeros, so H is tested once between each pair of
+them (`check_ni`). An NI system is SNI iff Phi has no such zero away from
+s = 0 (`check_sni_zeros`), so SNI always reads the zeros.
 
 All zeros come from one rank-revealing staircase in numpy (`_zeros`). When
-D and every residue R_i = (C V)_i (V^{-1} B)_i of A = V diag(lam) V^{-1}
-are symmetric, as for collocated and SISO plants, Phi(s) = 2s G(s^2) with
-G(t) = sum_i R_i / (t - lam_i^2), and the staircase runs on G, of order n
-(`_t_zeros`); otherwise on the doubled realization, of order 2n, in the
-real eigenbasis or, without one, that of `phi_system`, and the verdict's
-`note` says why. A Phi of normal rank below m makes H(w) singular at every w.
+D and every grouped residue are symmetric, as for collocated and SISO
+plants, Phi(s) = 2s G(s^2) with G(t) = sum_i R_i / (t - lam_i^2), and the
+staircase runs on G, of order n (`_t_zeros`); otherwise on the doubled
+realization, of order 2n, in the real eigenbasis or, without one, that of
+`phi_system`, and the verdict's `note` says why. A Phi of normal rank below
+m makes H(w) singular at every w.
 
 PR and SPR are decided from one sweep of P(jw) + P(jw)^* on a grid: PR by
-its sign and the residues at imaginary-axis poles, SPR by its strict sign
-at every w > 0, the limits at w = 0 and w -> infinity, and no axis zero of
-Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
-(`check_ni_lmi`) is a certificate on demand.
+its sign and the grouped residues at imaginary-axis poles, SPR by its
+strict sign at every w > 0, the limits at w = 0 and w -> infinity, and no
+axis zero of Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The
+NI lemma LMI (`check_ni_lmi`) is a certificate on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,35 +174,125 @@ def _breakpoint_grid(zeros, p):
                                      [2.0 * b[-1] + 1.0], np.abs(p))))
 
 
-def _ni_spectral(sys, tol=NI_SWEEP_TOL):
-    """check_ni(sys, tol) and the imaginary-axis zeros of Phi, from one zero
-    solve. The zeros are None when poles decide the verdict or H(w) is
-    singular at every w."""
+def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
+    """check_ni(sys, tol) and the imaginary-axis zeros of Phi. The modal
+    terms decide first (`_ni_by_terms`). The zeros are solved for when the
+    terms do not decide, and when `zeros` asks for them (for SNI); then the
+    terms' verdict only spares the breakpoint sweep. The zeros are None
+    when poles decide the verdict, when the terms decide and `zeros` is
+    False, and when H(w) is singular at every w."""
     _square(sys)
     p, bad = _pole_verdict(sys)
     if bad is not None:
         return bad, None
+    v = _ni_by_terms(sys, tol)
+    if v is not None and not zeros:
+        return v, None
     z = phi_imaginary_axis_zeros(sys)
     axis, fin = z
-    v = _ni_on_grid(sys, _breakpoint_grid(fin, p), tol)
-    v.note = z.note
-    if z.singular:
-        v.note = "; ".join(filter(None, (
-            "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
-            z.note)))
-        return v, None
-    return v, axis
+    if v is None:
+        v = _ni_on_grid(sys, _breakpoint_grid(fin, p), tol)
+        v.note = z.note
+        if z.singular:
+            v.note = "; ".join(filter(None, (
+                "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
+                z.note)))
+    return v, (None if z.singular else axis)
+
+
+def _ni_by_terms(sys, tol):
+    """check_ni's verdict when the modal terms of P are NI on their own, up
+    to tol; else None. With the grouped residues R_k of A = V diag(lam)
+    V^{-1} (`_residues`), H(w) = sum_k H_k(w), one term per real pole
+    lam < 0, H_k = 2w R_k / (w^2 + lam^2), and one per conjugate pair
+    (Im lam > 0), with a = -2 Re lam, b = |lam|^2, F = 2 Re R_k and
+    G = -2 Re(R_k conj(lam)):
+
+        H_k(w) = 2w (c0 + w^2 F) / ((b - w^2)^2 + a^2 w^2),  c0 = aG - bF,
+
+    for symmetric R_k. So lambda_min(H_k(w)) >= -(e0 b0 + eF bF) at every
+    w, where e0 and eF are max(0, -lambda_min) of c0 and F (of R_k for a
+    real pole), and b0 = max(4 sqrt2 b^-3/2, 2 sqrt2 / (a^2 sqrt b)) and
+    bF = max(4 sqrt2 b^-1/2, 2 sqrt2 sqrt(b) / a^2) bound 2w / den and
+    2w^3 / den over w (b0 = 1 / |lam| for a real pole).
+
+    The symmetry check admits skew parts above rounding, and each adds to
+    H a Hermitian j (K - K^T), whose lambda_min is at least -||K - K^T||_F:
+    K of D as it stands, 2 |lam| K / (w^2 + lam^2) of a real pole's R_k,
+    and 2 (K_G (b - w^2) + a w^2 K_F) / den of a pair's F and G, so the
+    bound adds ||D - D^T||_F, ||R_k - R_k^T||_F / |lam|, and
+    ||G - G^T||_F / sqrt(min den) + ||F - F^T||_F / a. The terms also put
+    every eigenvalue lam_i of a group at its first, lam_r, which moves H by
+    at most 2 ||R_i|| |lam_i - lam_r| / (|Re lam_i| |Re lam_r|). When the
+    bound sums to at most tol, lambda_min(H(w)) >= -tol at every w for the
+    modal P that check_ni's sweep reads, which is check_ni's criterion. A
+    sum of NI terms is NI (Lanzon & Petersen, IEEE TAC 2008), so the test is
+    sufficient, never necessary: it declines a plant with a term that is
+    not NI, as a non-collocated plant usually has."""
+    res = _residues(sys)
+    if res is None or not res.symmetric:
+        return None
+    lam, rep = res.lam, res.rep
+    # a group that holds a pole and the conjugate of another is neither a
+    # real pole nor one of a pair
+    side = np.sign(lam.imag)
+    if np.any(side != side[rep]):
+        return None
+    first = rep == np.arange(lam.size)
+    real, pair = first & (side == 0), first & (side > 0)
+    Rr, ir = res.R[real].real, 1.0 / np.abs(lam[real].real)
+    R, lp = res.R[pair], lam[pair]
+    a, b = -2.0 * lp.real, np.abs(lp) ** 2
+    F, G = 2.0 * R.real, -2.0 * (R * lp.conj()[:, None, None]).real
+    c0 = a[:, None, None] * G - b[:, None, None] * F
+    r2 = 2.0 * math.sqrt(2.0)
+    b0 = np.maximum(2.0 * r2 * b ** -1.5, r2 / (a * a * np.sqrt(b)))
+    bF = np.maximum(2.0 * r2 / np.sqrt(b), r2 * np.sqrt(b) / (a * a))
+    bound = _neg_part(Rr) @ ir + _neg_part(c0) @ b0 + _neg_part(F) @ bF
+    if sys.inputs > 1:   # a 1 x 1 matrix has no skew part
+        # sqrt of the least den over w: b, or a Im lam at w^2 = b - a^2 / 2
+        root = np.where(a * a >= 2.0 * b, b, a * lp.imag)
+        bound += (_skew(sys.D[None])[0] + _skew(Rr) @ ir
+                  + _skew(G) @ (1.0 / root) + _skew(F) @ (1.0 / a))
+    if not first.all():
+        moved = np.flatnonzero(~first)
+        lm, lr = lam[moved], lam[rep[moved]]
+        bound += 2.0 * np.sum(res.term[moved] * np.abs(lm - lr) / (lm.real * lr.real))
+    if not bound <= tol:
+        return None
+    return FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=(
+        f"NI term by term from the modal residues: -lambda_min(H(w)) <= {bound:.3g} at every w"))
+
+
+def _skew(S):
+    # ||S - S^T||_F of each matrix of the stack S
+    return np.linalg.norm(S - S.transpose(0, 2, 1), axis=(1, 2))
+
+
+def _neg_part(S):
+    # max(0, -lambda_min) of the symmetric part of each matrix of the stack S
+    if S.shape[0] == 0:
+        return np.zeros(0)
+    if S.shape[1] == 1:
+        return np.maximum(0.0, -S[:, 0, 0])
+    return np.maximum(0.0, -np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0])
 
 
 def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """NI verdict of record: poles in the open left half-plane and
-    lambda_min(H(w)) >= -tol relative at every w >= 0, decided by testing H
-    once in each interval between the imaginary-axis zeros of
-    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. `note` says when the
-    zeros came from the doubled realization and why, and when H(w) is
-    singular at every w, so the zeros are those below the normal rank of
+    lambda_min(H(w)) >= -tol relative at every w >= 0.
+
+    When every term of the modal expansion of P is NI on its own, a finite
+    test on the residues of the kept eigenbasis decides, and no zero solve
+    runs (`_ni_by_terms`): `note` names this route and gives its bound, and
+    `worst_frequency` and `worst_margin` are 0, H(0) being 0 up to that
+    bound. Otherwise, and whenever A has no eigenbasis, H is tested once in
+    each interval between the imaginary-axis zeros of
+    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. There `note` says
+    when the zeros came from the doubled realization and why, and when H(w)
+    is singular at every w, so the zeros are those below the normal rank of
     Phi."""
-    return _ni_spectral(sys, _check_tol(tol))[0]
+    return _ni_spectral(sys, _check_tol(tol), zeros=False)[0]
 
 
 @dataclass
@@ -292,7 +393,7 @@ def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
     why = "A has no well-conditioned eigenbasis"
     lam, basis = eigensystem(sys)
     if basis is not None:
-        why, t, k = _t_zeros(sys, lam, *basis, sign=sign)
+        why, t, k = _t_zeros(sys, _residues(sys), sign)
     if why is None:
         s = np.sqrt(t)
         origin = np.zeros(k if sign < 0 else 0, dtype=complex)
@@ -324,31 +425,70 @@ def _real_form(lam, CV, W, pair):
     return L, B, C
 
 
-def _t_zeros(sys, lam, V, Vi, cond, sign=-1.0):
-    """(None, t, k): the zeros t of G(t) = sum_i R_i / (t - lam_i^2), with
-    Phi(s) = 2s G(s^2), and the normal rank k of G; or (reason, None, None)
-    when D or a residue R_i = (C V)_i (V^{-1} B)_i is not symmetric. With
-    sign +1, G is the PR function Psi(s) = D + D^T + sum_i 2 lam_i R_i /
-    (s^2 - lam_i^2) in t = s^2 instead. G is realized in real coordinates
-    (`_real_form`), of order n, for the staircase (`_zeros`).
-    """
-    n, m = sys.n, sys.inputs
-    if np.linalg.norm(sys.D - sys.D.T) > SYM_TOL * (1.0 + np.linalg.norm(sys.D)):
-        return "residues or feedthrough not symmetric", None, None
+class _Residues(NamedTuple):
+    """The modal residues of P from the kept A = V diag(lam) V^{-1}: W =
+    V^{-1} B and CV = C V; rep[i], the first eigenvalue within rounding of
+    lam[i] (Bauer-Fike: cond(V) n eps ||A||_1), under which the group's
+    residues are summed; R[k], the sum of R_i = CV_i W_i over the group of
+    k, zero where rep[k] != k; term[i] = ||CV_i|| ||W_i||, the size of R_i
+    before cancellation; and symmetric: D and every R[k] are symmetric
+    within SYM_TOL (times the group's sum of term, for R[k])."""
+
+    lam: np.ndarray
+    rep: np.ndarray
+    W: np.ndarray
+    CV: np.ndarray
+    R: np.ndarray
+    term: np.ndarray
+    symmetric: bool
+
+
+def _residues(sys):
+    """The `_Residues` of a square system, computed at the first call and
+    kept on the system, as `eigensystem` is; None when A has no eigenbasis.
+    Eigenvalues within rounding of each other are one pole, and only the
+    sum of their residues is defined: every reader takes the groups from
+    here (the term test, the zeros of Phi and Psi, the PR axis residues)."""
+    res = sys.__dict__.get("_res")
+    if res is not None:
+        return res
+    lam, basis = eigensystem(sys)
+    if basis is None:
+        return None
+    V, Vi, cond = basis
+    n = sys.n
     W, CV = Vi @ sys.B, sys.C @ V
-    # eigenvalues within rounding of each other are one pole, and only the
-    # sum of their residues is defined: group them under the first
     near = cond * n * np.finfo(float).eps * np.linalg.norm(sys.A, 1)
     rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1) if n else np.zeros(0, int)
     term = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
-    if m > 1:   # a 1 x 1 residue is symmetric
-        R, size = np.zeros((n, m, m), dtype=complex), np.zeros(n)
+    R, size = CV.T[:, :, None] * W[:, None, :], term
+    if np.any(rep != np.arange(n)):
+        R, size = np.zeros_like(R), np.zeros(n)
         np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
         np.add.at(size, rep, term)
-        if np.any(np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) > SYM_TOL * size):
-            return "residues or feedthrough not symmetric", None, None
-    pair = np.flatnonzero(lam.imag > 0)
-    lam = lam[rep]
+    symmetric = bool(
+        np.linalg.norm(sys.D - sys.D.T) <= SYM_TOL * (1.0 + np.linalg.norm(sys.D))
+        # a 1 x 1 residue is symmetric
+        and (sys.inputs == 1 or np.all(
+            np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) <= SYM_TOL * size)))
+    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, symmetric)
+    return res
+
+
+def _t_zeros(sys, res, sign=-1.0):
+    """(None, t, k): the zeros t of G(t) = sum_i R_i / (t - lam_i^2), with
+    Phi(s) = 2s G(s^2), and the normal rank k of G; or (reason, None, None)
+    when D or a grouped residue (`_residues`) is not symmetric. With sign
+    +1, G is the PR function Psi(s) = D + D^T + sum_i 2 lam_i R_i /
+    (s^2 - lam_i^2) in t = s^2 instead. G is realized in real coordinates
+    (`_real_form`), of order n, for the staircase (`_zeros`).
+    """
+    m = sys.inputs
+    if not res.symmetric:
+        return "residues or feedthrough not symmetric", None, None
+    W, CV, term = res.W, res.CV, res.term
+    pair = np.flatnonzero(res.lam.imag > 0)
+    lam = res.lam[res.rep]
     mu = lam * lam
     if sign < 0:
         Dt = np.zeros((m, m))
@@ -460,9 +600,6 @@ def _pr_spr(sys, grid, tol):
     note = spr = None
     if axis.size:
         spr = _refused("imaginary-axis pole")
-        ap = np.sort(axis.imag)
-        if ap.size > 1 and np.any(np.diff(ap) <= 1e-6 * (1.0 + np.abs(ap[:-1]))):
-            return _refused("repeated imaginary-axis pole"), spr
         note = "imaginary-axis pole(s) present, grid points near them skipped"
     g = _as_grid(sys, grid)
     # only grid points within rounding of an imaginary-axis pole are dropped,
@@ -480,21 +617,26 @@ def _pr_spr(sys, grid, tol):
 
 
 def _axis_residue_fault(sys, axis):
-    """Why the residue R_i = (C V)_i (V^{-1} B)_i, A = V diag(lam) V^{-1}, of
-    a pole lam_i in axis, Im lam_i >= 0 (a conjugate's residue is conjugate),
-    is not Hermitian PSD within SYM_TOL ||C|| ||V_i|| ||(V^{-1})_i|| ||B||, its
-    size before cancellation; None when every one is."""
-    lam, basis = eigensystem(sys)
-    if basis is None:
+    """Why the residue of a pole in axis is not Hermitian PSD; None when
+    every one is. Eigenvalues within rounding of each other are one pole,
+    semisimple since A has an eigenbasis, whose residue is the sum R_k of
+    its group (`_residues`): R_k must be Hermitian PSD within SYM_TOL times
+    the group's sum of ||C|| ||V_i|| ||(V^{-1})_i|| ||B||, its size before
+    cancellation. A conjugate pole's residue is the conjugate, and passes
+    or fails with it."""
+    res = _residues(sys)
+    if res is None:
         return "imaginary-axis pole, and A has no eigenbasis to read its residue from"
-    V, Vi, _ = basis
-    tol = (SYM_TOL * np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
-           * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
-    for i in np.flatnonzero(np.isin(lam, axis) & (lam.imag >= 0)):
-        R = np.outer(sys.C @ V[:, i], Vi[i] @ sys.B)
-        if (np.linalg.norm(R - R.conj().T) > tol[i]
-                or np.linalg.eigvalsh(R + R.conj().T)[0] < -2.0 * tol[i]):
-            return f"imaginary-axis pole at s = j{lam[i].imag:g}: residue not Hermitian PSD"
+    V, Vi, _ = eigensystem(sys)[1]
+    tol = np.zeros(sys.n)
+    np.add.at(tol, res.rep, SYM_TOL * np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
+              * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
+    for k in np.flatnonzero(np.isin(res.lam, axis) & (res.rep == np.arange(sys.n))):
+        R = res.R[k]
+        if (np.linalg.norm(R - R.conj().T) > tol[k]
+                or np.linalg.eigvalsh(R + R.conj().T)[0] < -2.0 * tol[k]):
+            return (f"imaginary-axis pole at s = j{abs(res.lam[k].imag):g}: "
+                    "residue not Hermitian PSD")
     return None
 
 
@@ -563,8 +705,9 @@ def _spr_at_infinity(sys, tol):
 
 def check_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Positive real (Anderson & Vongpanitlerd 1973): poles in the closed
-    left half-plane, each imaginary-axis pole simple (noted) with a Hermitian
-    PSD residue, read from the eigenbasis of A (not PR without one), and
+    left half-plane, each imaginary-axis pole semisimple (noted) with a
+    Hermitian PSD residue, read from the eigenbasis of A (not PR without
+    one; a repeated pole's residue is the sum over its group), and
     lambda_min(P(jw) + P(jw)^*) >= -tol relative on the grid."""
     return _pr_spr(sys, grid, _check_tol(tol))[0]
 
@@ -628,7 +771,8 @@ class Classification:
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
     """Run the full battery. check_ni and check_sni_zeros, sharing one zero
-    solve, are the verdicts of record for NI/SNI; one sweep of
+    solve (and, when the modal terms decide NI, no breakpoint sweep), are
+    the verdicts of record for NI/SNI; one sweep of
     P(jw) + P(jw)^* on `grid` decides PR and SPR, and the NI sweep on `grid`
     is evidence. Each field equals what the standalone check returns at this
     tol (check_sni_zeros: at the default)."""

@@ -486,7 +486,9 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     Struct. 2007).
 
     Stability is decided once, by the DC-gain theorem, when A has an
-    eigenbasis: the plant is NI (`check_ni`), irc(gamma, Phi) is SNI by
+    eigenbasis: the plant is NI (`check_ni`, decided from the residues of
+    that eigenbasis, with no zero solve, when each modal term of the plant
+    is NI on its own, as for collocated modes), irc(gamma, Phi) is SNI by
     construction with zero feedthrough, and lambda = P(0) / Phi, the same
     for every gamma, lies outside MARGINAL_BAND of 1. Then the loop is
     stable at every gain when lambda < 1, and at none when lambda > 1: the

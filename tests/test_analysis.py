@@ -112,10 +112,12 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         assert len(solves) == 0 and zeros == want
         # A is decomposed once: the poles, every sweep and the zeros of Phi
         # read that one eigensolve. A stable system is swept for NI on the
-        # breakpoints and on the grid, and for PR and SPR together on the grid
+        # grid, and for PR and SPR together on the grid, and on the
+        # breakpoints unless its modal terms decide NI on their own
         assert len(decomps) == 1 and len(eigs) == 1
         assert poles(sys).tobytes() == np.linalg.eigvals(sys.A).tobytes()
-        assert len(sweeps) == (3 if np.all(poles(sys).real < 0) else 0)
+        by_terms = c.ni_spectral.note is not None and "term by term" in c.ni_spectral.note
+        assert len(sweeps) == ((2 if by_terms else 3) if np.all(poles(sys).real < 0) else 0)
         ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
         assert same(c.ni_sweep, check_ni_sweep(sys, grid=g))
@@ -126,12 +128,19 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         assert c.ni == ni.holds and c.sni == sni_zeros.is_sni
         # the LMI certificate stays as an independent oracle of the verdict
         assert ni.holds == check_ni_lmi(sys).is_ni
-    # the hot path at n = 200 takes the t-form, of order n
+    # 1/(s+1) is NI term by term; second_order is NI with a term that is
+    # not, and the others are not NI: they take the zeros
+    assert [classify(s).ni_spectral.note is not None
+            and "term by term" in classify(s).ni_spectral.note
+            for s, _, _ in cases] == [True, False, False, False, False, False]
+    # the hot path at n = 200 is decided by its terms, with no zero solve
     zeros.clear()
     decomps.clear()
     plant = modal_to_ss(ModalModel(flexible_modes(100)))
     assert check_ni(plant).holds
-    assert zeros == [(200, 200)] and len(decomps) == 1
+    assert zeros == [] and len(decomps) == 1
+    # its zeros, for SNI, take the t-form, of order n
+    assert check_sni_zeros(plant).is_sni and zeros == [(200, 200)]
     assert poles(plant).tobytes() == np.linalg.eigvals(plant.A).tobytes()
 
 
@@ -207,6 +216,75 @@ def _qz_verdict(sys):
     return check_ni_sweep(sys, grid=_breakpoint_grid(phi_zeros_qz(sys)[1], poles(sys))).holds
 
 
+def _by_terms(v):
+    return v.note is not None and "term by term" in v.note
+
+
+def test_ni_route_is_named(second_order, monkeypatch):
+    zeros = counting(monkeypatch, analysis, "_zeros")
+    # the paper plant: every mode's residue is PSD, so its terms decide
+    # with no zero solve, and H(0) = 0 is the reported worst point
+    paper = check_ni(modal_to_ss(ModalModel(flexible_modes(100))))
+    assert paper.holds and _by_terms(paper) and zeros == []
+    assert paper.worst_frequency == 0.0 and paper.worst_margin == 0.0
+    # NARROW_BAND has a term of residue -1e-3: the zeros decide, and find
+    # its band; second_order is NI with a term that is not NI on its own
+    for sys, ni in ((NARROW_BAND, False), (second_order, True)):
+        zeros.clear()
+        v = check_ni(sys)
+        assert v.holds == ni and not _by_terms(v) and len(zeros) == 1
+    # non-collocated: actuator and sensor see the second mode with opposite
+    # signs, so its residue is negative, and the zeros decide
+    nc = StateSpace(block_diag([[0.0, 1.0], [-1.0, -0.2]], [[0.0, 1.0], [-9.0, -0.6]]),
+                    [[0.0], [1.0], [0.0], [0.5]], [[1.0, 0.0, -0.5, 0.0]], [[0.0]])
+    zeros.clear()
+    v = check_ni(nc)
+    dense = check_ni_sweep(nc, grid=default_grid(nc, points_per_decade=2000))
+    assert not _by_terms(v) and len(zeros) == 1 and v.holds == dense.holds
+
+
+def test_velocity_leak_is_not_ni():
+    # psi^2 (1 - 1e-10 s) / (s^2 + 2 s + 1e4), psi = 1e4: the leak makes
+    # H(w) = 2w psi^2 (2 - 1e-10 w^2 + 1e-6) / den negative past w = 1.4e5,
+    # where lambda_min(H) reaches -5.3e-8 near 2.8e5 against a tolerance of
+    # about 1e-8. A band of SYM_TOL times the term's size on the residues
+    # would call it NI; the terms decline, and the zeros decide
+    psi = 1e4
+    leak = StateSpace([[0.0, 1.0], [-1e4, -2.0]], [[0.0], [psi]], [[psi, -1e-10 * psi]],
+                      [[0.0]])
+    v = check_ni(leak)
+    assert not v.holds and not _by_terms(v)
+    assert abs(v.worst_frequency - 2.83e5) < 1e3 and v.worst_margin < -5e-8
+    assert analysis._ni_by_terms(leak, 1e-8) is None
+
+
+@pytest.mark.parametrize("sys", [
+    # A = -I2 is one group whose residue R = CB ~ [[0, -1], [1, 1/M]]
+    # passes the symmetry check against its size before cancellation, M,
+    # yet H(0) = j (R - R^T) has lambda_min = -2
+    pytest.param(StateSpace(-np.eye(2), [[1.0, 0.0], [1.0, 1 / 1.5e8]],
+                            [[1.5e8, -1.5e8], [0.0, 1.0]], np.zeros((2, 2))),
+                 id="grouped-skew-residue"),
+    # D = -10 I + K, with ||K - K^T||_F just inside SYM_TOL (1 + ||D||_F),
+    # and PSD terms that cancel D at w = 0: H(0) = j (K - K^T) has
+    # lambda_min = -1.28e-7 while ||P(0)|| is about 1e-7
+    pytest.param(StateSpace(np.diag([-1.0, -2.0, -3.0]), np.eye(3), np.diag([10.0, 20.0, 30.0]),
+                            -10.0 * np.eye(3) + 0.99e-8 * (1.0 + np.sqrt(300.0)) / np.sqrt(8.0)
+                            * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+                 id="skew-feedthrough"),
+])
+def test_admitted_skew_is_not_ni(sys, monkeypatch):
+    # the symmetry check admits these skew parts, and the terms count them:
+    # both are not NI at w = 0, as the zero route finds
+    assert analysis._residues(sys).symmetric
+    v = check_ni(sys)
+    assert not v.holds and not _by_terms(v) and v.worst_frequency == 0.0
+    assert analysis._ni_by_terms(sys, 1e-8) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: None)
+        assert not check_ni(sys).holds
+
+
 def test_singular_zero_pencil():
     # rank-one 2 x 2 systems: H(w) has a zero eigenvalue at every w
     p = ppf_mimo([[1.0, 0.5]], [[0.6]], [[4.0]])
@@ -217,7 +295,8 @@ def test_singular_zero_pencil():
         phi_zeros_qz(p)
     acc = resonant_acc([(np.array([1.0, 0.5]), 0.3, 2.0)])
     v = check_ni(acc)
-    assert v.holds and "below its normal rank" in v.note
+    # its one pair has a PSD rank-one residue: NI term by term, no zeros
+    assert v.holds and "term by term" in v.note
     r = check_sni_zeros(acc)
     assert not r.is_sni and "singular at every w" in r.reason
 
@@ -443,11 +522,46 @@ def test_pr_refuses_an_axis_pole_without_an_eigenbasis():
 
 
 def test_pr_rejects_repeated_axis_pole():
-    # 1/s^2 is not PR
+    # 1/s^2 is not PR: its Jordan block leaves no residue to read
     sys = StateSpace([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                      [[1.0, 0.0]], [[0.0]])
     v = check_positive_real(sys)
-    assert not v.holds and "repeated" in v.reason
+    assert not v.holds
+    assert v.reason == "imaginary-axis pole, and A has no eigenbasis to read its residue from"
+
+
+def _rotated(sys):
+    T = np.linalg.qr(np.random.default_rng(3).standard_normal((sys.n, sys.n)))[0]
+    return StateSpace(T @ sys.A @ T.T, T @ sys.B, sys.C @ T.T, sys.D)
+
+
+@pytest.mark.parametrize("sys, pr", [
+    pytest.param(StateSpace(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2))), True,
+                 id="I/s"),
+    # non-minimal: two states at s = 0 with residues 1 and 1
+    pytest.param(StateSpace(np.zeros((2, 2)), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]), True,
+                 id="1/s+1/s"),
+    pytest.param(StateSpace(np.zeros((2, 2)), np.eye(2), -np.eye(2), np.zeros((2, 2))), False,
+                 id="-I/s"),
+    # I s/(s^2 + 1), each pole twice, in rotated coordinates: eig returns a
+    # mixed basis of each double eigenspace, whose summed residue is I / 2
+    pytest.param(_rotated(StateSpace(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]),
+                                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                                     [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                                     np.zeros((2, 2)))),
+                 True, id="Is/(s^2+1)"),
+])
+def test_pr_reads_a_semisimple_axis_cluster(sys, pr):
+    # a repeated axis pole with an eigenbasis is one pole whose residue is
+    # the sum over its group: PR iff that sum is Hermitian PSD
+    v = check_positive_real(sys)
+    assert v.holds == pr and classify(sys).pr == pr
+    assert v.note.startswith("imaginary-axis pole(s) present")
+    if not pr:
+        assert v.reason == "imaginary-axis pole at s = j0: residue not Hermitian PSD"
+    # the dense sweep agrees away from the poles
+    g = default_grid(sys, points_per_decade=2000, wmin=1e-3, wmax=1e3)
+    assert check_positive_real(sys, grid=g).holds == pr
 
 
 # a rotation by 0.3 rad, to couple the channels of a diagonal plant

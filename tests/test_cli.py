@@ -80,7 +80,9 @@ def test_analyze_json_keys(tmp_path, capsys):
     rep = json.loads(out)
     assert set(rep) == {"ni", "sni", "pr", "spr", "ni_spectral", "ni_sweep", "pr_sweep",
                         "spr_sweep", "sni_zeros", "system"}
-    assert set(rep["ni_spectral"]) == {"holds", "worst_frequency", "worst_margin"}
+    # 1/(s+1) is NI term by term, and `note` says so
+    assert set(rep["ni_spectral"]) == {"holds", "worst_frequency", "worst_margin", "note"}
+    assert "term by term" in rep["ni_spectral"]["note"]
     assert set(rep["sni_zeros"]) == {"is_sni", "reason", "axis_zeros"}
 
 

@@ -20,6 +20,7 @@ from nisys import (StateSpace, add, check_ni, check_ni_sweep, check_positive_rea
                    resonant_vel_type, rotated_system, star_product)
 from nisys import ModalModel, analysis, phi_imaginary_axis_zeros, phi_system, poles
 from nisys import closed_loop, synthesize_state_feedback, verify_closed_loop
+from nisys._kernels import sweep_eigmin
 from nisys.analysis import ORIGIN_TOL
 from nisys.lti import eigensystem
 from conftest import (FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, phi_zeros_qz,
@@ -279,12 +280,103 @@ def test_check_ni_agrees_with_dense_sweep():
         assert check_ni(P).holds == dense.holds == (i % 2 == 0)
 
 
+# ------------------------------------------------- NI term by term
+
+def _zero_route(P, monkeypatch):
+    # check_ni decided by the zeros of Phi, as where the terms decline
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: None)
+        return check_ni(P)
+
+
+def collocated_modal(rng, m):
+    """Position modes with random shapes psi (residues psi psi^T / (2j Im
+    lam)), frequencies over five decades and damping ratios 1e-3 to 0.5,
+    scaled by 1e-3 to 1e5; a third carry a velocity leak of either sign
+    (1e-12 to 1e-3 of the scale), a fifth a lag term, and a quarter are
+    negated."""
+    modes = []
+    for _ in range(int(rng.integers(1, 6))):
+        w = 10.0 ** rng.uniform(-1.0, 4.0)
+        modes.append((w, 2.0 * 10.0 ** rng.uniform(-3.0, -0.3) * w,
+                      tuple(rng.standard_normal(m))))
+    c = 10.0 ** rng.uniform(-3.0, 5.0)
+    P = scale_output(modal_to_ss(ModalModel(tuple(modes))), c)
+    if rng.uniform() < 1 / 3:
+        v = modal_to_ss(ModalModel(tuple(modes), output="velocity"))
+        P = add(P, scale_output(v, c * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3)))
+    if rng.uniform() < 1 / 5:
+        P = add(P, scale_output(lag_block(rng, m), c))
+    return scale_output(P, -1.0) if rng.uniform() < 1 / 4 else P
+
+
+def test_term_route_never_overrules_the_zeros(monkeypatch):
+    # wherever the modal terms say NI, the zeros of Phi and a
+    # 2000-points-per-decade sweep say NI too
+    rng = np.random.default_rng(181)
+    accepted = declined = 0
+    for i in range(240):
+        P = collocated_modal(rng, 1 + i % 3)
+        v = check_ni(P)
+        if v.note is None or "term by term" not in v.note:
+            declined += 1
+            continue
+        accepted += 1
+        assert v.holds and _zero_route(P, monkeypatch).holds
+        assert check_ni_sweep(P, grid=default_grid(P, points_per_decade=2000)).holds
+    assert accepted >= 80 and declined >= 80
+
+
+def test_term_bound_covers_the_worst_dip():
+    # the terms' bound is a bound: on plants whose H(w) dips below 0 by more
+    # than rounding, a tol under the deepest dip seen on a dense grid is
+    # never accepted
+    rng = np.random.default_rng(191)
+    dips = 0
+    for i in range(160):
+        P = collocated_modal(rng, 1 + i % 3)
+        if analysis._ni_by_terms(P, np.inf) is None:
+            continue    # not symmetric: no terms
+        g = default_grid(P, points_per_decade=2000)
+        lam, pn = sweep_eigmin(P.A, P.B, P.C, P.D, g, 0, eigensystem(P))
+        worst = -lam.min()
+        if worst <= 1e-9 * (1.0 + pn.max()):
+            continue
+        dips += 1
+        assert analysis._ni_by_terms(P, 0.999 * worst) is None
+    assert dips >= 40
+
+
+def test_term_bound_covers_skew_parts():
+    # the skew parts of D and of the residues, and the grouping of repeated
+    # eigenvalues, are bounded too: on random MIMO plants, a third of them
+    # with every pole twice, read as if the symmetry check had passed, no
+    # point of a dense grid dips below minus the terms' bound
+    rng = np.random.default_rng(197)
+    for i in range(200):
+        m, n = 2 + i % 2, int(rng.integers(1, 7))
+        A = rng.standard_normal((n, n))
+        A -= (np.linalg.eigvals(A).real.max() + 10.0 ** rng.uniform(-2.0, 0.5)) * np.eye(n)
+        if i % 3 == 0:
+            A, n = np.kron(np.eye(2), A), 2 * n
+        P = StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((m, n)),
+                       rng.standard_normal((m, m)))
+        P.__dict__["_res"] = analysis._residues(P)._replace(symmetric=True)
+        v = analysis._ni_by_terms(P, np.inf)
+        bound = float(v.note.split("<= ")[1].split()[0])
+        g = np.concatenate(([0.0], np.logspace(-4.0, 6.0, 3000)))
+        lam, _ = sweep_eigmin(P.A, P.B, P.C, P.D, g, 0, eigensystem(P))
+        assert -lam.min() <= 1.001 * bound
+
+
 # ------------------------------------------- zeros of Phi against QZ oracle
 
 def _qz_verdict(P, monkeypatch):
-    # check_ni with the zeros of Phi from the QZ pencil
+    # check_ni with the zeros of Phi from the QZ pencil, also where the
+    # modal terms would decide
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "phi_imaginary_axis_zeros", phi_zeros_qz)
+        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: None)
         return check_ni(P)
 
 
@@ -369,8 +461,8 @@ def test_t_zeros_residual_on_paper_plant():
     # every zero t of G(t) = sum_i R_i / (t - lam_i^2) on the 100-mode plant
     # leaves sigma_min(G(t)) at most 1e-9 of its largest term
     P = modal_to_ss(ModalModel(flexible_modes(100)))
-    lam, (V, Vi, cond) = eigensystem(P)
-    why, t, k = analysis._t_zeros(P, lam, V, Vi, cond)
+    lam, (V, Vi, _) = eigensystem(P)
+    why, t, k = analysis._t_zeros(P, analysis._residues(P))
     assert why is None and k == 1 and t.size == P.n - 2
     CV, W = P.C @ V, Vi @ P.B
     for tk in t:
