@@ -2,11 +2,11 @@
 
 `eval_grid` takes the real system matrices, a frequency grid and the
 eigendecomposition of A kept on the system (`lti.eigensystem`), and returns
-the transfer matrix at every grid point. `sweep_eigmin` returns, per grid
-point, the smallest eigenvalue of the tested Hermitian form plus the
-Frobenius norm of the transfer matrix (used for relative tolerances).
-mode 0: H = j (P - P^*)   (negative-imaginary test)
-mode 1: H = P + P^*       (positive-real test)
+the transfer matrix at every grid point. `sweep_eigmin` reads both
+Hermitian forms of that one evaluation, per grid point: the smallest
+eigenvalues of j (P - P^*) (the negative-imaginary test) and of P + P^*
+(the positive-real test), plus the Frobenius norm of P (used for relative
+tolerances).
 
 With the kept A = V diag(lam) V^{-1}, `eval_grid` reads
 P(jw) = (C V) diag(1 / (jw - lam)) (V^{-1} B) + D at O(n p m) per point
@@ -18,8 +18,8 @@ of grid points per stacked LAPACK call, bit-for-bit a per-point solve,
 raising `LinAlgError` on an exactly singular point. Either path holds at
 most CHUNK complex entries (1 MB) per chunk temporary: stacking the
 resolvent over the whole grid would hold an (nw, n, n) array, about 1 GB at
-n = 200 on a default grid. The small (nw, m, m) forms are stacked into one
-eigensolve.
+n = 200 on a default grid. The small (nw, 2, m, m) forms are stacked into
+one eigensolve.
 """
 
 from __future__ import annotations
@@ -101,21 +101,24 @@ def _resolvent(A, B, C, D, ws):
     return out
 
 
-def sweep_eigmin(A, B, C, D, ws, mode: int, eig):
-    """Per-frequency smallest eigenvalue of the mode's Hermitian form.
+def sweep_eigmin(A, B, C, D, ws, eig):
+    """Per-frequency smallest eigenvalues of both Hermitian forms of one
+    evaluation of P(jw): (lam_ni, lam_pr, pnorm) arrays aligned with ws,
+    lambda_min of j (P - P^*) and of P + P^*, and ||P||_F.
 
     Frequencies must avoid poles of the system (caller's responsibility);
-    eig is as in `eval_grid`. Returns (lam_min, pnorm) arrays aligned with ws.
+    eig is as in `eval_grid`.
     """
     P = eval_grid(A, B, C, D, ws, eig)
-    Ph = P.conj().transpose(0, 2, 1)
-    H = (P + Ph) if mode == 1 else 1j * (P - Ph)
-    lam = np.linalg.eigvalsh(H)[:, 0]
     if P.shape[1] == P.shape[2] == 1:
-        # one entry: the same two products and sqrt as np.linalg.norm
+        # the 1 x 1 forms are real: what eigvalsh returns, signed zeros
+        # included (0.0 - y, not -y, gives +0.0 at Im P = 0), and the same
+        # two products and sqrt as np.linalg.norm
         x = P[:, 0, 0]
-        pnorm = np.sqrt(x.real * x.real + x.imag * x.imag)
-    else:
-        # per point: a stacked sum of squares rounds differently in the last bit
-        pnorm = np.array([np.linalg.norm(Pk) for Pk in P], dtype=float)
-    return lam, pnorm
+        return (0.0 - 2.0 * x.imag, 2.0 * x.real,
+                np.sqrt(x.real * x.real + x.imag * x.imag))
+    Ph = P.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(np.stack((1j * (P - Ph), P + Ph), axis=1))[..., 0]
+    # per point: a stacked sum of squares rounds differently in the last bit
+    pnorm = np.array([np.linalg.norm(Pk) for Pk in P], dtype=float)
+    return lam[:, 0], lam[:, 1], pnorm

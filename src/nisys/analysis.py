@@ -25,11 +25,12 @@ realization, of order 2n, in the real eigenbasis or, without one, that of
 `phi_system`, and the verdict's `note` says why. A Phi of normal rank below
 m makes H(w) singular at every w.
 
-PR and SPR are decided from one sweep of P(jw) + P(jw)^* on a grid: PR by
-its sign and the grouped residues at imaginary-axis poles, SPR by its
-strict sign at every w > 0, the limits at w = 0 and w -> infinity, and no
-axis zero of Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The
-NI lemma LMI (`check_ni_lmi`) is a certificate on demand.
+One evaluation of P(jw) on a grid is read as j (P - P^*), the NI sweep
+(evidence), and as P + P^*, which decides PR by its sign and the grouped
+residues at imaginary-axis poles, and SPR by its strict sign at every
+w > 0, the limits at w = 0 and w -> infinity, and no axis zero of
+Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
+(`check_ni_lmi`) is a certificate on demand.
 """
 
 from __future__ import annotations
@@ -137,31 +138,34 @@ def _refused(reason, grid=None):
 
 
 def _pole_verdict(sys):
-    # poles of sys, and a verdict that is False before any grid point when
-    # a pole is on or right of the imaginary axis (else None)
-    p = poles(sys)
-    axis, in_rhp = _pole_status(p)
+    # _pole_status of the poles of sys, and the NI verdict, False before any
+    # grid point, when a pole is on or right of the imaginary axis (else None)
+    axis, in_rhp = _pole_status(poles(sys))
     if axis.size or in_rhp:
-        return p, _refused("imaginary-axis pole" if axis.size else "right-half-plane pole")
-    return p, None
+        why = "imaginary-axis pole" if axis.size else "right-half-plane pole"
+        return axis, in_rhp, _refused(why)
+    return axis, in_rhp, None
 
 
 def _ni_on_grid(sys, g, tol):
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, 0, eigensystem(sys))
+    lam, _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, eigensystem(sys))
+    return _sweep_verdict(g, lam, pn, tol)
+
+
+def _sweep_verdict(g, lam, pn, tol, reason=None, note=None):
+    # holds when lambda_min >= -tol (1 + ||P||) at every grid point; worst
+    # where that relative margin is least
     rel = lam / (1.0 + pn)
     i = int(np.argmin(rel))
-    return FreqVerdict(bool(rel[i] >= -tol), float(g[i]), float(lam[i]), g)
+    return FreqVerdict(bool(rel[i] >= -tol) and reason is None, float(g[i]), float(lam[i]), g,
+                       reason, note)
 
 
 def check_ni_sweep(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Poles in the open left half-plane and lambda_min(H(w)) >= -tol
-    relative at every grid frequency (w >= 0)."""
-    tol = _check_tol(tol)
-    _square(sys)
-    _, bad = _pole_verdict(sys)
-    if bad is not None:
-        return bad
-    return _ni_on_grid(sys, _as_grid(sys, grid), tol)
+    relative at every grid frequency (w >= 0), read from the evaluation of
+    P(jw) that decides check_positive_real and its SPR sibling."""
+    return _grid_verdicts(sys, grid, _check_tol(tol))[0]
 
 
 def _breakpoint_grid(zeros, p):
@@ -182,7 +186,7 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
     when poles decide the verdict, when the terms decide and `zeros` is
     False, and when H(w) is singular at every w."""
     _square(sys)
-    p, bad = _pole_verdict(sys)
+    bad = _pole_verdict(sys)[2]
     if bad is not None:
         return bad, None
     v = _ni_by_terms(sys, tol)
@@ -191,7 +195,7 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
     z = phi_imaginary_axis_zeros(sys)
     axis, fin = z
     if v is None:
-        v = _ni_on_grid(sys, _breakpoint_grid(fin, p), tol)
+        v = _ni_on_grid(sys, _breakpoint_grid(fin, poles(sys)), tol)
         v.note = z.note
         if z.singular:
             v.note = "; ".join(filter(None, (
@@ -590,30 +594,30 @@ def _filtered_grid(g, axis):
     return g[keep], keep
 
 
-def _pr_spr(sys, grid, tol):
-    """(check_positive_real, check_strictly_positive_real) from one sweep of
-    P(jw) + P(jw)^* on the grid."""
+def _grid_verdicts(sys, grid, tol):
+    """(check_ni_sweep, check_positive_real, check_strictly_positive_real)
+    from one pole test and one evaluation of P(jw) on the grid, which
+    `sweep_eigmin` reads as both j (P - P^*) and P + P^*."""
     _square(sys)
-    axis, in_rhp = _pole_status(poles(sys))
+    axis, in_rhp, ni = _pole_verdict(sys)
     if in_rhp:
-        return _refused("right-half-plane pole"), _refused("right-half-plane pole")
+        return ni, _refused("right-half-plane pole"), _refused("right-half-plane pole")
     note = spr = None
     if axis.size:
         spr = _refused("imaginary-axis pole")
         note = "imaginary-axis pole(s) present, grid points near them skipped"
     g = _as_grid(sys, grid)
     # only grid points within rounding of an imaginary-axis pole are dropped,
-    # so an empty grid means an axis pole, and spr is already decided
+    # so an empty grid means an axis pole, and ni and spr are already decided
     ge, _ = _filtered_grid(g, axis)
     if ge.size == 0:
-        return _refused("no evaluable grid points", g), spr
-    lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, 1, eigensystem(sys))
-    rel = lam / (1.0 + pn)
-    i = int(np.argmin(rel))
+        return ni, _refused("no evaluable grid points", g), spr
+    lam_ni, lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, eigensystem(sys))
     why = _axis_residue_fault(sys, axis) if axis.size else None
-    pr = FreqVerdict(bool(rel[i] >= -tol) and why is None, float(ge[i]), float(lam[i]), ge,
-                     why, note)
-    return pr, spr if spr is not None else _spr_hurwitz(sys, ge, lam, pn, tol)
+    pr = _sweep_verdict(ge, lam, pn, tol, why, note)
+    if ni is None:
+        ni, spr = _sweep_verdict(ge, lam_ni, pn, tol), _spr_hurwitz(sys, ge, lam, pn, tol)
+    return ni, pr, spr
 
 
 def _axis_residue_fault(sys, axis):
@@ -708,14 +712,15 @@ def check_positive_real(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -
     left half-plane, each imaginary-axis pole semisimple (noted) with a
     Hermitian PSD residue, read from the eigenbasis of A (not PR without
     one; a repeated pole's residue is the sum over its group), and
-    lambda_min(P(jw) + P(jw)^*) >= -tol relative on the grid."""
-    return _pr_spr(sys, grid, _check_tol(tol))[0]
+    lambda_min(P(jw) + P(jw)^*) >= -tol relative on the grid, read from
+    the evaluation of P(jw) that check_ni_sweep reads too."""
+    return _grid_verdicts(sys, grid, _check_tol(tol))[1]
 
 
 def check_strictly_positive_real(sys: StateSpace, grid=None,
                                  tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """Strictly positive real (Khalil, Nonlinear Systems, Lemma 6.1), from
-    the sweep of check_positive_real:
+    the grid evaluation of check_positive_real and check_ni_sweep:
     1. A is Hurwitz;
     2. lambda_min(P(jw) + P(jw)^*) > 0 at every grid point w > 0;
     3. lambda_min(P(0) + P(0)^T) > tol (||D|| + ||C|| ||A^{-1} B||);
@@ -726,7 +731,7 @@ def check_strictly_positive_real(sys: StateSpace, grid=None,
        P(jw) + P(jw)^* is nonsingular between grid points too.
     `reason` names the failed condition: a pole, the frequency (0 for the DC
     condition), or the limit at infinity, where `worst_frequency` is NaN."""
-    return _pr_spr(sys, grid, _check_tol(tol))[1]
+    return _grid_verdicts(sys, grid, _check_tol(tol))[2]
 
 
 def rotated_system(sys: StateSpace) -> StateSpace:
@@ -772,15 +777,14 @@ class Classification:
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
     """Run the full battery. check_ni and check_sni_zeros, sharing one zero
     solve (and, when the modal terms decide NI, no breakpoint sweep), are
-    the verdicts of record for NI/SNI; one sweep of
-    P(jw) + P(jw)^* on `grid` decides PR and SPR, and the NI sweep on `grid`
-    is evidence. Each field equals what the standalone check returns at this
-    tol (check_sni_zeros: at the default)."""
+    the verdicts of record for NI/SNI; one evaluation of P(jw) on `grid`
+    decides PR and SPR and gives the NI sweep as evidence. Each field equals
+    what the standalone check returns at this tol (check_sni_zeros: at the
+    default)."""
     tol = _check_tol(tol)
     ni, axis = _ni_spectral(sys, tol)
     sni_z = _sni_zeros(ni, axis)
-    pr, spr = _pr_spr(sys, grid, tol)
+    ni_sweep, pr, spr = _grid_verdicts(sys, grid, tol)
     return Classification(
         ni=bool(ni.holds), sni=bool(sni_z.is_sni), pr=bool(pr.holds), spr=bool(spr.holds),
-        ni_sweep=check_ni_sweep(sys, grid=grid, tol=tol), ni_spectral=ni,
-        sni_zeros=sni_z, pr_sweep=pr, spr_sweep=spr)
+        ni_sweep=ni_sweep, ni_spectral=ni, sni_zeros=sni_z, pr_sweep=pr, spr_sweep=spr)

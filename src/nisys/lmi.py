@@ -125,6 +125,19 @@ def _complement(Q, m):
     return Qm, U[:, r:]
 
 
+def _pinned_directions(B, C):
+    """Q = C^T ker(sym(CB)), the state directions along which a block
+    A Y + Y A^T with B + A Y C^T = 0 is singular (eigenvalues of CB + (CB)^T
+    below 1e-10 of the largest read as zero); None when Q is empty or below
+    a norm of 1e-14."""
+    CB = C @ B
+    w, V = np.linalg.eigh(CB + CB.T)
+    Q = C.T @ V[:, np.abs(w) <= 1e-10 * max(1.0, np.abs(w).max(initial=0.0))]
+    if Q.size == 0 or np.linalg.norm(Q) < 1e-14:
+        return None
+    return Q
+
+
 def solve_feasibility(problem: LmiProblem) -> SolveResult:
     """Search for a feasible point of the problem.
 
@@ -437,13 +450,7 @@ def ni_problem(A, B, C) -> LmiProblem:
     B = np.asarray(B, float)
     C = np.asarray(C, float)
     prob = LmiProblem([SymVar("Y", A.shape[0])])
-    CB = C @ B
-    S = CB + CB.T
-    w_, V_ = np.linalg.eigh(0.5 * (S + S.T))
-    ker = V_[:, np.abs(w_) <= 1e-10 * max(1.0, np.abs(w_).max())] if w_.size else V_
-    Q = C.T @ ker if ker.size else None
-    if Q is not None and (Q.size == 0 or np.linalg.norm(Q) < 1e-14):
-        Q = None
+    Q = _pinned_directions(B, C)
     prob.require_psd(lambda v: v["Y"], strict=True)
     prob.require_nsd(lambda v: A @ v["Y"] + v["Y"] @ A.T, boundary_kernel=Q)
     prob.require_zero(lambda v: B + A @ v["Y"] @ C.T)

@@ -80,13 +80,6 @@ def solve(A, B) -> np.ndarray:
     return np.linalg.solve(A, B)
 
 
-def sigma_max(A) -> float:
-    A = as_matrix(A, name="A")
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
 # gebal's bounds on a scale factor: safe minimum over precision, and its inverse
 _SFMIN1 = np.finfo(float).tiny / np.finfo(float).eps
 _SFMAX1 = 1.0 / _SFMIN1

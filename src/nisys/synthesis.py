@@ -74,17 +74,6 @@ def closed_loop(plant: UncertainPlant, K) -> StateSpace:
                       np.zeros((plant.port_size, plant.port_size)))
 
 
-def _pinned_directions(plant):
-    S0 = plant.C1 @ plant.B1
-    S0 = S0 + S0.T
-    w, V = np.linalg.eigh(S0)
-    ker = V[:, np.abs(w) <= 1e-10 * max(1.0, np.abs(w).max())]
-    Q = plant.C1.T @ ker if ker.size else np.zeros((plant.n, 0))
-    if Q.size == 0 or np.linalg.norm(Q) < 1e-14:
-        return None
-    return Q
-
-
 def synth_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
     """Feasibility problem actually solved. Variables Y (sym, n) and
     M (controls x n); K = M Y^{-1} on success.
@@ -102,7 +91,7 @@ def synth_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
         return A @ v["Y"] + v["Y"] @ A.T + B2 @ v["M"] + v["M"].T @ B2.T
 
     prob.require_zero(lambda v: B1 + A @ v["Y"] @ C1.T + B2 @ v["M"] @ C1.T)
-    Q = _pinned_directions(plant)
+    Q = lmimod._pinned_directions(B1, C1)
     if Q is not None:
         _, Zc = lmimod._complement(Q, n)
         prob.require_zero(lambda v: S(v) @ Q)

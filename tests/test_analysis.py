@@ -111,13 +111,13 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
         c = classify(sys, grid=g)
         assert len(solves) == 0 and zeros == want
         # A is decomposed once: the poles, every sweep and the zeros of Phi
-        # read that one eigensolve. A stable system is swept for NI on the
-        # grid, and for PR and SPR together on the grid, and on the
+        # read that one eigensolve. A stable system is swept once on the
+        # grid, for the NI sweep, PR and SPR together, and on the
         # breakpoints unless its modal terms decide NI on their own
         assert len(decomps) == 1 and len(eigs) == 1
         assert poles(sys).tobytes() == np.linalg.eigvals(sys.A).tobytes()
         by_terms = c.ni_spectral.note is not None and "term by term" in c.ni_spectral.note
-        assert len(sweeps) == ((2 if by_terms else 3) if np.all(poles(sys).real < 0) else 0)
+        assert len(sweeps) == ((1 if by_terms else 2) if np.all(poles(sys).real < 0) else 0)
         ni = check_ni(sys)
         sni_zeros = check_sni_zeros(sys)
         assert same(c.ni_sweep, check_ni_sweep(sys, grid=g))

@@ -38,20 +38,38 @@ def _jordan(rng, n, m, p):
 
 
 def test_sweep_values_match_direct_eigh():
-    # per-point reference: resolvent solve, Hermitian form, eigvalsh, norm
+    # per-point reference: resolvent solve, both Hermitian forms, eigvalsh,
+    # norm; one call gives both forms
     rng = np.random.default_rng(41)
     systems = [random_stable(rng, 4, 2, 2)]
     rng = np.random.default_rng(31)
     systems += [random_stable(rng, int(rng.integers(1, 7)), 2, 2) for _ in range(10)]
+    # m = 1 reads the 1 x 1 forms without an eigensolve. P(0) of 1/(s + 1)
+    # has Im P = +0.0 exactly, where eigvalsh gives lambda_min(j (P - P^*))
+    # = +0.0 and -2 Im P would give -0.0
+    first_order = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    systems += [first_order]
+    systems += [random_stable(rng, int(rng.integers(1, 7)), 1, 1) for _ in range(6)]
     ws = np.concatenate(([0.0, 0.3, 2.0, 11.0], np.geomspace(1e-2, 1e2, 60)))
     for sys in systems:
-        for mode in (0, 1):
-            lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, mode, eigensystem(sys))
-            for k, w in enumerate(ws):
-                P = sys.C @ np.linalg.solve(1j * w * np.eye(sys.n) - sys.A, sys.B) + sys.D
-                H = (P + P.conj().T) if mode == 1 else 1j * (P - P.conj().T)
-                assert np.isclose(lam[k], np.linalg.eigvalsh(H)[0], atol=1e-12)
-                assert np.isclose(pn[k], np.linalg.norm(P), atol=1e-12)
+        lam_ni, lam_pr, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
+        for k, w in enumerate(ws):
+            P = sys.C @ np.linalg.solve(1j * w * np.eye(sys.n) - sys.A, sys.B) + sys.D
+            Ph = P.conj().T
+            assert np.isclose(lam_ni[k], np.linalg.eigvalsh(1j * (P - Ph))[0], atol=1e-12)
+            assert np.isclose(lam_pr[k], np.linalg.eigvalsh(P + Ph)[0], atol=1e-12)
+            assert np.isclose(pn[k], np.linalg.norm(P), atol=1e-12)
+        if sys.inputs == 1:
+            # bytes, signed zeros included: eigvalsh of the forms built from
+            # eval_grid's own P
+            P = eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
+            Ph = P.conj().transpose(0, 2, 1)
+            assert lam_ni.tobytes() == np.linalg.eigvalsh(1j * (P - Ph))[:, 0].tobytes()
+            assert lam_pr.tobytes() == np.linalg.eigvalsh(P + Ph)[:, 0].tobytes()
+    f = first_order
+    P0 = eval_grid(f.A, f.B, f.C, f.D, ws[:1], eigensystem(f))[0, 0, 0]
+    lam_ni = sweep_eigmin(f.A, f.B, f.C, f.D, ws[:1], eigensystem(f))[0]
+    assert P0.imag == 0.0 and lam_ni[0] == 0.0 and not np.signbit(lam_ni[0])
 
 
 def _modal_with_zeros(rng):
@@ -151,7 +169,7 @@ def test_sweep_norm_matches_linalg_norm():
         for n in (1, 4, 9):
             sys = random_stable(rng, n, m, m)
             P = eval_grid(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))
-            _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, 0, eigensystem(sys))
+            pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ws, eigensystem(sys))[2]
             ref = np.array([np.linalg.norm(Pk) for Pk in P], dtype=float)
             assert pn.tobytes() == ref.tobytes(), (m, n)
 
@@ -175,9 +193,10 @@ def test_eval_grid_memory_is_chunked():
 def test_static_system_and_empty_grid():
     D = np.array([[1.0, 0.0], [0.0, -2.0]])
     eig = eigendecomposition(np.zeros((0, 0)))
-    lam, pn = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
-                           np.zeros((2, 0)), D, np.array([1.0]), 1, eig)
-    assert np.isclose(lam[0], np.linalg.eigvalsh(D + D.T)[0])
-    lam0, pn0 = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
-                             np.zeros((2, 0)), D, np.zeros(0), 0, eig)
-    assert lam0.size == 0 and pn0.size == 0
+    lam_ni, lam_pr, pn = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
+                                      np.zeros((2, 0)), D, np.array([1.0]), eig)
+    assert np.isclose(lam_pr[0], np.linalg.eigvalsh(D + D.T)[0])
+    assert lam_ni[0] == 0.0 and np.isclose(pn[0], np.linalg.norm(D))
+    out = sweep_eigmin(np.zeros((0, 0)), np.zeros((0, 2)),
+                       np.zeros((2, 0)), D, np.zeros(0), eig)
+    assert len(out) == 3 and all(x.size == 0 for x in out)

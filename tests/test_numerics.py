@@ -102,6 +102,3 @@ def test_generalized_eigenvalues_drops_infinite():
     with pytest.raises(NumericsError):
         generalized_eigenvalues(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
-
-def test_sigma_max():
-    assert np.isclose(nx.sigma_max(np.diag([3.0, -7.0])), 7.0)

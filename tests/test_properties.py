@@ -338,7 +338,7 @@ def test_term_bound_covers_the_worst_dip():
         if analysis._ni_by_terms(P, np.inf) is None:
             continue    # not symmetric: no terms
         g = default_grid(P, points_per_decade=2000)
-        lam, pn = sweep_eigmin(P.A, P.B, P.C, P.D, g, 0, eigensystem(P))
+        lam, _, pn = sweep_eigmin(P.A, P.B, P.C, P.D, g, eigensystem(P))
         worst = -lam.min()
         if worst <= 1e-9 * (1.0 + pn.max()):
             continue
@@ -365,7 +365,7 @@ def test_term_bound_covers_skew_parts():
         v = analysis._ni_by_terms(P, np.inf)
         bound = float(v.note.split("<= ")[1].split()[0])
         g = np.concatenate(([0.0], np.logspace(-4.0, 6.0, 3000)))
-        lam, _ = sweep_eigmin(P.A, P.B, P.C, P.D, g, 0, eigensystem(P))
+        lam = sweep_eigmin(P.A, P.B, P.C, P.D, g, eigensystem(P))[0]
         assert -lam.min() <= 1.001 * bound
 
 
