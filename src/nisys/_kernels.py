@@ -54,11 +54,14 @@ def eval_grid(A, B, C, D, ws, eig):
     out = None
     if basis is not None:
         V, Vi, cond = basis
-        # Bauer-Fike: an eigenvalue of A lies within about
-        # cond(V) n eps ||A|| of each computed lam
-        near = cond * n * np.finfo(float).eps * np.linalg.norm(A, 1)
-        out = _modal(lam, Vi @ B, C @ V, D, ws, near)
+        out = _modal(lam, Vi @ B, C @ V, D, ws, _eig_radius(A, cond))
     return _resolvent(A, B, C, D, ws) if out is None else out
+
+
+def _eig_radius(A, cond):
+    """cond(V) n eps ||A||_1, V the kept eigenbasis: by Bauer-Fike, an
+    eigenvalue of A lies within about this of each computed lam."""
+    return cond * A.shape[0] * np.finfo(float).eps * np.linalg.norm(A, 1)
 
 
 def _modal(lam, W, CV, D, ws, near):

@@ -3,8 +3,8 @@
 Covers the negative-imaginary family (NI, strictly NI) and the positive-real
 family (PR, strictly PR). The residues R_i = (C V)_i (V^{-1} B)_i of the
 kept A = V diag(lam) V^{-1}, grouped where eigenvalues agree to rounding,
-are computed once per system (`_residues`), and every verdict below reads
-them.
+and their sizes are computed once per system (`_residues`): every verdict
+below reads them, and so do the IRC root locus and design (`controllers`).
 
 NI is decided first term by term: P is D plus one term per real pole and
 per conjugate pair, and when each term is NI on its own up to a bound that
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import lmi as lmimod
 from . import numerics
-from ._kernels import sweep_eigmin
+from ._kernels import _eig_radius, sweep_eigmin
 from .lti import StateSpace, eigensystem, evaluate, is_minimal, poles
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
@@ -395,19 +395,18 @@ def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
     """The zeros of phi_imaginary_axis_zeros for P(s) + sign P^T(-s): Phi
     for sign -1, the PR function Psi for sign +1."""
     why = "A has no well-conditioned eigenbasis"
-    lam, basis = eigensystem(sys)
-    if basis is not None:
-        why, t, k = _t_zeros(sys, _residues(sys), sign)
+    res = _residues(sys)
+    if res is not None:
+        why, t, k = _t_zeros(sys, res, sign)
     if why is None:
         s = np.sqrt(t)
         origin = np.zeros(k if sign < 0 else 0, dtype=complex)
         return _split(np.concatenate((s, -s, origin)), axis_tol, singular=k < sys.inputs)
-    if basis is None:
+    if res is None:
         how, (A, B, C) = "the doubled realization", (sys.A, sys.B, sys.C)
     else:
-        V, Vi, _ = basis
         how = "the doubled real modal realization"
-        A, B, C = _real_form(lam, sys.C @ V, Vi @ sys.B, np.flatnonzero(lam.imag > 0))
+        A, B, C = _real_form(res.lam, res.CV, res.W, np.flatnonzero(res.lam.imag > 0))
     # B and C meet in one block of the doubled realization: balance them
     a = np.sqrt((np.linalg.norm(B) or 1.0) / (np.linalg.norm(C) or 1.0))
     z, k = _zeros(*_doubled(A, B / a, C * a, sys.D, sign))
@@ -432,11 +431,13 @@ def _real_form(lam, CV, W, pair):
 class _Residues(NamedTuple):
     """The modal residues of P from the kept A = V diag(lam) V^{-1}: W =
     V^{-1} B and CV = C V; rep[i], the first eigenvalue within rounding of
-    lam[i] (Bauer-Fike: cond(V) n eps ||A||_1), under which the group's
-    residues are summed; R[k], the sum of R_i = CV_i W_i over the group of
-    k, zero where rep[k] != k; term[i] = ||CV_i|| ||W_i||, the size of R_i
-    before cancellation; and symmetric: D and every R[k] are symmetric
-    within SYM_TOL (times the group's sum of term, for R[k])."""
+    lam[i] (Bauer-Fike: `_eig_radius`), under which the group's residues
+    are summed; R[k], the sum of R_i = CV_i W_i over the group of k, zero
+    where rep[k] != k; term[i] = ||CV_i|| ||W_i||, the size of R_i before
+    cancellation; bound[k], the group's sum of ||C|| ||B|| ||V_i||
+    ||(V^{-1})_i||, which bound the ||R_i||, zero where rep[k] != k; and
+    symmetric: D and every R[k] are symmetric within SYM_TOL (times the
+    group's sum of term, for R[k])."""
 
     lam: np.ndarray
     rep: np.ndarray
@@ -444,6 +445,7 @@ class _Residues(NamedTuple):
     CV: np.ndarray
     R: np.ndarray
     term: np.ndarray
+    bound: np.ndarray
     symmetric: bool
 
 
@@ -452,7 +454,8 @@ def _residues(sys):
     kept on the system, as `eigensystem` is; None when A has no eigenbasis.
     Eigenvalues within rounding of each other are one pole, and only the
     sum of their residues is defined: every reader takes the groups from
-    here (the term test, the zeros of Phi and Psi, the PR axis residues)."""
+    here (the term test, the zeros of Phi and Psi, the PR axis residues,
+    and the IRC root locus and design of `controllers`)."""
     res = sys.__dict__.get("_res")
     if res is not None:
         return res
@@ -462,20 +465,21 @@ def _residues(sys):
     V, Vi, cond = basis
     n = sys.n
     W, CV = Vi @ sys.B, sys.C @ V
-    near = cond * n * np.finfo(float).eps * np.linalg.norm(sys.A, 1)
+    near = _eig_radius(sys.A, cond)
     rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1) if n else np.zeros(0, int)
     term = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
+    bound = (np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
+             * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
     R, size = CV.T[:, :, None] * W[:, None, :], term
     if np.any(rep != np.arange(n)):
-        R, size = np.zeros_like(R), np.zeros(n)
+        R, size, bound = np.zeros_like(R), np.bincount(rep, term, n), np.bincount(rep, bound, n)
         np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
-        np.add.at(size, rep, term)
     symmetric = bool(
         np.linalg.norm(sys.D - sys.D.T) <= SYM_TOL * (1.0 + np.linalg.norm(sys.D))
         # a 1 x 1 residue is symmetric
         and (sys.inputs == 1 or np.all(
             np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) <= SYM_TOL * size)))
-    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, symmetric)
+    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, bound, symmetric)
     return res
 
 
@@ -595,13 +599,14 @@ def _filtered_grid(g, axis):
 
 
 def _grid_verdicts(sys, grid, tol):
-    """(check_ni_sweep, check_positive_real, check_strictly_positive_real)
-    from one pole test and one evaluation of P(jw) on the grid, which
-    `sweep_eigmin` reads as both j (P - P^*) and P + P^*."""
+    """(check_ni_sweep, check_positive_real, spr) from one pole test and one
+    evaluation of P(jw) on the grid, which `sweep_eigmin` reads as both
+    j (P - P^*) and P + P^*. spr() builds check_strictly_positive_real,
+    whose further solves no other verdict reads."""
     _square(sys)
     axis, in_rhp, ni = _pole_verdict(sys)
     if in_rhp:
-        return ni, _refused("right-half-plane pole"), _refused("right-half-plane pole")
+        return ni, _refused("right-half-plane pole"), lambda: _refused("right-half-plane pole")
     note = spr = None
     if axis.size:
         spr = _refused("imaginary-axis pole")
@@ -611,13 +616,13 @@ def _grid_verdicts(sys, grid, tol):
     # so an empty grid means an axis pole, and ni and spr are already decided
     ge, _ = _filtered_grid(g, axis)
     if ge.size == 0:
-        return ni, _refused("no evaluable grid points", g), spr
+        return ni, _refused("no evaluable grid points", g), lambda: spr
     lam_ni, lam, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, ge, eigensystem(sys))
     why = _axis_residue_fault(sys, axis) if axis.size else None
     pr = _sweep_verdict(ge, lam, pn, tol, why, note)
-    if ni is None:
-        ni, spr = _sweep_verdict(ge, lam_ni, pn, tol), _spr_hurwitz(sys, ge, lam, pn, tol)
-    return ni, pr, spr
+    if ni is not None:
+        return ni, pr, lambda: spr
+    return _sweep_verdict(ge, lam_ni, pn, tol), pr, lambda: _spr_hurwitz(sys, ge, lam, pn, tol)
 
 
 def _axis_residue_fault(sys, axis):
@@ -625,20 +630,15 @@ def _axis_residue_fault(sys, axis):
     every one is. Eigenvalues within rounding of each other are one pole,
     semisimple since A has an eigenbasis, whose residue is the sum R_k of
     its group (`_residues`): R_k must be Hermitian PSD within SYM_TOL times
-    the group's sum of ||C|| ||V_i|| ||(V^{-1})_i|| ||B||, its size before
-    cancellation. A conjugate pole's residue is the conjugate, and passes
-    or fails with it."""
+    its `bound`, the group's size before cancellation. A conjugate pole's
+    residue is the conjugate, and passes or fails with it."""
     res = _residues(sys)
     if res is None:
         return "imaginary-axis pole, and A has no eigenbasis to read its residue from"
-    V, Vi, _ = eigensystem(sys)[1]
-    tol = np.zeros(sys.n)
-    np.add.at(tol, res.rep, SYM_TOL * np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
-              * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
     for k in np.flatnonzero(np.isin(res.lam, axis) & (res.rep == np.arange(sys.n))):
-        R = res.R[k]
-        if (np.linalg.norm(R - R.conj().T) > tol[k]
-                or np.linalg.eigvalsh(R + R.conj().T)[0] < -2.0 * tol[k]):
+        R, tol = res.R[k], SYM_TOL * res.bound[k]
+        if (np.linalg.norm(R - R.conj().T) > tol
+                or np.linalg.eigvalsh(R + R.conj().T)[0] < -2.0 * tol):
             return (f"imaginary-axis pole at s = j{abs(res.lam[k].imag):g}: "
                     "residue not Hermitian PSD")
     return None
@@ -731,7 +731,7 @@ def check_strictly_positive_real(sys: StateSpace, grid=None,
        P(jw) + P(jw)^* is nonsingular between grid points too.
     `reason` names the failed condition: a pole, the frequency (0 for the DC
     condition), or the limit at infinity, where `worst_frequency` is NaN."""
-    return _grid_verdicts(sys, grid, _check_tol(tol))[2]
+    return _grid_verdicts(sys, grid, _check_tol(tol))[2]()
 
 
 def rotated_system(sys: StateSpace) -> StateSpace:
@@ -785,6 +785,7 @@ def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classific
     ni, axis = _ni_spectral(sys, tol)
     sni_z = _sni_zeros(ni, axis)
     ni_sweep, pr, spr = _grid_verdicts(sys, grid, tol)
+    spr = spr()
     return Classification(
         ni=bool(ni.holds), sni=bool(sni_z.is_sni), pr=bool(pr.holds), spr=bool(spr.holds),
         ni_sweep=ni_sweep, ni_spectral=ni, sni_zeros=sni_z, pr_sweep=pr, spr_sweep=spr)

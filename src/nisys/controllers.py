@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import CHUNK
-from .analysis import check_ni
+from .analysis import _residues, check_ni
 from .lti import StateSpace, add, dc_gain, eigensystem
 from .numerics import eig_symmetric
 from .stability import _dc_gain_hypotheses
@@ -290,18 +290,14 @@ def _continue(gs, prev, hist, block, solve, fallback):
     return out[np.cumsum(keep) - 1]
 
 
-def _residues(plant, basis):
-    """Residues r = (C V) * (V^{-1} B) of a SISO plant's modes, with A = V
-    diag(lam) V^{-1}, and the mask of those zero to rounding: a mode with no
-    output or no input, whose eigenvalue is a closed-loop pole at every
-    gain."""
-    V, Vi, _ = basis
-    B, C = plant.B, plant.C
-    CV, W = (C @ V)[0], (Vi @ B)[:, 0]
-    tol = plant.n * np.finfo(float).eps
-    zero = ((np.abs(CV) <= tol * np.linalg.norm(C) * np.linalg.norm(V, axis=0))
-            | (np.abs(W) <= tol * np.linalg.norm(B) * np.linalg.norm(Vi, axis=1)))
-    return CV * W, zero
+def _moving(plant):
+    """(r, live): r the grouped residues of a SISO plant (`_residues`), and
+    live the poles k with |r[k]| > n eps bound[k], which leaves out each
+    copy in a group (r and bound zero) and each residue zero to rounding.
+    Every other eigenvalue is a closed-loop pole at every gain."""
+    res = _residues(plant)
+    r = res.R[:, 0, 0]
+    return r, np.abs(r) > plant.n * np.finfo(float).eps * res.bound
 
 
 def _locus_tracker(plant, phi):
@@ -309,35 +305,29 @@ def _locus_tracker(plant, phi):
     of [plant, irc(gamma, phi)]: column j one branch of the locus
     throughout. `_newton` iterates every root, and the closed-loop trace
     keeps a row from counting one root twice. A root iterated onto an
-    eigenvalue whose residue is zero stalls, so such eigenvalues are
-    deflated out of `_newton` and kept in their own columns. A row that
+    eigenvalue that does not move (`_moving`) stalls, so such eigenvalues
+    are deflated out of `_newton` and kept in their own columns. A row that
     fails the continuation twice, and every row when A has no eigenbasis,
     is a dense eigensolve of the closed loop, matched to the row before by
     `_match`."""
-    A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    n = plant.n
-    d = D[0, 0] - phi
+    A, B, C, n = plant.A, plant.B, plant.C, plant.n
+    d = plant.D[0, 0] - phi
     ol, basis = eigensystem(plant)
 
     def eigensolve(g, prev):
-        Acl = np.zeros((n + 1, n + 1))
-        Acl[:n, :n] = A
-        Acl[:n, n:] = B
-        Acl[n:, :n] = g * C
-        Acl[n, n] = g * d
-        return _match(prev, np.linalg.eigvals(Acl))
+        return _match(prev, np.linalg.eigvals(np.block([[A, B], [g * C, np.array([[g * d]])]])))
 
     if basis is None:
         # no row is continued: every row is an eigensolve
         return lambda gs, prev, hist: _continue(
             gs, prev, hist, 1, lambda Z, p, g: (None, np.zeros(1, bool)), eigensolve)
-    res, zero = _residues(plant, basis)
-    lam, r, fixed = ol[~zero], res[~zero], ol[zero]
+    r, live = _moving(plant)
+    lam, r, fixed = ol[live], r[live], ol[~live]
     trA = np.trace(A) - fixed.sum().real
-    live, dead = np.append(np.flatnonzero(~zero), n), np.flatnonzero(zero)
+    cols, dead = np.append(np.flatnonzero(live), n), np.flatnonzero(~live)
     # (b k, n) and (b, k, k) temporaries stay within CHUNK complex entries,
-    # and a block within _BLOCK gains; lam is empty when every residue is zero
-    block = max(1, min(_BLOCK, CHUNK // (4 * live.size * max(lam.size, 1))))
+    # and a block within _BLOCK gains; lam is empty when no pole moves
+    block = max(1, min(_BLOCK, CHUNK // (4 * cols.size * max(lam.size, 1))))
 
     def solve(Z, prev, g):
         if Z is None:
@@ -346,8 +336,8 @@ def _locus_tracker(plant, phi):
             gd = g[0] * d
             Z = np.append(lam + g[0] * r / (lam - gd), gd + g[0] * (r / (gd - lam)).sum())[None]
         else:
-            Z = Z[:, live]
-        p, ok = _newton(Z, prev[live], lam, r, g, g * d, trA + g * d)
+            Z = Z[:, cols]
+        p, ok = _newton(Z, prev[cols], lam, r, g, g * d, trA + g * d)
         # average each root with the conjugate of the root whose conjugate
         # lies nearest: itself for a real root, its partner for a pair, so
         # that the roots come back exactly real or exactly conjugate, as a
@@ -355,7 +345,7 @@ def _locus_tracker(plant, phi):
         partner = np.abs(p[:, :, None] - p.conj()[:, None, :]).argmin(2)
         p = 0.5 * (p + np.take_along_axis(p, partner, 1).conj())
         rows = np.empty((len(p), n + 1), dtype=complex)
-        rows[:, live], rows[:, dead] = p, fixed
+        rows[:, cols], rows[:, dead] = p, fixed
         return rows, ok
 
     return lambda gs, prev, hist: _continue(gs, prev, hist, block, solve, eigensolve)
@@ -448,26 +438,29 @@ def irc_root_locus(plant: StateSpace, Phi, gammas) -> np.ndarray:
     from the open-loop pole j (`eigensystem` order) and, in column n, from
     the controller pole -gamma Phi.
 
-    With A = V diag(lam) V^{-1}, residues r = (C V) * (V^{-1} B) and
-    d = D - Phi, the poles at gain g are the roots of prod(s - lam_i) times
-    the secular function s - g d - g sum_i r_i / (s - lam_i). `_newton`
-    finds them all, at O(n^2) per row and step against O(n^3) for an
-    eigensolve: from the first-order roots at the first gain, then for a
-    block of gains at once, each row started from the linear extrapolation
-    in log gamma of the last two rows; a repeated gain repeats its row.
-    Temporaries hold at most CHUNK complex entries, so a block is one gain
-    from n = 90 up. A row is accepted, in order, when its roots are
+    With A = V diag(lam) V^{-1}, the grouped residues r of
+    `analysis._residues` and d = D - Phi, the poles at gain g are the roots
+    of prod(s - lam_i) times the secular function
+    s - g d - g sum_i r_i / (s - lam_i) over the poles that move
+    (`_moving`). Eigenvalues equal to rounding are one pole, at the first of
+    them, with their summed residue; each other copy, and each pole whose
+    summed residue is zero to rounding, is a closed-loop pole at every
+    gain, in its own column. `_newton` finds the other roots, at O(n^2) per
+    row and step against O(n^3) for an eigensolve: from the first-order
+    roots at the first gain, then for a block of gains at once, each row
+    started from the linear extrapolation in log gamma of the last two
+    rows; a repeated gain repeats its row. Temporaries hold at most CHUNK
+    complex entries. A row is accepted, in order, when its roots are
     certified, sum to the closed-loop trace, and are each the nearest to
     their own column of the row before: it keeps its columns with no
     matching. The first row that fails starts the next block; if it fails
     there too (a double root at a breakaway point), a dense eigensolve gives
     its poles, matched to the row before by `_match`. Every gain takes the
-    eigensolve when A has no well-conditioned eigenbasis. An eigenvalue
-    whose residue is zero to rounding is a closed-loop pole at every gain,
-    in its own column. The poles agree with an eigensolve's to rounding,
-    real poles exactly real and pairs exactly conjugate. Where two real
-    poles meet, which column takes which is a tie, broken by rounding, and
-    nearest pair first where an eigensolve row takes it."""
+    eigensolve when A has no well-conditioned eigenbasis. The poles agree
+    with an eigensolve's to rounding, real poles exactly real and pairs
+    exactly conjugate. Where two real poles meet, which column takes which
+    is a tie, broken by rounding, and nearest pair first where an
+    eigensolve row takes it."""
     phi = _irc_phi(plant, Phi)
     gs = np.asarray(gammas, dtype=float)
     if gs.ndim != 1 or not gs.size or not np.all(np.isfinite(gs) & (gs > 0)):
@@ -480,22 +473,24 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
                      points_per_decade: int = 200) -> IrcDesign:
     """Select the integral resonant gain gamma for a single-input
     single-output plant and a 1 x 1 Phi: the gamma of a log grid that
-    maximizes the decay rate of the dominant pair (the two slowest
-    open-loop poles), refined on 399 gains between the grid gains beside
-    it. The objective is that of Aphale, Fleming & Moheimani (Smart Mater.
-    Struct. 2007).
+    maximizes the decay rate of the dominant pair, refined on 399 gains
+    between the grid gains beside it. The pair is the two slowest open-loop
+    poles, eigenvalues equal to rounding counting as one pole, at the first
+    of them (`irc_root_locus`). The objective is that of Aphale, Fleming &
+    Moheimani (Smart Mater. Struct. 2007).
 
     Stability is decided once, by the DC-gain theorem, when A has an
-    eigenbasis: the plant is NI (`check_ni`, decided from the residues of
-    that eigenbasis, with no zero solve, when each modal term of the plant
-    is NI on its own, as for collocated modes), irc(gamma, Phi) is SNI by
-    construction with zero feedthrough, and lambda = P(0) / Phi, the same
-    for every gamma, lies outside MARGINAL_BAND of 1. Then the loop is
-    stable at every gain when lambda < 1, and at none when lambda > 1: the
-    design is infeasible and no sweep runs. Stable, the design follows only
-    the upper root of the dominant pair, its conjugate being the other, by
-    the iteration of `irc_root_locus` on that one root, at O(n) per gain
-    and step. `note` is None on this path.
+    eigenbasis: the plant is NI (`check_ni`, decided from the grouped
+    residues that the sweep reads, with no zero solve, when each modal term
+    of the plant is NI on its own, as for collocated modes),
+    irc(gamma, Phi) is SNI by construction with zero feedthrough, and
+    lambda = P(0) / Phi, the same for every gamma, lies outside
+    MARGINAL_BAND of 1. Then the loop is stable at every gain when
+    lambda < 1, and at none when lambda > 1: the design is infeasible and
+    no sweep runs. Stable, the design follows only the upper root of the
+    dominant pair, its conjugate being the other, by the iteration of
+    `irc_root_locus` on that one root, at O(n) per gain and step. `note` is
+    None on this path.
 
     Every other case takes the all-root sweep of `irc_root_locus`, which
     decides stability row by row, and `note` names the case: A without an
@@ -514,7 +509,8 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
     gammas = np.geomspace(gamma_min, gamma_max, npts)
 
     ol, basis = eigensystem(plant)
-    tracked = np.argsort(np.abs(ol))[:2]
+    first = np.arange(plant.n) if basis is None else np.unique(_residues(plant).rep)
+    tracked = first[np.argsort(np.abs(ol[first]))[:2]]
     note = None
     if basis is None:
         note = "no eigenbasis of A"
@@ -531,15 +527,14 @@ def design_irc_gamma(plant: StateSpace, Phi, gamma_min: float = 1e3,
             return IrcDesign(False, np.nan, np.nan, np.nan, gammas, nan, nan.copy(),
                              np.zeros(npts, dtype=bool), None)
         else:
-            res, zero = _residues(plant, basis)
+            r, live = _moving(plant)
             lam0 = ol[tracked[0]]
             if not (tracked.size == 2 and lam0.imag != 0 and ol[tracked[1]] == lam0.conj()
-                    and not zero[tracked].any()):
+                    and live[tracked].all()):
                 note = "two slowest poles not a conjugate pair with a nonzero residue"
             else:
                 t0 = tracked[0] if lam0.imag > 0 else tracked[1]
-                rows = _pair_tracker(ol[~zero], res[~zero], ol[t0], res[t0],
-                                     plant.D[0, 0] - phi)
+                rows = _pair_tracker(ol[live], r[live], ol[t0], r[t0], plant.D[0, 0] - phi)
                 try:
                     return _select(gammas, phi, rows, ol[[t0]], [0], None)
                 except _PairLost as e:

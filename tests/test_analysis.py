@@ -632,6 +632,18 @@ def test_spr_conditions(sys, grid, pr, spr, why):
     assert (c.pr, c.spr) == (pr, spr)
 
 
+def test_spr_is_built_only_for_its_readers(first_order, monkeypatch):
+    # 1/(s+1) passes every grid condition of SPR, so its SPR verdict solves
+    # for the zeros of Psi; the NI sweep and PR, read from the same
+    # evaluation of P(jw), build no SPR verdict and solve for no zero
+    spr = counting(monkeypatch, analysis, "_spr_hurwitz")
+    zeros = counting(monkeypatch, analysis, "_zeros")
+    assert check_ni_sweep(first_order).holds and check_positive_real(first_order).holds
+    assert spr == [] and zeros == []
+    assert check_strictly_positive_real(first_order).holds
+    assert len(spr) == 1 and zeros == [(1, 1)]
+
+
 def test_rotated_system_identity(second_order):
     q = rotated_system(second_order)
     for w in (0.3, 1.7, 12.0):

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
-from nisys import (LtiError, ModalModel, StateSpace, add, choose_phi, controllers,
+from nisys import (LtiError, ModalModel, StateSpace, add, analysis, choose_phi, controllers,
                    dc_gain, design_irc_gamma, evaluate, irc, irc_root_locus, modal_to_ss,
                    ppf, ppf_mimo, resonant_acc, resonant_vel_type)
 from nisys._kernels import CHUNK
@@ -487,6 +487,52 @@ def test_irc_root_locus_of_a_plant_with_no_input(flexible_plant):
     Phi, gammas = np.array([[2.0]]), np.geomspace(1e3, 1e5, 41)
     loci = irc_root_locus(plant, Phi, gammas)
     _assert_same_loci(loci, irc_eigensolve_locus(plant, Phi, gammas))
+
+
+# position modes (omega, 2, 1), one omega listed twice, and the minimal
+# realization of the same transfer function, whose repeated mode has gain 2
+REPEATED_MODES = [((100, 100, 300), (100, 300)), ((100, 200, 200, 300), (100, 200, 300))]
+
+
+def _repeated_and_minimal(freqs, merged):
+    minimal = modal_to_ss(ModalModel(tuple(
+        (w, 2.0, (np.sqrt(freqs.count(w)),)) for w in merged)))
+    return modal_to_ss(ModalModel(tuple((w, 2.0, (1.0,)) for w in freqs))), minimal
+
+
+def test_design_irc_gamma_of_repeated_modes_is_that_of_the_minimal_plant():
+    # a repeated mode is one pole with the summed residue; its copy is
+    # uncontrollable, a closed-loop pole at every gain, and the dominant
+    # pair is followed as on the minimal plant
+    for freqs, merged in REPEATED_MODES:
+        plant, minimal = _repeated_and_minimal(freqs, merged)
+        Phi = choose_phi(minimal)
+        des, ref = design_irc_gamma(plant, Phi), design_irc_gamma(minimal, Phi)
+        assert des.note is None and ref.note is None
+        _assert_same_design(des, ref)
+
+
+def test_irc_root_locus_of_repeated_modes_fixes_the_copies(monkeypatch):
+    for freqs, merged in REPEATED_MODES:
+        plant, minimal = _repeated_and_minimal(freqs, merged)
+        Phi = choose_phi(minimal)
+        gammas = np.geomspace(1e3, 1e8, 1001)
+        ref = [np.linalg.eigvals(np.block([[plant.A, plant.B], [g * plant.C, g * (plant.D - Phi)]]))
+               for g in gammas]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append("eigvals") or eigvals(M))
+        monkeypatch.setattr(controllers, "_match", lambda *a: calls.append("matching"))
+        loci = irc_root_locus(plant, Phi, gammas)
+        monkeypatch.undo()
+        assert calls == []
+        for row, e in zip(loci, ref):
+            e = e[linear_sum_assignment(np.abs(row[:, None] - e))[1]]
+            assert np.all(np.abs(row - e) <= 1e-10 * np.abs(e))
+        # the copy of each repeated eigenvalue stands in its own column
+        ol = eigensystem(plant)[0]
+        copies = np.flatnonzero(analysis._residues(plant).rep != np.arange(plant.n))
+        assert copies.size == 2 and (loci[:, copies] == ol[copies]).all()
 
 
 def test_design_irc_gamma_falls_back_in_the_marginal_band():
