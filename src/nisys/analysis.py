@@ -42,9 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lmi as lmimod
-from . import numerics
 from ._kernels import _eig_radius, sweep_eigmin
-from .lti import StateSpace, eigensystem, evaluate, is_minimal, poles
+from .lti import StateSpace, _balanced, eigensystem, evaluate, is_minimal, poles
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
@@ -334,9 +333,8 @@ def check_ni_lmi(sys: StateSpace) -> NiLmiResult:
         return NiLmiResult(False, None, "right-half-plane pole", minimal)
     if sys.n == 0:
         return NiLmiResult(True, np.zeros((0, 0)), None, minimal)
-    Ab, T = numerics.balance(A)
-    t = np.diag(T)
-    res = lmimod.solve_feasibility(lmimod.ni_problem(Ab, B / t[:, None], C * t[None, :]))
+    Ab, Bb, Cb, T = _balanced(sys)
+    res = lmimod.solve_feasibility(lmimod.ni_problem(Ab, Bb, Cb))
     if not res.feasible:
         return NiLmiResult(False, None, f"no certificate: {res.reason}", minimal, res)
     Yb = res.values["Y"]

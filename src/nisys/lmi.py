@@ -1,15 +1,16 @@
 """Feasibility solver and certificate checks for small dense LMI systems.
 
-`solve_feasibility` extracts the affine structure of every constraint by
-basis evaluation, eliminates the equalities by SVD, deflates the declared
-boundary kernels, and then runs one log-barrier path-following method
-(Vandenberghe & Boyd, SIAM Review 1996; Boyd & Vandenberghe, Convex
-Optimization, ch. 11) on the reduced blocks: maximize the scaled margin t of
-the blocks, with t <= 1 and the free coordinates in a ball. Phase 0 lifts
-every block until the non-strict ones are within tolerance; phase 1 holds
-those there and maximizes the margin of the strict blocks. A solve ends in
-one of three ways: a point that passes the acceptance test on the original,
-undeflated blocks; a dual (Farkas) certificate, independent of the ball,
+`solve_feasibility` reads the affine form of every constraint off its values
+at 0 and at each unit vector, eliminates the equalities by SVD, deflates the
+declared boundary kernels, and then runs one log-barrier path-following
+method (Vandenberghe & Boyd, SIAM Review 1996; Boyd & Vandenberghe, Convex
+Optimization, ch. 11) on the reduced blocks, the only copy of them kept:
+maximize the scaled margin t of the blocks, with t <= 1 and the free
+coordinates in a ball. Phase 0 lifts every block until the non-strict ones
+are within tolerance; phase 1 holds those there and maximizes the margin of
+the strict blocks. A solve ends in one of three ways: a point at which the
+problem's own constraint functions pass the cone test of
+`verify_certificate`; a dual (Farkas) certificate, independent of the ball,
 whose bound lies below the acceptance floor; or a fixed budget of Newton
 steps. Deterministic, no RNG, no wall clock.
 
@@ -138,57 +139,51 @@ def _pinned_directions(B, C):
     return Q
 
 
+def _affine(f, problem, sym=False):
+    """(F0, Fj) with f(v) = F0 + sum_j x_j Fj[j] for v = problem.unpack(x),
+    read off f at 0 and at each unit vector of R^dim. sym=True symmetrizes
+    F0 before it is subtracted, and each Fj."""
+    N = problem.dim
+    F0 = np.asarray(f(problem.unpack(np.zeros(N))), float)
+    if sym:
+        F0 = 0.5 * (F0 + F0.T)
+    Fj = np.empty((N,) + F0.shape)
+    e = np.zeros(N)
+    for j in range(N):
+        e[j] = 1.0
+        Mj = np.asarray(f(problem.unpack(e)), float) - F0
+        e[j] = 0.0
+        Fj[j] = 0.5 * (Mj + Mj.T) if sym else Mj
+    return F0, Fj
+
+
 def solve_feasibility(problem: LmiProblem) -> SolveResult:
     """Search for a feasible point of the problem.
 
-    Acceptance: every non-strict cone block has min eigenvalue
-    >= -PSD_TOL * scale and every strict block >= STRICT_MARGIN * scale,
-    with scale = max(1, ||block||_F). Infeasibility is reported only with a
-    dual certificate: PSD matrices W_i, one per cone in its sense-adjusted
-    coordinates, such that sum_i <W_i, F_i(x)> is constant where the
-    equalities hold and bounds the blocks' scaled margin below the floor of
-    the phase that found it (-HOLD/2 over all blocks in phase 0,
+    Acceptance is the cone test of `verify_certificate` on the problem's own
+    constraint functions at the point: every non-strict cone block has min
+    eigenvalue >= -PSD_TOL * scale and every strict block >= STRICT_MARGIN *
+    scale, with scale = max(1, ||block||_F). Infeasibility is reported only
+    with a dual certificate: PSD matrices W_i, one per cone in its
+    sense-adjusted coordinates, such that sum_i <W_i, F_i(x)> is constant
+    where the equalities hold and bounds the blocks' scaled margin below the
+    floor of the phase that found it (-HOLD/2 over all blocks in phase 0,
     STRICT_MARGIN over the strict blocks in phase 1).
     """
     N = problem.dim
-    z = np.zeros(N)
-    basis = np.eye(N)
-    # affine extraction: F(x) = F0 + sum_j x_j Fj by evaluating on the basis
-    cones = []
+    # affine forms F(x) = F0 + sum_j x_j Fj; the kernel directions of
+    # boundary-pinned cones become equalities, rows F(x) Q = 0
+    cones, eqs = [], [_affine(fn, problem) for fn in problem.eqs]
     for c in problem.cones:
-        fn, sense = c["fn"], c["sense"]
-        F0 = sense * np.asarray(fn(problem.unpack(z)), float)
-        F0 = 0.5 * (F0 + F0.T)
-        m = F0.shape[0]
-        Fj = np.empty((N, m, m))
-        for j in range(N):
-            Mj = sense * np.asarray(fn(problem.unpack(basis[j])), float) - F0
-            Fj[j] = 0.5 * (Mj + Mj.T)
-        cones.append(dict(F0=F0, Fj=Fj, strict=c["strict"], kernel=c["kernel"], m=m))
-    eL, e0 = [], []
-    for fn in problem.eqs:
-        E0 = np.asarray(fn(problem.unpack(z)), float).ravel()
-        rows = np.empty((E0.size, N))
-        for j in range(N):
-            rows[:, j] = np.asarray(fn(problem.unpack(basis[j])), float).ravel() - E0
-        eL.append(rows)
-        e0.append(E0)
-    # kernel directions of boundary-pinned cones become equalities
-    for c in cones:
-        if c["kernel"] is None or np.size(c["kernel"]) == 0:
-            c["P"] = None
-            continue
-        Qm, P = _complement(c["kernel"], c["m"])
-        E0 = (c["F0"] @ Qm).ravel()
-        rows = np.empty((E0.size, N))
-        for j in range(N):
-            rows[:, j] = (c["Fj"][j] @ Qm).ravel()
-        eL.append(rows)
-        e0.append(E0)
-        c["P"] = P
-    if eL:
-        L = np.vstack(eL)
-        r = -np.concatenate(e0)
+        F0, Fj = _affine(lambda v: c["sense"] * np.asarray(c["fn"](v), float), problem, sym=True)
+        P = None
+        if c["kernel"] is not None and np.size(c["kernel"]):
+            Qm, P = _complement(c["kernel"], F0.shape[0])
+            eqs.append((F0 @ Qm, Fj @ Qm))
+        cones.append(dict(F0=F0, Fj=Fj, strict=c["strict"], P=P, m=F0.shape[0]))
+    if eqs:
+        L = np.vstack([Ej.reshape(N, -1).T for _, Ej in eqs])
+        r = -np.concatenate([E0.ravel() for E0, _ in eqs])
         U, s, Vt = np.linalg.svd(L, full_matrices=True)
         tol = max(L.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
         rank = int(np.sum(s > tol))
@@ -203,39 +198,24 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
         r = np.zeros(0)
         xp = np.zeros(N)
         Z = np.eye(N)
-        eq_resid = 0.0
     k = Z.shape[1]
 
-    # reduced (deflated) blocks drive the optimizer; acceptance is always
-    # evaluated on the original undeflated blocks
-    red, full = [], []
+    # the reduced (deflated) blocks drive the optimizer, and are the only
+    # copy kept: the affine forms go as each is reduced
+    red = []
     for c in cones:
-        F0, Fj, P = c["F0"], c["Fj"], c["P"]
-        H0f = F0 + np.tensordot(xp, Fj, axes=(0, 0))
-        Hkf = np.tensordot(Z.T, Fj, axes=(1, 0))
-        full.append(dict(H0=H0f, Hk=Hkf, strict=c["strict"]))
+        F0, Fj, P = c.pop("F0"), c.pop("Fj"), c["P"]
+        H0 = F0 + np.tensordot(xp, Fj, axes=(0, 0))
+        Hk = np.tensordot(Z.T, Fj, axes=(1, 0))
+        del F0, Fj
         if P is not None:
-            H0 = P.T @ H0f @ P
-            Hk = P.T @ Hkf @ P
-        else:
-            H0, Hk = H0f, Hkf
+            H0, Hk = P.T @ H0 @ P, P.T @ Hk @ P
         s_i = max(1.0, np.linalg.norm(H0),
                   max((np.linalg.norm(Hk[j]) for j in range(k)), default=0.0))
         red.append(dict(H0=H0, Hk=Hk, strict=c["strict"], s=s_i))
 
     def block(d, xi):
         return d["H0"] + np.tensordot(xi, d["Hk"], axes=(0, 0))
-
-    def accepted(xi):
-        for d in full:
-            if not d["H0"].size:
-                continue
-            M = block(d, xi)
-            scale = max(1.0, np.linalg.norm(M))
-            thr = STRICT_MARGIN * scale if d["strict"] else -PSD_TOL * scale
-            if np.linalg.eigvalsh(M)[0] < thr:
-                return False
-        return True
 
     def lowest(d, xi):
         return np.linalg.eigvalsh(block(d, xi))[0] / d["s"]
@@ -265,7 +245,8 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
             # strictly feasible start: t one unit below the lowest lifted block
             tmin = min((lowest(d, xi) for (_, d), wi in zip(live, w) if wi), default=1.0)
             t, tau = min(tmin, 1.0) - 1.0, None
-        elif phase == 1 and t >= theta / tau and accepted(xi):  # t within 2x of its optimum
+        elif phase == 1 and t >= theta / tau and all(  # t within 2x of its optimum
+                ch.ok for ch in _cone_checks(problem, problem.unpack(xp + Z @ xi))):
             return result(True, t, "certificate")
         if steps == MAX_NEWTON_STEPS or (tau and theta / tau < MIN_GAP):
             return result(False, t, "budget exhausted")
@@ -283,7 +264,10 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
             except np.linalg.LinAlgError:
                 # a slack below the rounding of the block: precision is spent
                 return result(False, t, "budget exhausted")
-            Hh = np.concatenate([Li @ d["Hk"] @ Li.T, (-wi * d["s"] * (Li @ Li.T))[None]])
+            # filled in place: a concatenated copy per step made the heap shrink and regrow
+            Hh = np.empty((k + 1, m, m))
+            np.matmul(Li @ d["Hk"], Li.T, out=Hh[:k])
+            Hh[k] = -wi * d["s"] * (Li @ Li.T)
             F = Hh.reshape(k + 1, m * m)
             g -= np.trace(Hh, axis1=1, axis2=2)
             H += F @ F.T
@@ -371,6 +355,25 @@ class CertificateReport:
     checks: list = field(default_factory=list)
 
 
+def _cone_checks(problem, values, psd_tol=PSD_TOL, strict_margin=STRICT_MARGIN):
+    """The cone test of `verify_certificate`: one ConstraintCheck per cone of
+    the problem at the given values. An empty block has no eigenvalue, so it
+    passes, with margin +inf."""
+    checks = []
+    for c in problem.cones:
+        M = c["sense"] * np.asarray(c["fn"](values), float)
+        M = 0.5 * (M + M.T)
+        if M.size:
+            wmin = float(numerics.eig_symmetric(M)[0])
+            scale = max(1.0, float(np.linalg.norm(M)))
+        else:
+            wmin, scale = np.inf, 1.0
+        thr = strict_margin * scale if c["strict"] else -psd_tol * scale
+        checks.append(ConstraintCheck("psd" if c["sense"] > 0 else "nsd",
+                                      wmin >= thr, wmin, scale, c["strict"]))
+    return checks
+
+
 def verify_certificate(problem: LmiProblem, values: dict, psd_tol=PSD_TOL,
                        strict_margin=STRICT_MARGIN, eq_tol=1e-8) -> CertificateReport:
     """Recompute every constraint of the problem at the given variable values.
@@ -381,18 +384,7 @@ def verify_certificate(problem: LmiProblem, values: dict, psd_tol=PSD_TOL,
     scale (strict); equalities pass when the residual norm is
     <= eq_tol * (1 + scale). scale = max(1, ||block||_F).
     """
-    checks = []
-    for c in problem.cones:
-        M = c["sense"] * np.asarray(c["fn"](values), float)
-        M = 0.5 * (M + M.T)
-        if M.size:
-            wmin = float(numerics.eig_symmetric(M)[0])
-            scale = max(1.0, float(np.linalg.norm(M)))
-        else:
-            wmin, scale = 0.0, 1.0
-        thr = strict_margin * scale if c["strict"] else -psd_tol * scale
-        checks.append(ConstraintCheck("psd" if c["sense"] > 0 else "nsd",
-                                      wmin >= thr, wmin, scale, c["strict"]))
+    checks = _cone_checks(problem, values, psd_tol, strict_margin)
     for fn in problem.eqs:
         E = np.asarray(fn(values), float)
         resid = float(np.linalg.norm(E))

@@ -196,6 +196,21 @@ def eigensystem(sys: StateSpace):
     return eig
 
 
+def _balanced(sys: StateSpace):
+    """(Ab, Bb, Cb, T): the realization in the coordinates of
+    `numerics.balance(A)`, Ab = T^{-1} A T, Bb = T^{-1} B and Cb = C T,
+    computed at the first call and kept on the system, read-only:
+    `is_minimal` tests it and `check_ni_lmi` solves in it."""
+    bal = sys.__dict__.get("_bal")
+    if bal is None:
+        Ab, T = numerics.balance(sys.A)
+        t = np.diag(T)
+        bal = sys.__dict__["_bal"] = (Ab, sys.B / t[:, None], sys.C * t[None, :], T)
+        for M in bal:
+            M.flags.writeable = False
+    return bal
+
+
 def poles(sys: StateSpace) -> np.ndarray:
     """Eigenvalues of A, read-only, from the kept `eigensystem`."""
     return eigensystem(sys)[0]
@@ -232,8 +247,8 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     rank n at every eigenvalue lam of A. Done in balanced coordinates, where
     the tests are well scaled for lightly damped modes far apart in
     frequency; a Krylov matrix of such a system is too ill-conditioned to
-    rank. The conjugate of lam gives the conjugate test, so one eigenvalue
-    of each pair is tested.
+    rank; the balanced realization is the kept `_balanced`. The conjugate of
+    lam gives the conjugate test, so one eigenvalue of each pair is tested.
 
     With A = V diag(lam) V^{-1} well conditioned (`eigendecomposition`),
     the tests read each cluster K of eigenvalues equal to within rtol ||A||:
@@ -246,10 +261,7 @@ def is_minimal(sys: StateSpace, rtol: float = 1e-8) -> bool:
     n = sys.n
     if n == 0:
         return True
-    Ab, T = numerics.balance(sys.A)
-    t = np.diag(T)
-    Bb = sys.B / t[:, None]
-    Cb = sys.C * t[None, :]
+    Ab, Bb, Cb, _ = _balanced(sys)
     lam, basis = numerics.eigendecomposition(Ab)
     if basis is not None:
         V, U, _ = basis

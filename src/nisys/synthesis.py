@@ -83,6 +83,20 @@ def synth_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
     any pinned directions Q (see module docstring) the rows S Q are required
     to vanish exactly and the -eps I margin applies on the complement only.
     """
+    return _synth_lmis(plant, eps, lmimod._pinned_directions(plant.B1, plant.C1))
+
+
+def synth_verification_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
+    """Unpinned statement of the same conditions, for checking a given
+    (Y, M) pair at whatever tolerance the caller wants: equality
+    B1 + A Y C1^T + B2 M C1^T = 0, sym(A Y + B2 M) + eps I <= 0, Y > 0,
+    C1 Y C1^T - I < 0."""
+    return _synth_lmis(plant, eps, None)
+
+
+def _synth_lmis(plant, eps, Q):
+    """The constraints of both problems above, the S block pinned along the
+    columns of Q unless Q is None."""
     A, B1, B2, C1 = plant.A, plant.B1, plant.B2, plant.C1
     n, mu, q = plant.n, plant.controls, plant.port_size
     prob = lmimod.LmiProblem([lmimod.SymVar("Y", n), lmimod.RectVar("M", mu, n)])
@@ -91,29 +105,12 @@ def synth_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
         return A @ v["Y"] + v["Y"] @ A.T + B2 @ v["M"] + v["M"].T @ B2.T
 
     prob.require_zero(lambda v: B1 + A @ v["Y"] @ C1.T + B2 @ v["M"] @ C1.T)
-    Q = lmimod._pinned_directions(B1, C1)
-    if Q is not None:
+    if Q is None:
+        prob.require_nsd(lambda v: S(v) + eps * np.eye(n))
+    else:
         _, Zc = lmimod._complement(Q, n)
         prob.require_zero(lambda v: S(v) @ Q)
         prob.require_nsd(lambda v: Zc.T @ (S(v) + eps * np.eye(n)) @ Zc)
-    else:
-        prob.require_nsd(lambda v: S(v) + eps * np.eye(n))
-    prob.require_psd(lambda v: v["Y"], strict=True)
-    prob.require_nsd(lambda v: C1 @ v["Y"] @ C1.T - np.eye(q), strict=True)
-    return prob
-
-
-def synth_verification_problem(plant: UncertainPlant, eps: float) -> lmimod.LmiProblem:
-    """Unpinned statement of the same conditions, for checking a given
-    (Y, M) pair at whatever tolerance the caller wants: equality
-    B1 + A Y C1^T + B2 M C1^T = 0, sym(A Y + B2 M) + eps I <= 0, Y > 0,
-    C1 Y C1^T - I < 0."""
-    A, B1, B2, C1 = plant.A, plant.B1, plant.B2, plant.C1
-    n, mu, q = plant.n, plant.controls, plant.port_size
-    prob = lmimod.LmiProblem([lmimod.SymVar("Y", n), lmimod.RectVar("M", mu, n)])
-    prob.require_zero(lambda v: B1 + A @ v["Y"] @ C1.T + B2 @ v["M"] @ C1.T)
-    prob.require_nsd(lambda v: A @ v["Y"] + v["Y"] @ A.T + B2 @ v["M"]
-                     + v["M"].T @ B2.T + eps * np.eye(n))
     prob.require_psd(lambda v: v["Y"], strict=True)
     prob.require_nsd(lambda v: C1 @ v["Y"] @ C1.T - np.eye(q), strict=True)
     return prob

@@ -454,6 +454,14 @@ def test_ni_lmi_answers_paper_plant_n30():
     assert r.solver.iters <= lmimod.MAX_NEWTON_STEPS
 
 
+def test_ni_lmi_balances_a_once(monkeypatch):
+    # the minimality test and the solve read one balanced realization
+    balances = counting(monkeypatch, numerics, "balance")
+    r = check_ni_lmi(modal_to_ss(ModalModel(flexible_modes(3))))
+    assert r.is_ni and r.minimal and r.verification.ok
+    assert len(balances) == 1
+
+
 def test_ni_lmi_flags_nonminimal():
     A = np.diag([-1.0, -1.0])
     sys = StateSpace(A, [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
