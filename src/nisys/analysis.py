@@ -6,16 +6,18 @@ kept A = V diag(lam) V^{-1}, grouped where eigenvalues agree to rounding,
 and their sizes are computed once per system (`_residues`): every verdict
 below reads them, and so do the IRC root locus and design (`controllers`).
 
-NI is decided first term by term: P is D plus one term per real pole and
-per conjugate pair, and when each term is NI on its own up to a bound that
-sums to at most tol, so is P (`_ni_by_terms`). That is a finite test on
-the residues, and no zero is solved for; the structural plants of the
-paper, modes sensed at the actuator, pass it. Otherwise, and whenever A has
-no eigenbasis, the NI verdict reads the transmission zeros of
+NI and SNI are decided first term by term: P is D plus one term per real
+pole and per conjugate pair, and when each term is NI on its own up to a
+bound that sums to at most tol, so is P; when moreover each term is
+positive semidefinite at every w > 0 and their kernels meet only in 0, P
+is SNI (`_ni_by_terms`). That is a finite test on the residues, and no zero
+is solved for; the structural plants of the paper, modes sensed at the
+actuator, and the IRC and PPF controllers pass it. Otherwise, and whenever
+A has no eigenbasis, the verdicts read the transmission zeros of
 Phi(s) = M(s) - M^T(-s): the eigenvalues of H(w) = j Phi(jw) change sign
 only at its imaginary-axis zeros, so H is tested once between each pair of
-them (`check_ni`). An NI system is SNI iff Phi has no such zero away from
-s = 0 (`check_sni_zeros`), so SNI always reads the zeros.
+them (`check_ni`), and an NI system is SNI iff Phi has no such zero away
+from s = 0 (`check_sni_zeros`).
 
 All zeros come from one rank-revealing staircase in numpy (`_zeros`). When
 D and every grouped residue are symmetric, as for collocated and SISO
@@ -178,19 +180,24 @@ def _breakpoint_grid(zeros, p):
 
 
 def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
-    """check_ni(sys, tol) and the imaginary-axis zeros of Phi. The modal
-    terms decide first (`_ni_by_terms`). The zeros are solved for when the
-    terms do not decide, and when `zeros` asks for them (for SNI); then the
-    terms' verdict only spares the breakpoint sweep. The zeros are None
-    when poles decide the verdict, when the terms decide and `zeros` is
-    False, and when H(w) is singular at every w."""
+    """(check_ni(sys, tol), the imaginary-axis zeros of Phi, the SNI note).
+    The modal terms decide first (`_ni_by_terms`). When they say NI and
+    SNI, no zero is solved for: the axis zeros are empty, and the SNI note
+    names the term route; otherwise it is None. The zeros are solved for when the terms do
+    not decide NI, and when `zeros` asks for them (for SNI) and the terms
+    decide NI but not SNI; then the terms' verdict only spares the
+    breakpoint sweep. The zeros are None when poles decide the verdict,
+    when the terms decide NI and `zeros` is False, and when H(w) is singular
+    at every w."""
     _square(sys)
     bad = _pole_verdict(sys)[2]
     if bad is not None:
-        return bad, None
-    v = _ni_by_terms(sys, tol)
+        return bad, None, None
+    v, sni = _ni_by_terms(sys, tol)
+    if sni is not None:
+        return v, np.zeros(0, dtype=complex), sni
     if v is not None and not zeros:
-        return v, None
+        return v, None, None
     z = phi_imaginary_axis_zeros(sys)
     axis, fin = z
     if v is None:
@@ -200,15 +207,16 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
             v.note = "; ".join(filter(None, (
                 "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
                 z.note)))
-    return v, (None if z.singular else axis)
+    return v, (None if z.singular else axis), None
 
 
 def _ni_by_terms(sys, tol):
-    """check_ni's verdict when the modal terms of P are NI on their own, up
-    to tol; else None. With the grouped residues R_k of A = V diag(lam)
-    V^{-1} (`_residues`), H(w) = sum_k H_k(w), one term per real pole
-    lam < 0, H_k = 2w R_k / (w^2 + lam^2), and one per conjugate pair
-    (Im lam > 0), with a = -2 Re lam, b = |lam|^2, F = 2 Re R_k and
+    """(check_ni's verdict, the SNI note) when the modal terms of P are NI
+    on their own, up to tol; (None, None) when they are not. With the
+    grouped residues R_k of A = V diag(lam) V^{-1} (`_residues`),
+    H(w) = sum_k H_k(w), one term per real pole lam < 0,
+    H_k = 2w R_k / (w^2 + lam^2), and one per conjugate pair (Im lam > 0),
+    with a = -2 Re lam, b = |lam|^2, F = 2 Re R_k and
     G = -2 Re(R_k conj(lam)):
 
         H_k(w) = 2w (c0 + w^2 F) / ((b - w^2)^2 + a^2 w^2),  c0 = aG - bF,
@@ -231,16 +239,29 @@ def _ni_by_terms(sys, tol):
     modal P that check_ni's sweep reads, which is check_ni's criterion. A
     sum of NI terms is NI (Lanzon & Petersen, IEEE TAC 2008), so the test is
     sufficient, never necessary: it declines a plant with a term that is
-    not NI, as a non-collocated plant usually has."""
+    not NI, as a non-collocated plant usually has.
+
+    SNI is decided in the same pass. When every R_k, c0 and F is PSD, each
+    H_k(w) is PSD at every w > 0 with kernel ker R_k, or ker c0 & ker F, so
+    H(w) > 0 at every w > 0, the strictness of Lanzon & Petersen, iff those
+    kernels meet only in 0, that is iff the sum S of every R_k, c0 and F,
+    each divided by its size, is definite. The sizes bound the norms before
+    cancellation: s for R_k, 2 s for F and 2 s (a |lam| + b) for c0, with s
+    the group's sum of `term`. A negative part up to n eps times its size
+    is rounding (a position pair's F is 2 Re R_k = +-1e-20, not 0), as the
+    skew parts are for the t-form of the zeros (`_t_zeros`). A larger one,
+    or lambda_min(S) at most RANK_TOL max(1, lambda_max(S)), leaves SNI to
+    the zeros, and the SNI note is None.
+    """
     res = _residues(sys)
     if res is None or not res.symmetric:
-        return None
+        return None, None
     lam, rep = res.lam, res.rep
     # a group that holds a pole and the conjugate of another is neither a
     # real pole nor one of a pair
     side = np.sign(lam.imag)
     if np.any(side != side[rep]):
-        return None
+        return None, None
     first = rep == np.arange(lam.size)
     real, pair = first & (side == 0), first & (side > 0)
     Rr, ir = res.R[real].real, 1.0 / np.abs(lam[real].real)
@@ -251,7 +272,11 @@ def _ni_by_terms(sys, tol):
     r2 = 2.0 * math.sqrt(2.0)
     b0 = np.maximum(2.0 * r2 * b ** -1.5, r2 / (a * a * np.sqrt(b)))
     bF = np.maximum(2.0 * r2 / np.sqrt(b), r2 * np.sqrt(b) / (a * a))
-    bound = _neg_part(Rr) @ ir + _neg_part(c0) @ b0 + _neg_part(F) @ bF
+    # one stack of every term's matrices: R_k of the real poles, c0 and F of
+    # the pairs, with the bound on each one's weight in H
+    X = np.concatenate((Rr, c0, F))
+    neg = _neg_part(X)
+    bound = neg @ np.concatenate((ir, b0, bF))
     if sys.inputs > 1:   # a 1 x 1 matrix has no skew part
         # sqrt of the least den over w: b, or a Im lam at w^2 = b - a^2 / 2
         root = np.where(a * a >= 2.0 * b, b, a * lp.imag)
@@ -262,9 +287,21 @@ def _ni_by_terms(sys, tol):
         lm, lr = lam[moved], lam[rep[moved]]
         bound += 2.0 * np.sum(res.term[moved] * np.abs(lm - lr) / (lm.real * lr.real))
     if not bound <= tol:
-        return None
-    return FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=(
+        return None, None
+    v = FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=(
         f"NI term by term from the modal residues: -lambda_min(H(w)) <= {bound:.3g} at every w"))
+    m = sys.inputs
+    term = np.bincount(rep, res.term, lam.size)
+    size = np.concatenate((term[real], 2.0 * term[pair] * (a * np.abs(lp) + b), 2.0 * term[pair]))
+    if m == 0 or np.any(neg > max(sys.n, 1) * np.finfo(float).eps * size):
+        return v, None
+    # a matrix of size 0 is 0, and adds nothing
+    S = (X.reshape(len(X), m * m).T @ (1.0 / np.where(size > 0, size, np.inf))).reshape(m, m)
+    ev = S[0] if m == 1 else np.linalg.eigvalsh(0.5 * (S + S.T))
+    if not ev[0] > RANK_TOL * max(1.0, ev[-1]):
+        return v, None
+    return v, ("SNI term by term from the modal residues: each term PSD, lambda_min of "
+               f"their normalized sum {ev[0]:.3g}")
 
 
 def _skew(S):
@@ -560,20 +597,26 @@ class SniZerosResult:
     violating_zeros: np.ndarray
     reason: str | None = None
     ni: FreqVerdict | None = None
+    note: str | None = None
 
     def __bool__(self):
         return self.is_sni
 
 
 def check_sni_zeros(sys: StateSpace) -> SniZerosResult:
-    """Strictness verdict of record: an NI system is SNI iff M(s) - M^T(-s)
-    has no imaginary-axis transmission zeros except possibly at s = 0. The
-    NI verdict is check_ni's, from the same zeros."""
+    """Strictness verdict of record: an NI system is SNI iff H(w) > 0 at
+    every w > 0. When every modal term is positive semidefinite and their
+    sum is definite (`_ni_by_terms`), the residues decide: `note` names this
+    route, and `axis_zeros` is empty, since no zero was solved for.
+    Otherwise SNI iff M(s) - M^T(-s) has no imaginary-axis transmission
+    zeros except possibly at s = 0, and `note` is None. The NI verdict is
+    check_ni's, from the same terms or zeros."""
     return _sni_zeros(*_ni_spectral(sys))
 
 
-def _sni_zeros(ni, axis):
-    # check_sni_zeros given the NI verdict `ni` and the axis zeros of Phi
+def _sni_zeros(ni, axis, note):
+    # check_sni_zeros given the NI verdict `ni`, the axis zeros of Phi and
+    # the note of the term route, from _ni_spectral
     none = np.zeros(0, dtype=complex)
     if not ni.holds:
         why = ni.reason or f"lambda_min(H) = {ni.worst_margin:.3g} at w = {ni.worst_frequency:g}"
@@ -582,7 +625,7 @@ def _sni_zeros(ni, axis):
         return SniZerosResult(False, none, none, ni=ni,
                               reason="Phi has normal rank below m: H(w) is singular at every w")
     violating = axis[np.abs(axis) > ORIGIN_TOL]
-    return SniZerosResult(violating.size == 0, axis, violating, ni=ni)
+    return SniZerosResult(violating.size == 0, axis, violating, ni=ni, note=note)
 
 
 def _filtered_grid(g, axis):
@@ -767,21 +810,23 @@ class Classification:
             "pr_sweep": fv(self.pr_sweep), "spr_sweep": fv(self.spr_sweep),
             "sni_zeros": {"is_sni": self.sni_zeros.is_sni,
                           "reason": self.sni_zeros.reason,
+                          "note": self.sni_zeros.note,
                           "axis_zeros": [[z.real, z.imag] for z in np.asarray(self.sni_zeros.axis_zeros)]},
         }
         return out
 
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
-    """Run the full battery. check_ni and check_sni_zeros, sharing one zero
-    solve (and, when the modal terms decide NI, no breakpoint sweep), are
-    the verdicts of record for NI/SNI; one evaluation of P(jw) on `grid`
-    decides PR and SPR and gives the NI sweep as evidence. Each field equals
-    what the standalone check returns at this tol (check_sni_zeros: at the
+    """Run the full battery. check_ni and check_sni_zeros, from one pass
+    over the modal terms and, when the terms do not decide both, one zero
+    solve (and, when they decide NI, no breakpoint sweep), are the verdicts
+    of record for NI/SNI; one evaluation of P(jw) on `grid` decides PR and
+    SPR and gives the NI sweep as evidence. Each field equals what the
+    standalone check returns at this tol (check_sni_zeros: at the
     default)."""
     tol = _check_tol(tol)
-    ni, axis = _ni_spectral(sys, tol)
-    sni_z = _sni_zeros(ni, axis)
+    ni, axis, note = _ni_spectral(sys, tol)
+    sni_z = _sni_zeros(ni, axis, note)
     ni_sweep, pr, spr = _grid_verdicts(sys, grid, tol)
     spr = spr()
     return Classification(

@@ -143,7 +143,9 @@ def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:
     M must be NI and N strictly NI (check_ni and check_sni_zeros), with
     M(inf) N(inf) = 0 and N(inf) >= 0. For a structural M, whose modal
     terms are each NI, check_ni reads only the residues of its kept
-    eigenbasis, with no zero solve. Then stability of the loop is
+    eigenbasis, with no zero solve, and so does check_sni_zeros for an IRC,
+    PPF or PPF-MIMO N, whose terms are each positive semidefinite with a
+    definite sum. Then stability of the loop is
     equivalent to lambda_max(M(0) N(0)) < 1, and the closure is not
     eigensolved: its poles are computed at the first read of the report's
     `internally_stable` or `closed_loop_poles`. When a hypothesis fails

@@ -7,8 +7,9 @@ from nisys import lmi as lmimod
 from nisys import numerics
 from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    check_positive_real, check_sni_zeros, check_strictly_positive_real,
-                   classify, dc_gain_verdict, default_grid, hermitian_imaginary_part,
-                   irc, phi_system, poles, ppf_mimo, resonant_acc, rotated_system,
+                   classify, dc_gain, dc_gain_verdict, default_grid,
+                   hermitian_imaginary_part, irc, phi_system, poles, ppf, ppf_mimo,
+                   resonant_acc, rotated_system,
                    verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
@@ -96,8 +97,9 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 50)))
     # one staircase per zero set: Phi in t = s^2 (order n) for symmetric
     # plants and in the doubled realization (order 2n) for NONSYMMETRIC, and
-    # Psi for the SPR plant, whose grid conditions all pass
-    cases = [(first_order, None, [(1, 1), (1, 1)]), (second_order, None, [(4, 4)]),
+    # Psi for the SPR plant, whose grid conditions all pass. 1/(s+1) is SNI
+    # term by term, so the zeros of Phi are not solved for
+    cases = [(first_order, None, [(1, 1)]), (second_order, None, [(4, 4)]),
              (velocity_mode, None, [(2, 2)]), (second_order, grid, [(4, 4)]),
              (unstable, None, []), (NONSYMMETRIC, None, [(4, 4)])]
     for sys, g, want in cases:
@@ -133,14 +135,14 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
     assert [classify(s).ni_spectral.note is not None
             and "term by term" in classify(s).ni_spectral.note
             for s, _, _ in cases] == [True, False, False, False, False, False]
-    # the hot path at n = 200 is decided by its terms, with no zero solve
+    # the hot path at n = 200 is decided by its terms, NI and SNI, with no
+    # zero solve
     zeros.clear()
     decomps.clear()
     plant = modal_to_ss(ModalModel(flexible_modes(100)))
     assert check_ni(plant).holds
     assert zeros == [] and len(decomps) == 1
-    # its zeros, for SNI, take the t-form, of order n
-    assert check_sni_zeros(plant).is_sni and zeros == [(200, 200)]
+    assert check_sni_zeros(plant).is_sni and zeros == []
     assert poles(plant).tobytes() == np.linalg.eigvals(plant.A).tobytes()
 
 
@@ -220,6 +222,12 @@ def _by_terms(v):
     return v.note is not None and "term by term" in v.note
 
 
+# non-collocated: actuator and sensor see the second mode with opposite
+# signs, so its residue is negative
+NON_COLLOCATED = StateSpace(block_diag([[0.0, 1.0], [-1.0, -0.2]], [[0.0, 1.0], [-9.0, -0.6]]),
+                            [[0.0], [1.0], [0.0], [0.5]], [[1.0, 0.0, -0.5, 0.0]], [[0.0]])
+
+
 def test_ni_route_is_named(second_order, monkeypatch):
     zeros = counting(monkeypatch, analysis, "_zeros")
     # the paper plant: every mode's residue is PSD, so its terms decide
@@ -233,10 +241,8 @@ def test_ni_route_is_named(second_order, monkeypatch):
         zeros.clear()
         v = check_ni(sys)
         assert v.holds == ni and not _by_terms(v) and len(zeros) == 1
-    # non-collocated: actuator and sensor see the second mode with opposite
-    # signs, so its residue is negative, and the zeros decide
-    nc = StateSpace(block_diag([[0.0, 1.0], [-1.0, -0.2]], [[0.0, 1.0], [-9.0, -0.6]]),
-                    [[0.0], [1.0], [0.0], [0.5]], [[1.0, 0.0, -0.5, 0.0]], [[0.0]])
+    # non-collocated: the zeros decide
+    nc = NON_COLLOCATED
     zeros.clear()
     v = check_ni(nc)
     dense = check_ni_sweep(nc, grid=default_grid(nc, points_per_decade=2000))
@@ -255,7 +261,7 @@ def test_velocity_leak_is_not_ni():
     v = check_ni(leak)
     assert not v.holds and not _by_terms(v)
     assert abs(v.worst_frequency - 2.83e5) < 1e3 and v.worst_margin < -5e-8
-    assert analysis._ni_by_terms(leak, 1e-8) is None
+    assert analysis._ni_by_terms(leak, 1e-8)[0] is None
 
 
 @pytest.mark.parametrize("sys", [
@@ -279,10 +285,66 @@ def test_admitted_skew_is_not_ni(sys, monkeypatch):
     assert analysis._residues(sys).symmetric
     v = check_ni(sys)
     assert not v.holds and not _by_terms(v) and v.worst_frequency == 0.0
-    assert analysis._ni_by_terms(sys, 1e-8) is None
+    assert analysis._ni_by_terms(sys, 1e-8)[0] is None
     with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: None)
+        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
         assert not check_ni(sys).holds
+
+
+def _paper_plant(count, m, scale=1.0):
+    # the paper's modes, with seeded mode shapes of m channels
+    rng = np.random.default_rng(11)
+    return modal_to_ss(ModalModel(tuple(
+        (w, k, psi if m == 1 else tuple(scale * rng.standard_normal(m)))
+        for w, k, psi in flexible_modes(count))))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_sni_by_terms_makes_no_zero_solve(m, monkeypatch):
+    # every modal term of the paper plant is PSD and their sum is definite,
+    # as for the IRC, PPF and PPF-MIMO controllers: classify and the DC-gain
+    # verdict decide NI and SNI from the residues, with no zero of Phi
+    zeros = counting(monkeypatch, analysis, "_zeros")
+    M = _paper_plant(100, m)
+    c = classify(M)
+    assert c.ni and c.sni and zeros == []
+    assert "term by term" in c.sni_zeros.note and c.sni_zeros.axis_zeros.size == 0
+    # each controller puts lambda_max(M(0) N(0)) at 1/2
+    M0 = dc_gain(M)
+    wc = 100.0
+    K = np.sqrt(0.5) * wc * np.linalg.inv(np.linalg.cholesky(M0))
+    loops = [irc(1e3 * np.eye(m), 2.0 * M0), ppf_mimo(K, 60.0 * np.eye(m), wc * wc * np.eye(m))]
+    if m == 1:
+        loops.append(ppf([(0.5 * wc * wc / M0[0, 0], 0.3, wc)]))
+    for N in loops:
+        zeros.clear()
+        rep = dc_gain_verdict(M, N)
+        assert rep.hypotheses_hold and rep.note is None and rep.stable
+        assert abs(rep.lambda_max_dc - 0.5) < 1e-9 and zeros == []
+    # a term that is not NI (NARROW_BAND's negative residue, the velocity
+    # plant's c0 < 0, the non-collocated plant's second mode): the zeros
+    # decide, in one staircase
+    for sys in (NARROW_BAND, modal_to_ss(ModalModel(flexible_modes(3), output="velocity")),
+                NON_COLLOCATED):
+        zeros.clear()
+        r = check_sni_zeros(StateSpace(sys.A, sys.B, sys.C, sys.D))
+        assert r.note is None and len(zeros) == 1
+
+
+def test_large_gain_plant_reaches_the_zeros(monkeypatch):
+    # mode shapes scaled by 1e5, residues about 1e10: rounding alone takes
+    # the terms' absolute NI bound past tol, so NI and SNI both go to the
+    # zeros and get the zero route's verdicts, never an SNI from terms
+    # whose NI bound passed only on rounding
+    zeros = counting(monkeypatch, analysis, "_zeros")
+    P = _paper_plant(50, 3, scale=1e5)
+    assert analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL) == (None, None)
+    ni, sni = check_ni(P), check_sni_zeros(P)
+    assert not _by_terms(ni) and sni.note is None and len(zeros) == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
+        assert same(check_ni(P), ni) and same(check_sni_zeros(P), sni)
+    assert ni.holds and sni.is_sni
 
 
 def test_singular_zero_pencil():

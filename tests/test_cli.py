@@ -83,7 +83,9 @@ def test_analyze_json_keys(tmp_path, capsys):
     # 1/(s+1) is NI term by term, and `note` says so
     assert set(rep["ni_spectral"]) == {"holds", "worst_frequency", "worst_margin", "note"}
     assert "term by term" in rep["ni_spectral"]["note"]
-    assert set(rep["sni_zeros"]) == {"is_sni", "reason", "axis_zeros"}
+    # and SNI term by term: no zero of Phi was solved for
+    assert set(rep["sni_zeros"]) == {"is_sni", "reason", "axis_zeros", "note"}
+    assert "term by term" in rep["sni_zeros"]["note"] and rep["sni_zeros"]["axis_zeros"] == []
 
 
 def test_analyze_two_channel_plant_is_sni(tmp_path, capsys):
