@@ -1,12 +1,14 @@
 """Feasibility solver and certificate checks for small dense LMI systems.
 
-`solve_feasibility` reads the affine form of every constraint off its values
-at 0 and at each unit vector, eliminates the equalities by SVD, deflates the
-declared boundary kernels, and then runs one log-barrier path-following
-method (Vandenberghe & Boyd, SIAM Review 1996; Boyd & Vandenberghe, Convex
-Optimization, ch. 11) on the reduced blocks, the only copy of them kept:
-maximize the scaled margin t of the blocks, with t <= 1 and the free
-coordinates in a ball. Phase 0 lifts every block until the non-strict ones
+`solve_feasibility` unpacks the variables at 0 and at each unit vector once,
+reads the affine form of every constraint off its values there, eliminates
+the equalities by SVD, deflates the declared boundary kernels, and then runs
+one log-barrier path-following method (Vandenberghe & Boyd, SIAM Review
+1996; Boyd & Vandenberghe, Convex Optimization, ch. 11) on the reduced
+blocks, the only copy of them kept: maximize the scaled margin t of the
+blocks, with t <= 1 and the free coordinates in a ball. The blocks are
+stacked into one array, each padded to the largest size, so a Newton step
+factors, inverts and bounds every cone in one batched call of each. Phase 0 lifts every block until the non-strict ones
 are within tolerance; phase 1 holds those there and maximizes the margin of
 the strict blocks. A solve ends in one of three ways: a point at which the
 problem's own constraint functions pass the cone test of
@@ -139,21 +141,21 @@ def _pinned_directions(B, C):
     return Q
 
 
-def _affine(f, problem, sym=False):
-    """(F0, Fj) with f(v) = F0 + sum_j x_j Fj[j] for v = problem.unpack(x),
-    read off f at 0 and at each unit vector of R^dim. sym=True symmetrizes
-    F0 before it is subtracted, and each Fj."""
-    N = problem.dim
-    F0 = np.asarray(f(problem.unpack(np.zeros(N))), float)
+def _affine(f, units, sym=False):
+    """(F0, Fj) with f(v) = F0 + sum_j x_j Fj[j], read off f at units[0], the
+    variable values at x = 0, and at units[1 + j], those at the j-th unit
+    vector of R^dim. sym=True symmetrizes F0 before it is subtracted, and
+    each Fj. A solve unpacks the unit vectors once, for all its constraints."""
+    F0 = np.asarray(f(units[0]), float)
     if sym:
         F0 = 0.5 * (F0 + F0.T)
-    Fj = np.empty((N,) + F0.shape)
-    e = np.zeros(N)
-    for j in range(N):
-        e[j] = 1.0
-        Mj = np.asarray(f(problem.unpack(e)), float) - F0
-        e[j] = 0.0
-        Fj[j] = 0.5 * (Mj + Mj.T) if sym else Mj
+    Fj = np.empty((len(units) - 1,) + F0.shape)
+    for j, v in enumerate(units[1:]):
+        Fj[j] = f(v)
+    Fj -= F0
+    if sym:
+        Fj += Fj.swapaxes(1, 2)
+        Fj *= 0.5
     return F0, Fj
 
 
@@ -171,16 +173,20 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
     STRICT_MARGIN over the strict blocks in phase 1).
     """
     N = problem.dim
-    # affine forms F(x) = F0 + sum_j x_j Fj; the kernel directions of
+    # affine forms F(x) = F0 + sum_j x_j Fj, read off the variable values at
+    # 0 and at each unit vector, unpacked once from the rows of one array
+    # (a RectVar value is a view of its row); the kernel directions of
     # boundary-pinned cones become equalities, rows F(x) Q = 0
-    cones, eqs = [], [_affine(fn, problem) for fn in problem.eqs]
+    units = [problem.unpack(x) for x in np.eye(N + 1, N, -1)]
+    cones, eqs = [], [_affine(fn, units) for fn in problem.eqs]
     for c in problem.cones:
-        F0, Fj = _affine(lambda v: c["sense"] * np.asarray(c["fn"](v), float), problem, sym=True)
+        F0, Fj = _affine(lambda v: c["sense"] * np.asarray(c["fn"](v), float), units, sym=True)
         P = None
         if c["kernel"] is not None and np.size(c["kernel"]):
             Qm, P = _complement(c["kernel"], F0.shape[0])
             eqs.append((F0 @ Qm, Fj @ Qm))
         cones.append(dict(F0=F0, Fj=Fj, strict=c["strict"], P=P, m=F0.shape[0]))
+    del units
     if eqs:
         L = np.vstack([Ej.reshape(N, -1).T for _, Ej in eqs])
         r = -np.concatenate([E0.ravel() for E0, _ in eqs])
@@ -212,24 +218,51 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
             H0, Hk = P.T @ H0 @ P, P.T @ Hk @ P
         s_i = max(1.0, np.linalg.norm(H0),
                   max((np.linalg.norm(Hk[j]) for j in range(k)), default=0.0))
-        red.append(dict(H0=H0, Hk=Hk, strict=c["strict"], s=s_i))
+        red.append((H0, Hk, c["strict"], s_i))
 
-    def block(d, xi):
-        return d["H0"] + np.tensordot(xi, d["Hk"], axes=(0, 0))
+    # one stack of the nonempty blocks, each padded to the largest size mb:
+    # H0 (nb, mb, mb) with the identity on its padding, so G has it there
+    # too, and Hk (nb, k, mb, mb) with zeros, so a step's dG has eigenvalue
+    # 0 there
+    live = [i for i, (H0, *_) in enumerate(red) if H0.size]
+    nb = len(live)
+    ms = np.array([red[i][0].shape[0] for i in live], int)
+    mb = int(ms.max(initial=0))
+    strict = np.array([red[i][2] for i in live], bool)
+    s = np.array([red[i][3] for i in live], float)
+    own = np.arange(mb) < ms[:, None]          # each block's own diagonal
+    own2 = own[:, :, None] & own[:, None, :]   # and its own entries
+    I_own = own[:, :, None] * np.eye(mb)
+    H0 = np.eye(mb) - I_own
+    Hk = np.zeros((nb, k, mb, mb))
+    for b, i in enumerate(live):
+        m = ms[b]
+        H0[b, :m, :m], Hk[b, :, :m, :m] = red[i][:2]
+        red[i] = None
+    del red
+    Hk2 = Hk.reshape(nb, k, mb * mb)
 
-    def lowest(d, xi):
-        return np.linalg.eigvalsh(block(d, xi))[0] / d["s"]
+    def blocks(x):
+        return H0 + (x @ Hk2).reshape(nb, mb, mb)
+
+    def lowest(x, which):
+        """Lowest eigenvalue over scale of the chosen blocks, each read off
+        its own slice: a pad eigenvalue would cap it."""
+        B = blocks(x)
+        return np.array([np.linalg.eigvalsh(B[b, :ms[b], :ms[b]])[0] / s[b]
+                         for b in np.flatnonzero(which)])
 
     # Barrier path-following on  max t  s.t.  G_i = block_i + c_i I - w_i t s_i I >= 0,
     # t <= 1, |xi| <= R.  Phase 0 lifts every block (w = 1, c = 0) until the
     # non-strict ones clear -HOLD/2; phase 1 holds those at -HOLD (c = HOLD s,
     # w = 0) and lifts the strict blocks alone.
-    live = [(i, d) for i, d in enumerate(red) if d["H0"].size]
-    theta = sum(d["H0"].shape[0] for _, d in live) + 2
+    theta = int(ms.sum()) + 2
     R2, R2max = (np.array(BALL) * max(1.0, np.linalg.norm(xp))) ** 2
     xi, t, tau, phase, steps = np.zeros(k), None, None, 0, 0
-    w = np.ones(len(live))
-    c = np.zeros(len(live))
+    w = np.ones(nb)
+    c = np.zeros(nb)
+    # the scaled blocks L^-1 D_j L^-T of a step, j < k, and of t last
+    Hh = np.empty((nb, k + 1, mb, mb))
 
     def result(ok, margin, reason, dual=None):
         x = xp + Z @ xi
@@ -237,13 +270,13 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
                            float(np.linalg.norm(L @ x - r)), reason, dual)
 
     while True:
-        if phase == 0 and all(lowest(d, xi) >= -HOLD / 2 for _, d in live if not d["strict"]):
+        if phase == 0 and np.all(lowest(xi, ~strict) >= -HOLD / 2):
             phase, t = 1, None
-            w = np.array([float(d["strict"]) for _, d in live])
-            c = np.array([0.0 if d["strict"] else HOLD * d["s"] for _, d in live])
+            w = strict.astype(float)
+            c = np.where(strict, 0.0, HOLD * s)
         if t is None:
             # strictly feasible start: t one unit below the lowest lifted block
-            tmin = min((lowest(d, xi) for (_, d), wi in zip(live, w) if wi), default=1.0)
+            tmin = lowest(xi, w > 0).min(initial=1.0)
             t, tau = min(tmin, 1.0) - 1.0, None
         elif phase == 1 and t >= theta / tau and all(  # t within 2x of its optimum
                 ch.ok for ch in _cone_checks(problem, problem.unpack(xp + Z @ xi))):
@@ -252,26 +285,23 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
             return result(False, t, "budget exhausted")
 
         # Newton step on  -tau t - sum log det G_i - log(1 - t) - log(R^2 - |xi|^2);
-        # with G = L L^T the Schur matrix is the Gram matrix of L^-1 D_j L^-T
-        g = np.zeros(k + 1)
+        # with G = L L^T the Schur matrix is the Gram matrix of L^-1 D_j L^-T.
+        # One batched Cholesky and inverse serve every block
+        G = blocks(xi) + (c - w * t * s)[:, None, None] * I_own
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(G))
+        except np.linalg.LinAlgError:
+            # a slack below the rounding of a block: precision is spent
+            return result(False, t, "budget exhausted")
+        LiT = Li.swapaxes(1, 2)
+        np.multiply(Li @ LiT, -(w * s)[:, None, None] * own2, out=Hh[:, k])
         H = np.zeros((k + 1, k + 1))
-        hats = []
-        for (_, d), wi, ci in zip(live, w, c):
-            m = d["H0"].shape[0]
-            G = block(d, xi) + (ci - wi * t * d["s"]) * np.eye(m)
-            try:
-                Li = np.linalg.inv(np.linalg.cholesky(G))
-            except np.linalg.LinAlgError:
-                # a slack below the rounding of the block: precision is spent
-                return result(False, t, "budget exhausted")
-            # filled in place: a concatenated copy per step made the heap shrink and regrow
-            Hh = np.empty((k + 1, m, m))
-            np.matmul(Li @ d["Hk"], Li.T, out=Hh[:k])
-            Hh[k] = -wi * d["s"] * (Li @ Li.T)
-            F = Hh.reshape(k + 1, m * m)
-            g -= np.trace(Hh, axis1=1, axis2=2)
+        for b in range(nb):
+            # block by block, so Li Hk Li^T's temporary stays one block in size
+            np.matmul(Li[b] @ Hk[b], LiT[b], out=Hh[b, :k])
+            F = Hh[b].reshape(k + 1, mb * mb)
             H += F @ F.T
-            hats.append((Li, Hh))
+        g = -np.trace(Hh, axis1=2, axis2=3).sum(axis=0)
         if tau is None:
             tau = g[k] + 1.0 / (1.0 - t)  # centered in t
         rho = R2 - xi @ xi
@@ -284,54 +314,63 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
         sc = 1.0 / np.sqrt(np.diag(H))
         step = -sc * np.linalg.solve(H * np.outer(sc, sc) + 1e-13 * np.eye(k + 1), sc * g)
         dec = -g @ step
-        dG = [np.tensordot(step, Hh, axes=(0, 0)) for _, Hh in hats]
-        gam = [np.linalg.eigvalsh(x) for x in dG]
+        dG = (step @ Hh.reshape(nb, k + 1, mb * mb)).reshape(nb, mb, mb)
+        gam = np.linalg.eigvalsh(dG)
 
         floor = -HOLD / 2 if phase == 0 else STRICT_MARGIN
         if dec < 1.0 and t + theta / tau < floor:
             # Farkas candidate: the dual point of the Newton step,
             # Z_i = L^-T (I - sum_j step_j Hh_j) L^-1 / tau, PSD inside the
-            # Dikin ellipsoid. Its pairing with the Hk_j is the ball's pull;
-            # cancel it in Z's own metric, Z_i -= Z_i S_i Z_i with
-            # S_i = sum_j a_j Hk_ij, which barely moves Z where Z is small
-            # (the range of a recession direction of the blocks)
-            Zs = [Li.T @ (np.eye(len(Li)) - x) @ Li / tau for (Li, _), x in zip(hats, dG)]
+            # Dikin ellipsoid, with its padding masked to zero. Its pairing
+            # with the Hk_j is the ball's pull; cancel it in Z's own metric,
+            # Z_i -= Z_i S_i Z_i with S_i = sum_j a_j Hk_ij, which barely
+            # moves Z where Z is small (the range of a recession direction
+            # of the blocks)
+            Zs = own2 * (LiT @ (np.eye(mb) - dG) @ Li) / tau
             if k:
-                ZH = [Zi @ d["Hk"] for (_, d), Zi in zip(live, Zs)]
-                pull = sum(np.einsum('jaa->j', x) for x in ZH)
-                MZ = sum(np.tensordot(x, x, axes=([1, 2], [2, 1])) for x in ZH)
+                ZH = Zs[:, None] @ Hk
+                pull = np.einsum('bjaa->j', ZH)
+                MZ = np.tensordot(ZH, ZH, axes=([0, 2, 3], [0, 3, 2]))
                 coef = np.linalg.lstsq(MZ, pull, rcond=None)[0]
-                Zs = [Zi - np.tensordot(coef, x, axes=(0, 0)) @ Zi for Zi, x in zip(Zs, ZH)]
-            Zs = [0.5 * (Zi + Zi.T) for Zi in Zs]
-            pull = sum(np.tensordot(d["Hk"], Zi, axes=([1, 2], [0, 1])) for (_, d), Zi in zip(live, Zs))
-            norm = sum(wi * d["s"] * np.trace(Zi) for (_, d), wi, Zi in zip(live, w, Zs))
-            size = sum(d["s"] * np.linalg.norm(Zi) for (_, d), Zi in zip(live, Zs))
+                Zs = Zs - (coef @ ZH.reshape(nb, k, mb * mb)).reshape(nb, mb, mb) @ Zs
+                del ZH
+            Zs = 0.5 * (Zs + Zs.swapaxes(1, 2))
+            pull = (Hk2 @ Zs.reshape(nb, mb * mb, 1)).sum(axis=0)[:, 0]
+            trZ = np.trace(Zs, axis1=1, axis2=2)
+            norm = (w * s) @ trZ
+            nZ = np.linalg.norm(Zs, axis=(1, 2))
+            size = s @ nZ
+            # the padding's eigenvalue 0 passes this test as the block would
             if (norm > 0 and np.linalg.norm(pull) <= PSD_TOL * size
-                    and all(np.linalg.eigvalsh(Zi)[0] >= -1e-12 * np.linalg.norm(Zi) for Zi in Zs)):
+                    and np.all(np.linalg.eigvalsh(Zs)[:, 0] >= -1e-12 * nZ)):
                 # no pull left: the ball's multiplier is zero and
                 # sum_i <Z_i, G_i> = b norm - t norm >= 0 bounds t on all of R^k
-                b = sum(np.vdot(Zi, d["H0"]) + ci * np.trace(Zi)
-                        for (_, d), ci, Zi in zip(live, c, Zs)) / norm
+                b = (np.vdot(Zs, H0) + c @ trZ) / norm
                 if b < floor:
                     dual = [np.zeros((cn["m"], cn["m"])) for cn in cones]
-                    for (i, _), Zi in zip(live, Zs):
+                    for i, Zi, m in zip(live, Zs, ms):
                         P = cones[i]["P"]
+                        Zi = Zi[:m, :m]
                         dual[i] = (Zi if P is None else P @ Zi @ P.T) / norm
                     return result(False, b, "infeasible", dual)
             if xi @ xi > R2 / 2 and R2 < R2max:
                 # no proof while the iterate leans on the ball: widen it
                 R2 *= 100.0
 
-        # backtracking on the exact barrier along the step, inside the domain
+        # backtracking on the exact barrier along the step, inside the
+        # domain; the padding's eigenvalue 0 adds log1p(0) = 0 and no bound
         dxi, dt = step[:k], step[k]
-        amax = min([np.inf] + [-1.0 / x[0] for x in gam if x[0] < 0] + ([(1.0 - t) / dt] if dt > 0 else []))
+        gmin = gam.min(initial=0.0)
+        amax = -1.0 / gmin if gmin < 0 else np.inf
+        if dt > 0:
+            amax = min(amax, (1.0 - t) / dt)
         a2, a1 = dxi @ dxi, 2.0 * xi @ dxi
         if a2 > 0:
             amax = min(amax, (-a1 + np.sqrt(a1 * a1 + 4.0 * a2 * rho)) / (2.0 * a2))
         a = min(1.0, 0.99 * amax)
 
         def drop(a):
-            return (-tau * a * dt - sum(np.log1p(a * x).sum() for x in gam)
+            return (-tau * a * dt - np.log1p(a * gam).sum()
                     - np.log1p(-a * dt / (1.0 - t)) - np.log1p(-(a * a1 + a * a * a2) / rho))
         while dec > 0.25 and drop(a) > -0.25 * a * dec:
             a *= 0.5

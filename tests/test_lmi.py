@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nisys import (LmiProblem, ModalModel, RectVar, SymVar, finsler_tau, lmi, modal_to_ss,
-                   ni_problem, numerics, solve_feasibility, verify_certificate)
-from conftest import assert_farkas, flexible_modes
+                   ni_problem, numerics, solve_feasibility, synthesis, verify_certificate)
+from conftest import SYNTH_PLANT, assert_farkas, counting, flexible_modes
 
 
 def test_first_order_analytic_certificate():
@@ -76,6 +76,71 @@ def test_solver_keeps_one_copy_of_each_block():
         tracemalloc.stop()
     assert res.reason == "certificate"
     assert peak < 24e6, peak
+
+
+@pytest.mark.parametrize("build, cones", [
+    (lambda plant: synthesis.synth_problem(SYNTH_PLANT, 1e-6), 3),
+    (lambda plant: ni_problem(plant.A, plant.B, plant.C), 2),
+], ids=["synth_problem", "ni_problem"])
+def test_newton_step_factors_every_cone_in_one_call(build, cones, second_order, monkeypatch):
+    # the cones' blocks are stacked, so each Newton step makes one batched
+    # Cholesky of all of them, not one per cone
+    prob = build(second_order)
+    assert len(prob.cones) == cones
+    calls = counting(monkeypatch, np.linalg, "cholesky")
+    res = solve_feasibility(prob)
+    assert res.reason == "certificate" and res.iters > 0
+    assert len(calls) == res.iters, (len(calls), res.iters)
+    assert all(len(shape) == 3 and shape[0] == cones for shape in calls), calls
+
+
+def _mixed_sizes(top):
+    """Cones of sizes 1, 2 and 3, and a 3 x 3 cone deflated to 2 x 2 by its
+    boundary kernel, on Y (2 x 2): tr Y + top >= 0 (strict), Y >= 0, and
+    tr Y <= 1 in the corner of a 3 x 3 block. Infeasible for top < -1."""
+    prob = LmiProblem([SymVar("Y", 2)])
+    prob.require_psd(lambda v: np.array([[np.trace(v["Y"]) + top]]), strict=True)
+    prob.require_psd(lambda v: v["Y"])
+    prob.require_psd(lambda v: np.array([[1.0 - np.trace(v["Y"]), 0.0, 0.0],
+                                         [0.0, 1.0, v["Y"][0, 1]],
+                                         [0.0, v["Y"][0, 1], 1.0]]))
+    prob.require_psd(lambda v: np.pad(np.eye(2) + v["Y"], ((0, 1), (0, 1))),
+                     boundary_kernel=np.array([[0.0], [0.0], [1.0]]))
+    return prob
+
+
+def test_unequal_cone_sizes_keep_their_own_dual_and_start(monkeypatch):
+    # the blocks are zero-padded to one size in the stack: the Farkas dual
+    # of each cone keeps the cone's own shape, and the start reads each
+    # block's own eigenvalues, not a pad's
+    prob = _mixed_sizes(-2.0)
+    res = solve_feasibility(prob)
+    assert_farkas(prob, res)
+    assert [W.shape for W in res.dual] == [(1, 1), (2, 2), (3, 3), (3, 3)]
+    assert np.allclose(res.dual[3][2], 0.0) and np.allclose(res.dual[3][:, 2], 0.0)
+
+    # Y = 0 passes every non-strict block, so the 1 x 1 strict block alone
+    # is lifted; its scaled margin at the start is top / top = 1, and t
+    # starts one unit below it
+    prob = _mixed_sizes(1e3)
+    res = solve_feasibility(prob)
+    assert res.reason == "certificate" and verify_certificate(prob, res.values).ok
+    monkeypatch.setattr(lmi, "MAX_NEWTON_STEPS", 0)
+    start = solve_feasibility(prob)
+    assert start.reason == "budget exhausted" and start.iters == 0
+    assert start.margin == 0.0, start.margin
+
+
+@pytest.mark.parametrize("pinned", [1, 3])
+def test_only_cone_empty_with_equalities(pinned):
+    # no block to stack: the step runs on the t and ball barriers alone
+    prob = LmiProblem([SymVar("Y", 2)])
+    prob.require_psd(lambda v: np.zeros((0, 0)), strict=True)
+    prob.require_zero(lambda v: v["Y"].ravel()[[0, 1, 3][:pinned]] - 1.0)
+    res = solve_feasibility(prob)
+    assert res.feasible and res.reason == "certificate"
+    assert np.allclose(res.values["Y"].ravel()[[0, 1, 3][:pinned]], 1.0)
+    assert verify_certificate(prob, res.values).ok
 
 
 def test_solver_is_deterministic(second_order):
