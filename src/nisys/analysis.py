@@ -10,8 +10,9 @@ NI and SNI are decided first term by term: P is D plus one term per real
 pole and per conjugate pair, and when each term is NI on its own up to a
 bound that sums to at most tol, so is P; when moreover each term is
 positive semidefinite at every w > 0 and their kernels meet only in 0, P
-is SNI (`_ni_by_terms`). That is a finite test on the residues, and no zero
-is solved for; the structural plants of the paper, modes sensed at the
+is SNI (`_ni_by_terms`; check_ni skips the strictness pass,
+`_sni_by_terms`). That is a finite test on the residues, and no zero is
+solved for; the structural plants of the paper, modes sensed at the
 actuator, and the IRC and PPF controllers pass it. Otherwise, and whenever
 A has no eigenbasis, the verdicts read the transmission zeros of
 Phi(s) = M(s) - M^T(-s): the eigenvalues of H(w) = j Phi(jw) change sign
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import lmi as lmimod
 from ._kernels import _eig_radius, sweep_eigmin
-from .lti import StateSpace, _balanced, eigensystem, evaluate, is_minimal, poles
+from .lti import StateSpace, _balanced, _projection, eigensystem, evaluate, is_minimal, poles
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
@@ -182,22 +183,26 @@ def _breakpoint_grid(zeros, p):
 def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
     """(check_ni(sys, tol), the imaginary-axis zeros of Phi, the SNI note).
     The modal terms decide first (`_ni_by_terms`). When they say NI and
-    SNI, no zero is solved for: the axis zeros are empty, and the SNI note
-    names the term route; otherwise it is None. The zeros are solved for when the terms do
-    not decide NI, and when `zeros` asks for them (for SNI) and the terms
-    decide NI but not SNI; then the terms' verdict only spares the
-    breakpoint sweep. The zeros are None when poles decide the verdict,
-    when the terms decide NI and `zeros` is False, and when H(w) is singular
-    at every w."""
+    `zeros` is False (check_ni), nothing more runs: not the terms'
+    strictness pass, and no zero solve. When `zeros` asks for SNI and the
+    terms say NI and SNI, no zero is solved for: the axis zeros are empty,
+    and the SNI note names the term route; otherwise it is None. The zeros
+    are solved for when the terms do not decide NI, and when `zeros` asks
+    for them and the terms decide NI but not SNI; then the terms' verdict
+    only spares the breakpoint sweep. The zeros are None when poles decide
+    the verdict, when the terms decide NI and `zeros` is False, and when
+    H(w) is singular at every w."""
     _square(sys)
     bad = _pole_verdict(sys)[2]
     if bad is not None:
         return bad, None, None
     v, sni = _ni_by_terms(sys, tol)
-    if sni is not None:
-        return v, np.zeros(0, dtype=complex), sni
-    if v is not None and not zeros:
-        return v, None, None
+    if v is not None:
+        if not zeros:
+            return v, None, None
+        note = sni()
+        if note is not None:
+            return v, np.zeros(0, dtype=complex), note
     z = phi_imaginary_axis_zeros(sys)
     axis, fin = z
     if v is None:
@@ -211,9 +216,12 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
 
 
 def _ni_by_terms(sys, tol):
-    """(check_ni's verdict, the SNI note) when the modal terms of P are NI
-    on their own, up to tol; (None, None) when they are not. With the
-    grouped residues R_k of A = V diag(lam) V^{-1} (`_residues`),
+    """(check_ni's verdict, sni) when the modal terms of P are NI on their
+    own, up to tol; (None, None) when they are not. sni() is the SNI note
+    from the same terms, or None (`_sni_by_terms`): that strictness pass
+    runs only when a reader of SNI calls it (`_ni_spectral` for
+    check_sni_zeros and classify), never for check_ni. With the grouped
+    residues R_k of A = V diag(lam) V^{-1} (`_residues`),
     H(w) = sum_k H_k(w), one term per real pole lam < 0,
     H_k = 2w R_k / (w^2 + lam^2), and one per conjugate pair (Im lam > 0),
     with a = -2 Re lam, b = |lam|^2, F = 2 Re R_k and
@@ -240,30 +248,20 @@ def _ni_by_terms(sys, tol):
     sum of NI terms is NI (Lanzon & Petersen, IEEE TAC 2008), so the test is
     sufficient, never necessary: it declines a plant with a term that is
     not NI, as a non-collocated plant usually has.
-
-    SNI is decided in the same pass. When every R_k, c0 and F is PSD, each
-    H_k(w) is PSD at every w > 0 with kernel ker R_k, or ker c0 & ker F, so
-    H(w) > 0 at every w > 0, the strictness of Lanzon & Petersen, iff those
-    kernels meet only in 0, that is iff the sum S of every R_k, c0 and F,
-    each divided by its size, is definite. The sizes bound the norms before
-    cancellation: s for R_k, 2 s for F and 2 s (a |lam| + b) for c0, with s
-    the group's sum of `term`. A negative part up to n eps times its size
-    is rounding (a position pair's F is 2 Re R_k = +-1e-20, not 0), as the
-    skew parts are for the t-form of the zeros (`_t_zeros`). A larger one,
-    or lambda_min(S) at most RANK_TOL max(1, lambda_max(S)), leaves SNI to
-    the zeros, and the SNI note is None.
     """
     res = _residues(sys)
     if res is None or not res.symmetric:
         return None, None
     lam, rep = res.lam, res.rep
-    # a group that holds a pole and the conjugate of another is neither a
-    # real pole nor one of a pair
     side = np.sign(lam.imag)
-    if np.any(side != side[rep]):
-        return None, None
-    first = rep == np.arange(lam.size)
-    real, pair = first & (side == 0), first & (side > 0)
+    real, pair = side == 0, side > 0
+    if res.grouped:
+        # a group that holds a pole and the conjugate of another is neither
+        # a real pole nor one of a pair
+        if np.any(side != side[rep]):
+            return None, None
+        first = rep == np.arange(lam.size)
+        real, pair = first & real, first & pair
     Rr, ir = res.R[real].real, 1.0 / np.abs(lam[real].real)
     R, lp = res.R[pair], lam[pair]
     a, b = -2.0 * lp.real, np.abs(lp) ** 2
@@ -282,7 +280,7 @@ def _ni_by_terms(sys, tol):
         root = np.where(a * a >= 2.0 * b, b, a * lp.imag)
         bound += (_skew(sys.D[None])[0] + _skew(Rr) @ ir
                   + _skew(G) @ (1.0 / root) + _skew(F) @ (1.0 / a))
-    if not first.all():
+    if res.grouped:
         moved = np.flatnonzero(~first)
         lm, lr = lam[moved], lam[rep[moved]]
         bound += 2.0 * np.sum(res.term[moved] * np.abs(lm - lr) / (lm.real * lr.real))
@@ -290,18 +288,39 @@ def _ni_by_terms(sys, tol):
         return None, None
     v = FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=(
         f"NI term by term from the modal residues: -lambda_min(H(w)) <= {bound:.3g} at every w"))
+    return v, lambda: _sni_by_terms(X, neg, sys, res, real, pair)
+
+
+def _sni_by_terms(X, neg, sys, res, real, pair):
+    """The SNI note of the modal terms of an NI P (`_ni_by_terms`), or None:
+    X stacks the R_k of the real poles and then the c0 and the F of the
+    pairs, neg their negative parts, and real and pair select the first
+    pole of each group (`_residues`) that is real or has Im lam > 0.
+
+    When every R_k, c0 and F is PSD, each H_k(w) is PSD at every w > 0 with
+    kernel ker R_k, or ker c0 & ker F, so H(w) > 0 at every w > 0, the
+    strictness of Lanzon & Petersen, iff those kernels meet only in 0, that
+    is iff the sum S of every R_k, c0 and F, each divided by its size, is
+    definite. The sizes bound the norms before cancellation: s for R_k, 2 s
+    for F and 2 s (a |lam| + b) for c0, with s the group's sum of `term`. A
+    negative part up to n eps times its size is rounding (a position pair's
+    F is 2 Re R_k = +-1e-20, not 0), as the skew parts are for the t-form
+    of the zeros (`_t_zeros`). A larger one, or lambda_min(S) at most
+    RANK_TOL max(1, lambda_max(S)), leaves SNI to the zeros: None."""
     m = sys.inputs
-    term = np.bincount(rep, res.term, lam.size)
+    lp = res.lam[pair]
+    a, b = -2.0 * lp.real, np.abs(lp) ** 2
+    term = np.bincount(res.rep, res.term, res.lam.size) if res.grouped else res.term
     size = np.concatenate((term[real], 2.0 * term[pair] * (a * np.abs(lp) + b), 2.0 * term[pair]))
     if m == 0 or np.any(neg > max(sys.n, 1) * np.finfo(float).eps * size):
-        return v, None
+        return None
     # a matrix of size 0 is 0, and adds nothing
     S = (X.reshape(len(X), m * m).T @ (1.0 / np.where(size > 0, size, np.inf))).reshape(m, m)
     ev = S[0] if m == 1 else np.linalg.eigvalsh(0.5 * (S + S.T))
     if not ev[0] > RANK_TOL * max(1.0, ev[-1]):
-        return v, None
-    return v, ("SNI term by term from the modal residues: each term PSD, lambda_min of "
-               f"their normalized sum {ev[0]:.3g}")
+        return None
+    return ("SNI term by term from the modal residues: each term PSD, lambda_min of "
+            f"their normalized sum {ev[0]:.3g}")
 
 
 def _skew(S):
@@ -326,12 +345,13 @@ def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     test on the residues of the kept eigenbasis decides, and no zero solve
     runs (`_ni_by_terms`): `note` names this route and gives its bound, and
     `worst_frequency` and `worst_margin` are 0, H(0) being 0 up to that
-    bound. Otherwise, and whenever A has no eigenbasis, H is tested once in
-    each interval between the imaginary-axis zeros of
-    Phi(s) = M(s) - M^T(-s) and at each pole magnitude. There `note` says
-    when the zeros came from the doubled realization and why, and when H(w)
-    is singular at every w, so the zeros are those below the normal rank of
-    Phi."""
+    bound. That route skips the terms' strictness pass, which only
+    check_sni_zeros and classify read. Otherwise, and whenever A has no
+    eigenbasis, H is tested once in each interval between the
+    imaginary-axis zeros of Phi(s) = M(s) - M^T(-s) and at each pole
+    magnitude. There `note` says when the zeros came from the doubled
+    realization and why, and when H(w) is singular at every w, so the zeros
+    are those below the normal rank of Phi."""
     return _ni_spectral(sys, _check_tol(tol), zeros=False)[0]
 
 
@@ -356,7 +376,8 @@ def check_ni_lmi(sys: StateSpace) -> NiLmiResult:
     frequencies exhaust the solver's step budget); the returned Y is
     transformed back, so it certifies the original realization. Non-minimal
     realizations are attempted anyway and flagged. When no certificate is
-    found, `reason` carries the solver's: infeasible, or budget exhausted.
+    found, `reason` carries the solver's: infeasible, budget exhausted, or
+    problem too large, refused before the solve (`lmi.MAX_SOLVE_BYTES`).
     """
     _square(sys)
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -470,9 +491,9 @@ class _Residues(NamedTuple):
     are summed; R[k], the sum of R_i = CV_i W_i over the group of k, zero
     where rep[k] != k; term[i] = ||CV_i|| ||W_i||, the size of R_i before
     cancellation; bound[k], the group's sum of ||C|| ||B|| ||V_i||
-    ||(V^{-1})_i||, which bound the ||R_i||, zero where rep[k] != k; and
+    ||(V^{-1})_i||, which bound the ||R_i||, zero where rep[k] != k;
     symmetric: D and every R[k] are symmetric within SYM_TOL (times the
-    group's sum of term, for R[k])."""
+    group's sum of term, for R[k]); and grouped: some rep[k] != k."""
 
     lam: np.ndarray
     rep: np.ndarray
@@ -482,6 +503,7 @@ class _Residues(NamedTuple):
     term: np.ndarray
     bound: np.ndarray
     symmetric: bool
+    grouped: bool
 
 
 def _residues(sys):
@@ -499,14 +521,15 @@ def _residues(sys):
         return None
     V, Vi, cond = basis
     n = sys.n
-    W, CV = Vi @ sys.B, sys.C @ V
+    W, CV = _projection(sys)
     near = _eig_radius(sys.A, cond)
     rep = (np.abs(lam[:, None] - lam) <= near).argmax(axis=1) if n else np.zeros(0, int)
     term = np.linalg.norm(CV, axis=0) * np.linalg.norm(W, axis=1)
     bound = (np.linalg.norm(sys.C) * np.linalg.norm(sys.B)
              * np.linalg.norm(V, axis=0) * np.linalg.norm(Vi, axis=1))
     R, size = CV.T[:, :, None] * W[:, None, :], term
-    if np.any(rep != np.arange(n)):
+    grouped = bool(np.any(rep != np.arange(n)))
+    if grouped:
         R, size, bound = np.zeros_like(R), np.bincount(rep, term, n), np.bincount(rep, bound, n)
         np.add.at(R, rep, CV.T[:, :, None] * W[:, None, :])
     symmetric = bool(
@@ -514,7 +537,7 @@ def _residues(sys):
         # a 1 x 1 residue is symmetric
         and (sys.inputs == 1 or np.all(
             np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) <= SYM_TOL * size)))
-    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, bound, symmetric)
+    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, bound, symmetric, grouped)
     return res
 
 

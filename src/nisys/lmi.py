@@ -17,6 +17,8 @@ whose bound lies below the acceptance floor; or a fixed budget of Newton
 steps. Deterministic, no RNG, no wall clock.
 
 Problems here have a few hundred scalar unknowns at most; everything is dense.
+A problem whose dense arrays would exceed MAX_SOLVE_BYTES is refused with a
+reason before any of them is built.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ PSD_TOL = 1e-9         # acceptance floor of non-strict blocks, relative to scal
 STRICT_MARGIN = 1e-8   # acceptance floor of strict blocks, relative to scale
 HOLD = PSD_TOL / 2     # phase 1 holds non-strict blocks at -HOLD s I
 MAX_NEWTON_STEPS = 200
+MAX_SOLVE_BYTES = 2 ** 29   # 512 MiB of dense arrays per solve (`_solve_bytes`)
 MIN_GAP = 1e-12        # barrier gap below which double precision has nothing left to give
 MU = 10.0              # barrier weight growth per centering
 BALL = (1e2, 1e6)      # |xi| <= R = BALL * max(1, |x_p|): start, widest
@@ -105,7 +108,9 @@ class SolveResult:
     acceptance test), "infeasible" (dual holds the Farkas matrices, one per
     cone in its sense-adjusted coordinates, whose bound margin lies below the
     acceptance floor), "budget exhausted" (MAX_NEWTON_STEPS Newton steps, or
-    double precision spent), or names the inconsistent equalities. margin is
+    double precision spent), "problem too large: ..." (refused before the
+    solve, its arrays estimated above MAX_SOLVE_BYTES; margin -inf, 0 steps,
+    eq_residual NaN), or names the inconsistent equalities. margin is
     the lifted blocks' scaled floor t at the last iterate, or the dual bound
     when infeasible; iters counts Newton steps."""
 
@@ -159,6 +164,17 @@ def _affine(f, units, sym=False):
     return F0, Fj
 
 
+def _solve_bytes(N, ms, es):
+    """Bytes of the float64 arrays a solve of N unknowns builds, with cone
+    blocks of sizes ms and equalities of es entries: the affine stacks, N + 1
+    values of each block and equality; the stacked reduced blocks Hk and the
+    step's scaled blocks Hh, each block padded to the largest, of at most N
+    free coordinates; and the Schur matrix. It overestimates, since the
+    affine stacks go as the blocks are reduced."""
+    mb = max(ms, default=0)
+    return 8 * (N + 1) * (sum(m * m for m in ms) + sum(es) + 2 * len(ms) * mb * mb + N + 1)
+
+
 def solve_feasibility(problem: LmiProblem) -> SolveResult:
     """Search for a feasible point of the problem.
 
@@ -171,13 +187,25 @@ def solve_feasibility(problem: LmiProblem) -> SolveResult:
     where the equalities hold and bounds the blocks' scaled margin below the
     floor of the phase that found it (-HOLD/2 over all blocks in phase 0,
     STRICT_MARGIN over the strict blocks in phase 1).
+
+    The sizes of the constraints at x = 0 give the bytes of the solve's
+    arrays (`_solve_bytes`); above MAX_SOLVE_BYTES it is refused with the
+    reason "problem too large: ...", before any unit vector is unpacked.
     """
     N = problem.dim
+    zero = problem.unpack(np.zeros(N))
+    sizes = [np.shape(c["fn"](zero))[0] for c in problem.cones]
+    need = _solve_bytes(N, sizes, [np.size(fn(zero)) for fn in problem.eqs])
+    if need > MAX_SOLVE_BYTES:
+        return SolveResult(False, None, -np.inf, 0, np.nan, reason=(
+            f"problem too large: about {need / 2 ** 20:.0f} MiB of arrays for {N} unknowns "
+            f"and cone blocks of sizes {', '.join(map(str, sizes))}, over the "
+            f"{MAX_SOLVE_BYTES / 2 ** 20:.0f} MiB budget"))
     # affine forms F(x) = F0 + sum_j x_j Fj, read off the variable values at
     # 0 and at each unit vector, unpacked once from the rows of one array
     # (a RectVar value is a view of its row); the kernel directions of
     # boundary-pinned cones become equalities, rows F(x) Q = 0
-    units = [problem.unpack(x) for x in np.eye(N + 1, N, -1)]
+    units = [zero] + [problem.unpack(x) for x in np.eye(N)]
     cones, eqs = [], [_affine(fn, units) for fn in problem.eqs]
     for c in problem.cones:
         F0, Fj = _affine(lambda v: c["sense"] * np.asarray(c["fn"](v), float), units, sym=True)

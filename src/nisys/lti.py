@@ -196,6 +196,20 @@ def eigensystem(sys: StateSpace):
     return eig
 
 
+def _projection(sys: StateSpace):
+    """(W, CV) = (V^{-1} B, C V): B and C projected onto the basis of the
+    kept `eigensystem`, of a system whose A has one, computed at the first
+    call and kept on the system, read-only. `dc_gain` and the modal
+    residues (`analysis._residues`) read this one projection."""
+    proj = sys.__dict__.get("_proj")
+    if proj is None:
+        V, Vi, _ = eigensystem(sys)[1]
+        proj = sys.__dict__["_proj"] = (Vi @ sys.B, sys.C @ V)
+        for M in proj:
+            M.flags.writeable = False
+    return proj
+
+
 def _balanced(sys: StateSpace):
     """(Ab, Bb, Cb, T): the realization in the coordinates of
     `numerics.balance(A)`, Ab = T^{-1} A T, Bb = T^{-1} B and Cb = C T,
@@ -219,18 +233,18 @@ def poles(sys: StateSpace) -> np.ndarray:
 def dc_gain(sys: StateSpace) -> np.ndarray:
     """D - C A^{-1} B. A pole at the origin is an error, not infinity.
 
-    Read from the kept `eigensystem` as D - (C V) diag(1/lam) (V^{-1} B)
-    when its error bound cond(V) max|lam| / min|lam| is at most
-    `numerics.COND_LIMIT`; otherwise, and without an eigenbasis, from a
-    conditioned solve with A."""
+    Read from the kept `eigensystem` and its kept `_projection` as
+    D - (C V) diag(1/lam) (V^{-1} B) when its error bound
+    cond(V) max|lam| / min|lam| is at most `numerics.COND_LIMIT`; otherwise,
+    and without an eigenbasis, from a conditioned solve with A."""
     if sys.n == 0:
         return sys.D.copy()
     lam, basis = eigensystem(sys)
     if basis is not None:
-        V, Vi, cond = basis
         mag = np.abs(lam)
-        if mag.min() > 0 and cond * mag.max() <= numerics.COND_LIMIT * mag.min():
-            return sys.D - ((sys.C @ V) / lam @ (Vi @ sys.B)).real
+        if mag.min() > 0 and basis[2] * mag.max() <= numerics.COND_LIMIT * mag.min():
+            W, CV = _projection(sys)
+            return sys.D - (CV / lam @ W).real
     try:
         X = numerics.solve(sys.A, sys.B)
     except NumericsError as e:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _pole_status, check_ni, check_sni_zeros
-from .lti import LtiError, StateSpace, dc_gain, inf_gain, positive_feedback
+from .lti import LtiError, StateSpace, dc_gain, positive_feedback
 
 MARGINAL_BAND = 1e-6
 
@@ -108,11 +108,12 @@ def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool):
     hypotheses hold and what lambda_max(M(0) N(0)) is. why is None, or the
     reason M(0) N(0) is undefined, in which case lambda_max_dc is NaN and
     the hypotheses do not hold."""
-    Minf, Ninf = inf_gain(M), inf_gain(N)
-    prod = Minf @ Ninf
-    gain_zero = np.linalg.norm(prod) <= 1e-9 * (1.0 + np.linalg.norm(Minf) * np.linalg.norm(Ninf))
+    # M(inf) and N(inf) are the feedthroughs, read in place
+    Minf, Ninf = M.D, N.D
+    n_norm = np.linalg.norm(Ninf)
+    gain_zero = np.linalg.norm(Minf @ Ninf) <= 1e-9 * (1.0 + np.linalg.norm(Minf) * n_norm)
     Ns = 0.5 * (Ninf + Ninf.T)
-    sym_ok = np.linalg.norm(Ninf - Ninf.T) <= 1e-9 * (1.0 + np.linalg.norm(Ninf))
+    sym_ok = np.linalg.norm(Ninf - Ninf.T) <= 1e-9 * (1.0 + n_norm)
     psd_ok = Ns.size == 0 or np.linalg.eigvalsh(Ns).min() >= -1e-9 * (1.0 + np.linalg.norm(Ns))
     n_inf_psd = bool(sym_ok and psd_ok)
 

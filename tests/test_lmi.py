@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nisys import (LmiProblem, ModalModel, RectVar, SymVar, finsler_tau, lmi, modal_to_ss,
-                   ni_problem, numerics, solve_feasibility, synthesis, verify_certificate)
+from nisys import (LmiProblem, ModalModel, RectVar, SymVar, check_ni_lmi, finsler_tau, lmi,
+                   modal_to_ss, ni_problem, numerics, solve_feasibility, synthesis,
+                   verify_certificate)
 from conftest import SYNTH_PLANT, assert_farkas, counting, flexible_modes
 
 
@@ -76,6 +77,41 @@ def test_solver_keeps_one_copy_of_each_block():
         tracemalloc.stop()
     assert res.reason == "certificate"
     assert peak < 24e6, peak
+
+
+def test_ni_lmi_refuses_a_problem_over_the_memory_budget():
+    # the 100-mode paper plant (n = 200): 20100 unknowns, whose affine
+    # stacks alone would take 6.4 GB per cone and the Schur matrix 3.2 GB;
+    # the refusal reads the estimate and builds none of them
+    plant = modal_to_ss(ModalModel(flexible_modes(100)))
+    tracemalloc.start()
+    try:
+        r = check_ni_lmi(plant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.is_ni and r.reason.startswith("no certificate: problem too large: ")
+    assert "20100 unknowns" in r.reason and "200, 200" in r.reason
+    assert r.solver.iters == 0 and r.solver.values is None
+    assert peak < 8e6, peak
+    # the n = 60 paper plant (1830 unknowns, about 370 MB at its peak)
+    # still solves; n = 200 is far over the budget
+    assert lmi._solve_bytes(1830, [60, 60], [60]) <= lmi.MAX_SOLVE_BYTES
+    assert lmi._solve_bytes(20100, [200, 200], [200]) > 9e9
+
+
+def test_size_refusal_unpacks_no_unit_vector(second_order, monkeypatch):
+    # the estimate comes from the constraints at x = 0 alone
+    prob = ni_problem(second_order.A, second_order.B, second_order.C)
+    n = second_order.n
+    need = lmi._solve_bytes(prob.dim, [n, n], [n])
+    unpacked = counting(monkeypatch, prob, "unpack")
+    monkeypatch.setattr(lmi, "MAX_SOLVE_BYTES", need - 1)
+    res = solve_feasibility(prob)
+    assert not res.feasible and res.reason.startswith("problem too large: ")
+    assert res.iters == 0 and unpacked == [(prob.dim,)]
+    monkeypatch.setattr(lmi, "MAX_SOLVE_BYTES", need)
+    assert solve_feasibility(prob).reason == "certificate"
 
 
 @pytest.mark.parametrize("build, cones", [

@@ -7,7 +7,7 @@ from nisys import (LtiError, ModalModel, StateSpace, add, dc_gain,
                    diagonal_replicate, evaluate, inf_gain, is_minimal,
                    modal_to_ss, paraconjugate_transpose, poles,
                    positive_feedback, star_product)
-from nisys import numerics
+from nisys import analysis, numerics
 from nisys.lti import eigensystem, static_gain
 from conftest import counting, flexible_modes, random_modal, random_stable, tf
 
@@ -109,6 +109,26 @@ def test_dc_gain_from_eigenbasis_matches_solve(monkeypatch):
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
     # every one of them took the kept eigenbasis, none the solve
     assert solves == []
+
+
+def test_dc_gain_reads_the_kept_projection():
+    # D - ((C V) / lam) @ (V^-1 B) bit for bit, from the projection that
+    # the modal residues read too: B and C are projected once per system
+    rng = np.random.default_rng(23)
+    systems = [modal_to_ss(random_modal(rng, 6, channels=m)) for m in (1, 2, 3)]
+    systems += [random_stable(rng, n, m, p) for n, m, p in ((1, 1, 1), (5, 2, 3), (12, 3, 2))]
+    for sys in systems:
+        lam, (V, Vi, _) = eigensystem(sys)
+        got = dc_gain(sys)
+        assert np.array_equal(got, sys.D - ((sys.C @ V) / lam @ (Vi @ sys.B)).real)
+        W, CV = sys.__dict__["_proj"]
+        assert not (W.flags.writeable or CV.flags.writeable)
+        if sys.inputs == sys.outputs:
+            res = analysis._residues(sys)
+            assert res.W is W and res.CV is CV
+        # a second dc_gain reads the kept projection, not B and C
+        sys.__dict__["_proj"] = (2.0 * W, CV)
+        assert np.array_equal(dc_gain(sys), sys.D - 2.0 * (CV / lam @ W).real)
 
 
 def test_dc_gain_falls_back_to_solve(monkeypatch):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from nisys import (StabilityReport, StateSpace, dc_gain_verdict, internal_stability, irc,
+from nisys import (ModalModel, StabilityReport, StateSpace, analysis, check_ni, check_sni_zeros,
+                   classify, dc_gain, dc_gain_verdict, internal_stability, irc, modal_to_ss,
                    stability)
-from conftest import counting, tf
+from conftest import counting, flexible_modes, tf
 
 
 def test_internal_stability_direct():
@@ -150,3 +151,20 @@ def test_hand_built_report_has_no_pole_test():
     for read in (lambda: rep.internally_stable, lambda: rep.closed_loop_poles, rep.to_json):
         with pytest.raises(ValueError, match="holds no loop"):
             read()
+
+
+def test_check_ni_runs_no_strictness_pass(monkeypatch):
+    # the terms' strictness pass runs for the readers of SNI alone: not for
+    # check_ni, nor for the loop's check of M, on the 100-mode paper plant
+    # with an IRC controller, whose terms decide NI and SNI
+    M = modal_to_ss(ModalModel(flexible_modes(100)))
+    N = irc(np.array([[1e3]]), 1.2 * dc_gain(M))
+    strict = counting(monkeypatch, analysis, "_sni_by_terms")
+    assert "term by term" in check_ni(M).note and strict == []
+    rep = dc_gain_verdict(M, N)
+    assert rep.note is None and rep.m_is_ni and rep.n_is_sni and rep.stable
+    # N's pass alone: the stack of its one real pole's residue
+    assert strict == [(1, 1, 1)]
+    # check_sni_zeros and classify read SNI: M's c0 and F of 100 pairs
+    assert "term by term" in check_sni_zeros(M).note and classify(M).sni
+    assert strict == [(1, 1, 1), (200, 1, 1), (200, 1, 1)]
