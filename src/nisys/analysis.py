@@ -34,6 +34,15 @@ residues at imaginary-axis poles, and SPR by its strict sign at every
 w > 0, the limits at w = 0 and w -> infinity, and no axis zero of
 Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
 (`check_ni_lmi`) is a certificate on demand.
+
+Every tol-free fact that these verdicts read is kept on the system at its
+first read (`lti._kept`), read-only: the pole status (`_pole_facts`), the
+grouped residues (`_residues`), the term bound and stack (`_terms`) and
+the terms' SNI note, the finite zeros of Phi and of Psi with their note
+(`_axis_zeros`), and the sweep on the breakpoints of Phi's zeros
+(`_ni_by_zeros`). Each call compares them with its own tol and builds a
+fresh FreqVerdict or SniZerosResult, so a repeated verdict on one system
+solves for nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ import numpy as np
 
 from . import lmi as lmimod
 from ._kernels import _eig_radius, sweep_eigmin
-from .lti import StateSpace, _balanced, _projection, eigensystem, evaluate, is_minimal, poles
+from .lti import (StateSpace, _balanced, _frozen, _kept, _projection, eigensystem, evaluate,
+                  is_minimal, poles)
 
 AXIS_TOL = 1e-7       # imaginary-axis decision band for poles and zeros
 ORIGIN_TOL = 1e-8     # zeros with |z| below this count as the origin
@@ -139,19 +149,19 @@ def _refused(reason, grid=None):
     return FreqVerdict(False, np.nan, -np.inf, np.zeros(0) if grid is None else grid, reason)
 
 
+def _pole_facts(sys):
+    """_pole_status of the poles of sys, kept (`lti._kept`)."""
+    return _kept(sys, "_pst", lambda: _pole_status(poles(sys)))
+
+
 def _pole_verdict(sys):
-    # _pole_status of the poles of sys, and the NI verdict, False before any
-    # grid point, when a pole is on or right of the imaginary axis (else None)
-    axis, in_rhp = _pole_status(poles(sys))
+    # _pole_facts of sys, and the NI verdict, False before any grid point,
+    # when a pole is on or right of the imaginary axis (else None)
+    axis, in_rhp = _pole_facts(sys)
     if axis.size or in_rhp:
         why = "imaginary-axis pole" if axis.size else "right-half-plane pole"
         return axis, in_rhp, _refused(why)
     return axis, in_rhp, None
-
-
-def _ni_on_grid(sys, g, tol):
-    lam, _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, eigensystem(sys))
-    return _sweep_verdict(g, lam, pn, tol)
 
 
 def _sweep_verdict(g, lam, pn, tol, reason=None, note=None):
@@ -204,15 +214,28 @@ def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
         if note is not None:
             return v, np.zeros(0, dtype=complex), note
     z = phi_imaginary_axis_zeros(sys)
-    axis, fin = z
     if v is None:
-        v = _ni_on_grid(sys, _breakpoint_grid(fin, poles(sys)), tol)
-        v.note = z.note
-        if z.singular:
-            v.note = "; ".join(filter(None, (
-                "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
-                z.note)))
-    return v, (None if z.singular else axis), None
+        v = _ni_by_zeros(sys, z, tol)
+    return v, (None if z.singular else z[0]), None
+
+
+def _ni_by_zeros(sys, z, tol):
+    """check_ni from the zeros z of Phi (`phi_imaginary_axis_zeros`): H is
+    tested at each point of their `_breakpoint_grid`. That sweep is kept
+    with the finite zeros it was made from, and made again for any other
+    (an oracle's zeros, in the tests)."""
+    fin = z[1]
+    sweep = sys.__dict__.get("_bps")
+    if sweep is None or sweep[0] is not fin:
+        g = _breakpoint_grid(fin, poles(sys))
+        lam, _, pn = sweep_eigmin(sys.A, sys.B, sys.C, sys.D, g, eigensystem(sys))
+        sweep = sys.__dict__["_bps"] = _frozen((fin, g, lam, pn))
+    v = _sweep_verdict(*sweep[1:], tol, note=z.note)
+    if z.singular:
+        v.note = "; ".join(filter(None, (
+            "H(w) singular at every w: breakpoints from the zeros of Phi below its normal rank",
+            z.note)))
+    return v
 
 
 def _ni_by_terms(sys, tol):
@@ -249,9 +272,22 @@ def _ni_by_terms(sys, tol):
     sufficient, never necessary: it declines a plant with a term that is
     not NI, as a non-collocated plant usually has.
     """
+    t = _kept(sys, "_terms", lambda: _terms(sys))
+    if t is None or not t[0] <= tol:
+        return None, None
+    return (FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=t[1]),
+            lambda: _kept(sys, "_sni", lambda: _sni_by_terms(*t[2:], sys)))
+
+
+def _terms(sys):
+    """The tol-free part of `_ni_by_terms`: (bound, note, X, neg, real,
+    pair), with X the stack of the R_k of the real poles and the c0 and F
+    of the pairs, neg their negative parts, and real and pair the masks of
+    `_sni_by_terms`; None when the residues have no terms (no eigenbasis,
+    a residue not symmetric, or a group that mixes sides)."""
     res = _residues(sys)
     if res is None or not res.symmetric:
-        return None, None
+        return None
     lam, rep = res.lam, res.rep
     side = np.sign(lam.imag)
     real, pair = side == 0, side > 0
@@ -259,7 +295,7 @@ def _ni_by_terms(sys, tol):
         # a group that holds a pole and the conjugate of another is neither
         # a real pole nor one of a pair
         if np.any(side != side[rep]):
-            return None, None
+            return None
         first = rep == np.arange(lam.size)
         real, pair = first & real, first & pair
     Rr, ir = res.R[real].real, 1.0 / np.abs(lam[real].real)
@@ -284,14 +320,12 @@ def _ni_by_terms(sys, tol):
         moved = np.flatnonzero(~first)
         lm, lr = lam[moved], lam[rep[moved]]
         bound += 2.0 * np.sum(res.term[moved] * np.abs(lm - lr) / (lm.real * lr.real))
-    if not bound <= tol:
-        return None, None
-    v = FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=(
-        f"NI term by term from the modal residues: -lambda_min(H(w)) <= {bound:.3g} at every w"))
-    return v, lambda: _sni_by_terms(X, neg, sys, res, real, pair)
+    note = ("NI term by term from the modal residues: "
+            f"-lambda_min(H(w)) <= {bound:.3g} at every w")
+    return bound, note, X, neg, real, pair
 
 
-def _sni_by_terms(X, neg, sys, res, real, pair):
+def _sni_by_terms(X, neg, real, pair, sys):
     """The SNI note of the modal terms of an NI P (`_ni_by_terms`), or None:
     X stacks the R_k of the real poles and then the c0 and the F of the
     pairs, neg their negative parts, and real and pair select the first
@@ -307,7 +341,7 @@ def _sni_by_terms(X, neg, sys, res, real, pair):
     F is 2 Re R_k = +-1e-20, not 0), as the skew parts are for the t-form
     of the zeros (`_t_zeros`). A larger one, or lambda_min(S) at most
     RANK_TOL max(1, lambda_max(S)), leaves SNI to the zeros: None."""
-    m = sys.inputs
+    m, res = sys.inputs, _residues(sys)
     lp = res.lam[pair]
     a, b = -2.0 * lp.real, np.abs(lp) ** 2
     term = np.bincount(res.rep, res.term, res.lam.size) if res.grouped else res.term
@@ -384,7 +418,7 @@ def check_ni_lmi(sys: StateSpace) -> NiLmiResult:
     minimal = is_minimal(sys)
     if np.linalg.norm(D - D.T) > 1e-9 * (1.0 + np.linalg.norm(D)):
         return NiLmiResult(False, None, "feedthrough matrix is not symmetric", minimal)
-    axis, in_rhp = _pole_status(poles(sys))
+    axis, in_rhp = _pole_facts(sys)
     if axis.size:
         return NiLmiResult(False, None, "imaginary-axis eigenvalue of A", minimal)
     if in_rhp:
@@ -449,7 +483,18 @@ def phi_imaginary_axis_zeros(sys: StateSpace, axis_tol: float = AXIS_TOL) -> Phi
 
 def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
     """The zeros of phi_imaginary_axis_zeros for P(s) + sign P^T(-s): Phi
-    for sign -1, the PR function Psi for sign +1."""
+    for sign -1, the PR function Psi for sign +1, split by axis_tol from
+    the finite zeros kept on the system (`_finite_zeros`)."""
+    fin, note, singular = _kept(sys, "_phi" if sign < 0 else "_psi",
+                                lambda: _finite_zeros(sys, sign))
+    z = _split(fin, axis_tol, singular)
+    z.note = note
+    return z
+
+
+def _finite_zeros(sys, sign):
+    """(all finite zeros, note, singular) of P(s) + sign P^T(-s), as
+    `phi_imaginary_axis_zeros` describes them."""
     why = "A has no well-conditioned eigenbasis"
     res = _residues(sys)
     if res is not None:
@@ -457,7 +502,7 @@ def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
     if why is None:
         s = np.sqrt(t)
         origin = np.zeros(k if sign < 0 else 0, dtype=complex)
-        return _split(np.concatenate((s, -s, origin)), axis_tol, singular=k < sys.inputs)
+        return np.concatenate((s, -s, origin)), None, k < sys.inputs
     if res is None:
         how, (A, B, C) = "the doubled realization", (sys.A, sys.B, sys.C)
     else:
@@ -466,9 +511,7 @@ def _axis_zeros(sys, sign, axis_tol=AXIS_TOL):
     # B and C meet in one block of the doubled realization: balance them
     a = np.sqrt((np.linalg.norm(B) or 1.0) / (np.linalg.norm(C) or 1.0))
     z, k = _zeros(*_doubled(A, B / a, C * a, sys.D, sign))
-    z = _split(z, axis_tol, singular=k < sys.inputs)
-    z.note = f"zeros from {how}, order 2n: {why}"
-    return z
+    return z, f"zeros from {how}, order 2n: {why}", k < sys.inputs
 
 
 def _real_form(lam, CV, W, pair):
@@ -507,15 +550,15 @@ class _Residues(NamedTuple):
 
 
 def _residues(sys):
-    """The `_Residues` of a square system, computed at the first call and
-    kept on the system, as `eigensystem` is; None when A has no eigenbasis.
-    Eigenvalues within rounding of each other are one pole, and only the
-    sum of their residues is defined: every reader takes the groups from
-    here (the term test, the zeros of Phi and Psi, the PR axis residues,
-    and the IRC root locus and design of `controllers`)."""
-    res = sys.__dict__.get("_res")
-    if res is not None:
-        return res
+    """The `_Residues` of a square system, kept (`lti._kept`); None when A
+    has no eigenbasis. Eigenvalues within rounding of each other are one
+    pole, and only the sum of their residues is defined: every reader takes
+    the groups from here (the term test, the zeros of Phi and Psi, the PR
+    axis residues, and the IRC root locus and design of `controllers`)."""
+    return _kept(sys, "_res", lambda: _make_residues(sys))
+
+
+def _make_residues(sys):
     lam, basis = eigensystem(sys)
     if basis is None:
         return None
@@ -537,8 +580,7 @@ def _residues(sys):
         # a 1 x 1 residue is symmetric
         and (sys.inputs == 1 or np.all(
             np.linalg.norm(R - R.transpose(0, 2, 1), axis=(1, 2)) <= SYM_TOL * size)))
-    res = sys.__dict__["_res"] = _Residues(lam, rep, W, CV, R, term, bound, symmetric, grouped)
-    return res
+    return _Residues(lam, rep, W, CV, R, term, bound, symmetric, grouped)
 
 
 def _t_zeros(sys, res, sign=-1.0):

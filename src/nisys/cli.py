@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from ._kernels import eval_grid
-from .analysis import _filtered_grid, _pole_status, classify, default_grid
+from .analysis import _filtered_grid, _pole_facts, classify, default_grid
 from .controllers import choose_phi, design_irc_gamma, irc_root_locus
-from .lti import LtiError, StateSpace, eigensystem, poles
+from .lti import LtiError, StateSpace, eigensystem
 from .numerics import NumericsError
 from .stability import dc_gain_verdict
 from .synthesis import synthesize_state_feedback, verify_closed_loop
@@ -76,7 +76,7 @@ def cmd_analyze(args) -> int:
 
 def _response_rows(sys_: StateSpace, grid):
     """Evaluate on the grid; points that sit on a pole give blank rows."""
-    ge, ok = _filtered_grid(grid, _pole_status(poles(sys_))[0])
+    ge, ok = _filtered_grid(grid, _pole_facts(sys_)[0])
     vals = np.full((grid.size, sys_.outputs, sys_.inputs), np.nan + 0j)
     vals[ok] = eval_grid(sys_.A, sys_.B, sys_.C, sys_.D, ge, eigensystem(sys_))
     if not ok.all():

@@ -1,7 +1,9 @@
 """State-space and modal LTI system types plus interconnection algebra.
 
 Systems are immutable value objects. All operations return new systems; a
-StateSpace with n = 0 states is a static gain D.
+StateSpace with n = 0 states is a static gain D. Facts of a system that do
+not depend on a tolerance are computed at their first read and kept on it
+(`_kept`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ class LtiError(ValueError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Real state-space system (A, B, C, D). The matrices are not to be
-    edited in place: derived facts such as `poles` are kept on the system."""
+    """Real state-space system (A, B, C, D), held as read-only copies of
+    the caller's arrays.
+
+    Each tol-free fact that a verdict reads is computed at its first read
+    and kept on the system, read-only (`_kept`): the eigensystem of A, B
+    and C projected on its basis, the balanced realization, the DC gain and
+    the feedthrough's norm and sign (`lti`, `stability`); the pole status,
+    the grouped modal residues, the modal term bound and its SNI note, the
+    finite zeros of Phi and Psi, and the breakpoint sweep (`analysis`).
+    Every verdict is rebuilt from them at its own tol on each call."""
 
     A: np.ndarray
     B: np.ndarray
@@ -33,15 +43,15 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.atleast_2d(np.array(self.A, dtype=float))
         if A.size == 0:
             A = np.zeros((0, 0))
         if A.shape[0] != A.shape[1]:
             raise LtiError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        D = np.atleast_2d(np.array(self.D, dtype=float))
+        B = np.atleast_2d(np.array(self.B, dtype=float))
+        C = np.atleast_2d(np.array(self.C, dtype=float))
         if B.size == 0:
             B = np.zeros((n, D.shape[1]))
         if C.size == 0:
@@ -57,10 +67,9 @@ class StateSpace:
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             if not np.all(np.isfinite(M)):
                 raise LtiError(f"{name} contains NaN or Inf entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+            # copies, so that no edit of the caller's array leaves a kept fact stale
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -182,47 +191,52 @@ def paraconjugate_transpose(sys: StateSpace) -> StateSpace:
     return StateSpace(-sys.A.T, sys.C.T, -sys.B.T, sys.D.T)
 
 
+def _kept(sys: StateSpace, key: str, make):
+    """The fact make() of sys, computed at the first call and kept in
+    sys.__dict__[key], with every array in it (also in nested tuples)
+    read-only. A kept fact holds no tolerance: each verdict compares it
+    with its own tol on every call."""
+    d = sys.__dict__
+    if key not in d:
+        d[key] = _frozen(make())
+    return d[key]
+
+
+def _frozen(x):
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for y in x:
+            _frozen(y)
+    return x
+
+
 def eigensystem(sys: StateSpace):
-    """(poles, basis) of `numerics.eigendecomposition(A)`, computed at the
-    first call and kept on the system, read-only: the pole test, every
-    frequency sweep and the zeros of Phi read this one decomposition."""
-    eig = sys.__dict__.get("_eig")
-    if eig is None:
-        lam, basis = eig = numerics.eigendecomposition(sys.A)
-        lam.flags.writeable = False
-        if basis is not None:
-            basis[0].flags.writeable = basis[1].flags.writeable = False
-        sys.__dict__["_eig"] = eig
-    return eig
+    """(poles, basis) of `numerics.eigendecomposition(A)`, kept (`_kept`):
+    the pole test, every frequency sweep and the zeros of Phi read this one
+    decomposition."""
+    return _kept(sys, "_eig", lambda: numerics.eigendecomposition(sys.A))
 
 
 def _projection(sys: StateSpace):
     """(W, CV) = (V^{-1} B, C V): B and C projected onto the basis of the
-    kept `eigensystem`, of a system whose A has one, computed at the first
-    call and kept on the system, read-only. `dc_gain` and the modal
-    residues (`analysis._residues`) read this one projection."""
-    proj = sys.__dict__.get("_proj")
-    if proj is None:
+    kept `eigensystem`, of a system whose A has one, kept. `dc_gain` and the
+    modal residues (`analysis._residues`) read this one projection."""
+    def make():
         V, Vi, _ = eigensystem(sys)[1]
-        proj = sys.__dict__["_proj"] = (Vi @ sys.B, sys.C @ V)
-        for M in proj:
-            M.flags.writeable = False
-    return proj
+        return Vi @ sys.B, sys.C @ V
+    return _kept(sys, "_proj", make)
 
 
 def _balanced(sys: StateSpace):
     """(Ab, Bb, Cb, T): the realization in the coordinates of
     `numerics.balance(A)`, Ab = T^{-1} A T, Bb = T^{-1} B and Cb = C T,
-    computed at the first call and kept on the system, read-only:
-    `is_minimal` tests it and `check_ni_lmi` solves in it."""
-    bal = sys.__dict__.get("_bal")
-    if bal is None:
+    kept: `is_minimal` tests it and `check_ni_lmi` solves in it."""
+    def make():
         Ab, T = numerics.balance(sys.A)
         t = np.diag(T)
-        bal = sys.__dict__["_bal"] = (Ab, sys.B / t[:, None], sys.C * t[None, :], T)
-        for M in bal:
-            M.flags.writeable = False
-    return bal
+        return Ab, sys.B / t[:, None], sys.C * t[None, :], T
+    return _kept(sys, "_bal", make)
 
 
 def poles(sys: StateSpace) -> np.ndarray:
@@ -231,14 +245,19 @@ def poles(sys: StateSpace) -> np.ndarray:
 
 
 def dc_gain(sys: StateSpace) -> np.ndarray:
-    """D - C A^{-1} B. A pole at the origin is an error, not infinity.
+    """D - C A^{-1} B, kept (`_kept`); each call returns a copy. A pole at
+    the origin is an error, not infinity.
 
     Read from the kept `eigensystem` and its kept `_projection` as
     D - (C V) diag(1/lam) (V^{-1} B) when its error bound
     cond(V) max|lam| / min|lam| is at most `numerics.COND_LIMIT`; otherwise,
     and without an eigenbasis, from a conditioned solve with A."""
+    return _kept(sys, "_dc", lambda: _dc_gain(sys)).copy()
+
+
+def _dc_gain(sys):
     if sys.n == 0:
-        return sys.D.copy()
+        return sys.D
     lam, basis = eigensystem(sys)
     if basis is not None:
         mag = np.abs(lam)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _pole_status, check_ni, check_sni_zeros
-from .lti import LtiError, StateSpace, dc_gain, positive_feedback
+from .lti import LtiError, StateSpace, _kept, dc_gain, positive_feedback
 
 MARGINAL_BAND = 1e-6
 
@@ -109,13 +109,8 @@ def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool):
     reason M(0) N(0) is undefined, in which case lambda_max_dc is NaN and
     the hypotheses do not hold."""
     # M(inf) and N(inf) are the feedthroughs, read in place
-    Minf, Ninf = M.D, N.D
-    n_norm = np.linalg.norm(Ninf)
-    gain_zero = np.linalg.norm(Minf @ Ninf) <= 1e-9 * (1.0 + np.linalg.norm(Minf) * n_norm)
-    Ns = 0.5 * (Ninf + Ninf.T)
-    sym_ok = np.linalg.norm(Ninf - Ninf.T) <= 1e-9 * (1.0 + n_norm)
-    psd_ok = Ns.size == 0 or np.linalg.eigvalsh(Ns).min() >= -1e-9 * (1.0 + np.linalg.norm(Ns))
-    n_inf_psd = bool(sym_ok and psd_ok)
+    m_norm, n_norm, n_inf_psd = _feedthrough(M)[0], *_feedthrough(N)
+    gain_zero = np.linalg.norm(M.D @ N.D) <= 1e-9 * (1.0 + m_norm * n_norm)
 
     lam, eigs_real, why = np.nan, False, None
     try:
@@ -136,6 +131,18 @@ def _dc_gain_hypotheses(M: StateSpace, N: StateSpace, m_ni: bool, n_sni: bool):
             "m_is_ni": bool(m_ni), "n_is_sni": bool(n_sni),
             "gain_product_zero": bool(gain_zero), "n_inf_psd": n_inf_psd,
             "dc_eigs_real": eigs_real}, why
+
+
+def _feedthrough(sys):
+    """(||D||, D symmetric PSD within 1e-9 relative), kept (`lti._kept`)."""
+    def make():
+        D = sys.D
+        norm = np.linalg.norm(D)
+        Ds = 0.5 * (D + D.T)
+        sym_ok = np.linalg.norm(D - D.T) <= 1e-9 * (1.0 + norm)
+        psd_ok = Ds.size == 0 or np.linalg.eigvalsh(Ds).min() >= -1e-9 * (1.0 + np.linalg.norm(Ds))
+        return norm, bool(sym_ok and psd_ok)
+    return _kept(sys, "_ff", make)
 
 
 def dc_gain_verdict(M: StateSpace, N: StateSpace) -> StabilityReport:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi as lmimod
-from .analysis import FreqVerdict, _pole_status, check_ni
-from .lti import StateSpace, dc_gain, poles
+from .analysis import FreqVerdict, _pole_facts, check_ni
+from .lti import StateSpace, dc_gain
 from .numerics import eig_symmetric
 
 
@@ -179,7 +179,7 @@ def verify_closed_loop(plant: UncertainPlant, K, Y=None) -> ClosedLoopReport:
     K = np.asarray(K, dtype=float).reshape(plant.controls, plant.n)
     gcl = closed_loop(plant, K)
 
-    axis, in_rhp = _pole_status(poles(gcl))
+    axis, in_rhp = _pole_facts(gcl)
     hurwitz = not (axis.size or in_rhp)
 
     ni = check_ni(gcl)

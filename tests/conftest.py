@@ -24,6 +24,12 @@ def same(a, b):
     return a == b
 
 
+def fresh(sys):
+    """A copy of sys that keeps none of its facts: a verdict on it is
+    computed anew, an independent check of one read from kept facts."""
+    return StateSpace(sys.A, sys.B, sys.C, sys.D)
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records, per call, the shape
     of its first argument; returns that list."""

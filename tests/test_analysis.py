@@ -12,8 +12,8 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    resonant_acc, rotated_system,
                    verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
-from nisys.lti import ModalModel, StateSpace, evaluate, modal_to_ss
-from conftest import CLUSTER_MODES, counting, flexible_modes, phi_zeros_qz, same, tf
+from nisys.lti import ModalModel, StateSpace, evaluate, is_minimal, modal_to_ss
+from conftest import CLUSTER_MODES, counting, flexible_modes, fresh, phi_zeros_qz, same, tf
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -236,17 +236,67 @@ def test_ni_route_is_named(second_order, monkeypatch):
     assert paper.holds and _by_terms(paper) and zeros == []
     assert paper.worst_frequency == 0.0 and paper.worst_margin == 0.0
     # NARROW_BAND has a term of residue -1e-3: the zeros decide, and find
-    # its band; second_order is NI with a term that is not NI on its own
-    for sys, ni in ((NARROW_BAND, False), (second_order, True)):
+    # its band; second_order is NI with a term that is not NI on its own.
+    # Each is a fresh copy: the zeros are kept on a system once solved
+    for sys, ni in ((fresh(NARROW_BAND), False), (second_order, True)):
         zeros.clear()
         v = check_ni(sys)
         assert v.holds == ni and not _by_terms(v) and len(zeros) == 1
     # non-collocated: the zeros decide
-    nc = NON_COLLOCATED
+    nc = fresh(NON_COLLOCATED)
     zeros.clear()
     v = check_ni(nc)
     dense = check_ni_sweep(nc, grid=default_grid(nc, points_per_decade=2000))
     assert not _by_terms(v) and len(zeros) == 1 and v.holds == dense.holds
+
+
+def test_second_check_ni_reads_the_kept_zeros(monkeypatch):
+    # NARROW_BAND's terms decline: its zeros of Phi and the sweep on their
+    # breakpoints are kept, so a second check_ni, at any tol, and
+    # check_sni_zeros solve and sweep nothing
+    P = fresh(NARROW_BAND)
+    zeros = counting(monkeypatch, analysis, "_zeros")
+    sweeps = counting(monkeypatch, analysis, "sweep_eigmin")
+    v = check_ni(P)
+    assert not v.holds and len(zeros) == len(sweeps) == 1
+    assert same(check_ni(P), v) and not check_ni(P, tol=1e-3).holds
+    assert not check_sni_zeros(P).is_sni and len(zeros) == len(sweeps) == 1
+    # the kept sweep belongs to the kept zeros: other zeros get their own
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "phi_imaginary_axis_zeros", phi_zeros_qz)
+        assert not check_ni(P).holds
+    assert len(zeros) == 1 and len(sweeps) == 2
+
+
+def _kept_arrays(x):
+    # every array in a kept fact, also in nested tuples
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, tuple):
+        return [a for y in x for a in _kept_arrays(y)]
+    return []
+
+
+def test_kept_facts_are_read_only():
+    # every array that a verdict keeps on a system is read-only, and
+    # dc_gain returns a copy: writing into it changes no later result
+    seen = set()
+    spr = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])   # 1/(s + 1): Psi's zeros too
+    for sys in (fresh(NARROW_BAND), fresh(NON_COLLOCATED), spr,
+                modal_to_ss(ModalModel(flexible_modes(10))),
+                ppf_mimo(np.eye(2), np.eye(2), np.eye(2))):
+        m = sys.inputs
+        check_ni(sys), check_sni_zeros(sys), classify(sys), is_minimal(sys)
+        dc_gain_verdict(sys, StateSpace(-np.eye(m), np.eye(m), 0.5 * np.eye(m), np.zeros((m, m))))
+        seen |= vars(sys).keys()
+        arrays = _kept_arrays(tuple(vars(sys).values()))
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        g = dc_gain(sys)
+        ref = g.copy()
+        g += 1.0
+        assert np.array_equal(dc_gain(sys), ref)
+    assert seen >= {"A", "B", "C", "D", "_eig", "_proj", "_bal", "_res", "_pst", "_terms", "_sni",
+                    "_phi", "_psi", "_bps", "_dc", "_ff"}
 
 
 def test_velocity_leak_is_not_ni():
@@ -288,7 +338,7 @@ def test_admitted_skew_is_not_ni(sys, monkeypatch):
     assert analysis._ni_by_terms(sys, 1e-8)[0] is None
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
-        assert not check_ni(sys).holds
+        assert not check_ni(fresh(sys)).holds
 
 
 def _paper_plant(count, m, scale=1.0):
@@ -340,11 +390,13 @@ def test_large_gain_plant_reaches_the_zeros(monkeypatch):
     P = _paper_plant(50, 3, scale=1e5)
     assert analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL) == (None, None)
     ni, sni = check_ni(P), check_sni_zeros(P)
-    assert not _by_terms(ni) and sni.note is None and len(zeros) == 2
+    # one staircase: check_sni_zeros reads the zeros check_ni kept
+    assert not _by_terms(ni) and sni.note is None and len(zeros) == 1
+    # the forced zero route, on fresh copies, solves for the zeros again
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
-        assert same(check_ni(P), ni) and same(check_sni_zeros(P), sni)
-    assert ni.holds and sni.is_sni
+        assert same(check_ni(fresh(P)), ni) and same(check_sni_zeros(fresh(P)), sni)
+    assert ni.holds and sni.is_sni and len(zeros) == 3
 
 
 def test_singular_zero_pencil():

@@ -3,13 +3,13 @@ import time
 import numpy as np
 import pytest
 
-from nisys import (LtiError, ModalModel, StateSpace, add, dc_gain,
+from nisys import (LtiError, ModalModel, StateSpace, add, check_ni, dc_gain,
                    diagonal_replicate, evaluate, inf_gain, is_minimal,
                    modal_to_ss, paraconjugate_transpose, poles,
                    positive_feedback, star_product)
 from nisys import analysis, numerics
 from nisys.lti import eigensystem, static_gain
-from conftest import counting, flexible_modes, random_modal, random_stable, tf
+from conftest import counting, flexible_modes, fresh, random_modal, random_stable, same, tf
 
 
 def test_statespace_validation():
@@ -41,6 +41,22 @@ def test_poles_are_kept_read_only():
     for M in (V, Vi):
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 0.0
+
+
+def test_statespace_keeps_read_only_copies():
+    # the system holds copies of the caller's arrays: an edit of the
+    # caller's A after a verdict leaves the system, and so the facts kept
+    # on it, as they were
+    A = np.array([[0.0, 1.0], [-1e4, -2.0]])
+    sys = StateSpace(A, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    v = check_ni(sys)
+    assert v.holds
+    A[1, 1] = 2.0
+    assert same(check_ni(sys), v) and same(check_ni(fresh(sys)), v)
+    assert not check_ni(StateSpace(A, sys.B, sys.C, sys.D)).holds
+    for M in (sys.A, sys.B, sys.C, sys.D):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
 
 
 def test_row_vector_b_normalized():
@@ -126,7 +142,11 @@ def test_dc_gain_reads_the_kept_projection():
         if sys.inputs == sys.outputs:
             res = analysis._residues(sys)
             assert res.W is W and res.CV is CV
-        # a second dc_gain reads the kept projection, not B and C
+        # the gain is kept: a second dc_gain returns a copy of it
+        again = dc_gain(sys)
+        assert np.array_equal(again, got) and again is not got
+        # made again, it reads the kept projection, not B and C
+        del sys.__dict__["_dc"]
         sys.__dict__["_proj"] = (2.0 * W, CV)
         assert np.array_equal(dc_gain(sys), sys.D - 2.0 * (CV / lam @ W).real)
 

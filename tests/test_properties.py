@@ -23,8 +23,8 @@ from nisys import closed_loop, synthesize_state_feedback, verify_closed_loop
 from nisys._kernels import sweep_eigmin
 from nisys.analysis import ORIGIN_TOL
 from nisys.lti import eigensystem
-from conftest import (FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, phi_zeros_qz,
-                      random_pd, random_stable, tf)
+from conftest import (FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, fresh,
+                      phi_zeros_qz, random_pd, random_stable, same, tf)
 
 
 def lag_block(rng, m):
@@ -287,10 +287,11 @@ def _by_terms(v):
 
 
 def _zero_route(P, monkeypatch):
-    # check_ni decided by the zeros of Phi, as where the terms decline
+    # check_ni decided by the zeros of Phi, as where the terms decline, on
+    # a fresh copy of P: nothing kept on P is read
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
-        return check_ni(P)
+        return check_ni(fresh(P))
 
 
 def collocated_modal(rng, m):
@@ -381,7 +382,7 @@ def _zeros_say_sni(P, monkeypatch):
     spread over three decades or more (CHANGES.md, FOUND)."""
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
-        r = check_sni_zeros(P)
+        r = check_sni_zeros(fresh(P))
     if r.is_sni or not r.ni.holds or "singular at every w" not in r.reason:
         return r.is_sni
     return _off_origin(phi_zeros_qz(P)[0], np.abs(poles(P))).size == 0
@@ -442,15 +443,69 @@ def test_strict_term_route_never_overrules_the_zeros(monkeypatch):
         assert not by_terms(P) and not check_sni_zeros(P).is_sni
 
 
+# ----------------------------------------- kept facts against fresh copies
+
+def _kept_draws(rng):
+    """One plant of each family whose facts the verdicts keep: collocated
+    (`collocated_modal`), non-collocated (one mode's sensor flipped),
+    velocity output, two modes on three channels (H(w) singular at every
+    w), and a narrow band where H(w) < 0."""
+    def modes(k, m):
+        return tuple((10.0 ** rng.uniform(0.0, 3.0), rng.uniform(0.1, 10.0),
+                      tuple(rng.standard_normal(m))) for _ in range(k))
+
+    shared = modes(int(rng.integers(1, 4)), 1 + int(rng.integers(3)))
+    P = modal_to_ss(ModalModel(shared))
+    C = P.C.copy()
+    C[:, 0] *= -rng.uniform(0.2, 2.0)
+    w, eps = rng.uniform(2.0, 20.0), 10.0 ** rng.uniform(-4.0, -2.0)
+    band = StateSpace([[0.0, 1.0, 0.0, 0.0], [-1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                       [0.0, 0.0, -w * w, -1e-4]],
+                      [[0.0], [1.0], [0.0], [1.0]], [[1.0, 0.0, -eps, 0.0]], [[0.0]])
+    return (collocated_modal(rng, P.inputs), StateSpace(P.A, P.B, C, P.D),
+            modal_to_ss(ModalModel(shared, output="velocity")),
+            modal_to_ss(ModalModel(modes(2, 3))), band)
+
+
+def _outcome(call, P):
+    # what call(P) returns, or the error it raises (tol = inf is refused)
+    try:
+        return call(P)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_kept_verdicts_equal_fresh_ones():
+    # called in shuffled order on one system, each verdict, which reads the
+    # facts kept there by the calls before it, equals field by field the
+    # same verdict on a fresh copy of the system, which keeps nothing
+    rng = np.random.default_rng(211)
+    tols = (0.0, 1e-12, 1e-8, 1e-3, np.inf)
+    for _ in range(6):
+        for P in _kept_draws(rng):
+            m = P.inputs
+            N = StateSpace(-np.eye(m), np.eye(m), 0.5 * np.eye(m), np.zeros((m, m)))
+            calls = [check_sni_zeros, dc_gain, lambda P: dc_gain_verdict(P, N).to_json()]
+            for tol in tols:
+                calls += [lambda P, tol=tol: check_ni(P, tol),
+                          lambda P, tol=tol: analysis._ni_by_terms(P, tol)[0],
+                          lambda P, tol=tol: analysis.classify(P, tol=tol)]
+            for axis_tol in (analysis.AXIS_TOL, 1e-3):
+                calls.append(lambda P, a=axis_tol: (lambda z: (*z, z.note, z.singular))(
+                    phi_imaginary_axis_zeros(P, a)))
+            for i in rng.permutation(len(calls)):
+                assert same(_outcome(calls[i], P), _outcome(calls[i], fresh(P)))
+
+
 # ------------------------------------------- zeros of Phi against QZ oracle
 
 def _qz_verdict(P, monkeypatch):
     # check_ni with the zeros of Phi from the QZ pencil, also where the
-    # modal terms would decide
+    # modal terms would decide, on a fresh copy of P
     with monkeypatch.context() as mp:
         mp.setattr(analysis, "phi_imaginary_axis_zeros", phi_zeros_qz)
         mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
-        return check_ni(P)
+        return check_ni(fresh(P))
 
 
 def _off_origin(z, p):

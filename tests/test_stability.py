@@ -6,7 +6,7 @@ import pytest
 from nisys import (ModalModel, StabilityReport, StateSpace, analysis, check_ni, check_sni_zeros,
                    classify, dc_gain, dc_gain_verdict, internal_stability, irc, modal_to_ss,
                    stability)
-from conftest import counting, flexible_modes, tf
+from conftest import counting, flexible_modes, same, tf
 
 
 def test_internal_stability_direct():
@@ -165,6 +165,24 @@ def test_check_ni_runs_no_strictness_pass(monkeypatch):
     assert rep.note is None and rep.m_is_ni and rep.n_is_sni and rep.stable
     # N's pass alone: the stack of its one real pole's residue
     assert strict == [(1, 1, 1)]
-    # check_sni_zeros and classify read SNI: M's c0 and F of 100 pairs
+    # check_sni_zeros and classify read SNI: M's pass over the c0 and F of
+    # 100 pairs runs once, and classify reads the note it kept
     assert "term by term" in check_sni_zeros(M).note and classify(M).sni
-    assert strict == [(1, 1, 1), (200, 1, 1), (200, 1, 1)]
+    assert strict == [(1, 1, 1), (200, 1, 1)]
+
+
+def test_second_loop_verdict_recomputes_nothing(monkeypatch):
+    # whether M is NI and N is SNI are facts of each system, kept on it: a
+    # second verdict on the 100-mode paper plant with an IRC controller
+    # builds no term stack and runs no strictness pass, zero solve or sweep
+    M = modal_to_ss(ModalModel(flexible_modes(100)))
+    N = irc(np.array([[1e3]]), 1.2 * dc_gain(M))
+    names = ("_neg_part", "_sni_by_terms", "_zeros", "sweep_eigmin")
+    calls = {name: counting(monkeypatch, analysis, name) for name in names}
+    first = dc_gain_verdict(M, N)
+    assert first.note is None and first.stable
+    assert calls["_neg_part"] and calls["_sni_by_terms"]
+    for c in calls.values():
+        c.clear()
+    again = dc_gain_verdict(M, N)
+    assert all(c == [] for c in calls.values()) and same(again, first)
