@@ -6,19 +6,20 @@ kept A = V diag(lam) V^{-1}, grouped where eigenvalues agree to rounding,
 and their sizes are computed once per system (`_residues`): every verdict
 below reads them, and so do the IRC root locus and design (`controllers`).
 
-NI and SNI are decided first term by term: P is D plus one term per real
-pole and per conjugate pair, and when each term is NI on its own up to a
-bound that sums to at most tol, so is P; when moreover each term is
-positive semidefinite at every w > 0 and their kernels meet only in 0, P
-is SNI (`_ni_by_terms`; check_ni skips the strictness pass,
-`_sni_by_terms`). That is a finite test on the residues, and no zero is
-solved for; the structural plants of the paper, modes sensed at the
-actuator, and the IRC and PPF controllers pass it. Otherwise, and whenever
-A has no eigenbasis, the verdicts read the transmission zeros of
-Phi(s) = M(s) - M^T(-s): the eigenvalues of H(w) = j Phi(jw) change sign
-only at its imaginary-axis zeros, so H is tested once between each pair of
-them (`check_ni`), and an NI system is SNI iff Phi has no such zero away
-from s = 0 (`check_sni_zeros`).
+Each NI verdict is one path: the pole test, then the modal terms, then
+the zeros of Phi. P is D plus one term per real pole and per conjugate
+pair, and when each term is NI on its own up to a bound that sums to at
+most tol, so is P (`_ni_by_terms`, from the kept table `_terms`). That is
+a finite test on the residues, and no zero is solved for; the structural
+plants of the paper, modes sensed at the actuator, and the IRC and PPF
+controllers pass it. Otherwise, and whenever A has no eigenbasis, check_ni
+reads the transmission zeros of Phi(s) = M(s) - M^T(-s): the eigenvalues
+of H(w) = j Phi(jw) change sign only at its imaginary-axis zeros, so H is
+tested once between each pair of them (`_ni_by_zeros`). SNI is read from
+an NI verdict (`_sni_verdict`): when the terms decided it, and each term
+is moreover positive semidefinite at every w > 0 with kernels that meet
+only in 0, P is SNI (`_sni_by_terms`); otherwise an NI system is SNI iff
+Phi has no imaginary-axis zero away from s = 0 (`check_sni_zeros`).
 
 All zeros come from one rank-revealing staircase in numpy (`_zeros`). When
 D and every grouped residue are symmetric, as for collocated and SISO
@@ -37,8 +38,8 @@ Psi(s) = P(s) + P^T(-s) (`check_strictly_positive_real`). The NI lemma LMI
 
 Every tol-free fact that these verdicts read is kept on the system at its
 first read (`lti._kept`), read-only: the pole status (`_pole_facts`), the
-grouped residues (`_residues`), the term bound and stack (`_terms`) and
-the terms' SNI note, the finite zeros of Phi and of Psi with their note
+grouped residues (`_residues`), the term table (`_terms`) and the terms'
+SNI note, the finite zeros of Phi and of Psi with their note
 (`_axis_zeros`), and the sweep on the breakpoints of Phi's zeros
 (`_ni_by_zeros`). Each call compares them with its own tol and builds a
 fresh FreqVerdict or SniZerosResult, so a repeated verdict on one system
@@ -155,13 +156,12 @@ def _pole_facts(sys):
 
 
 def _pole_verdict(sys):
-    # _pole_facts of sys, and the NI verdict, False before any grid point,
-    # when a pole is on or right of the imaginary axis (else None)
+    # the NI verdict, False before any grid point, when a pole of sys is on
+    # or right of the imaginary axis; else None
     axis, in_rhp = _pole_facts(sys)
     if axis.size or in_rhp:
-        why = "imaginary-axis pole" if axis.size else "right-half-plane pole"
-        return axis, in_rhp, _refused(why)
-    return axis, in_rhp, None
+        return _refused("imaginary-axis pole" if axis.size else "right-half-plane pole")
+    return None
 
 
 def _sweep_verdict(g, lam, pn, tol, reason=None, note=None):
@@ -190,35 +190,6 @@ def _breakpoint_grid(zeros, p):
                                      [2.0 * b[-1] + 1.0], np.abs(p))))
 
 
-def _ni_spectral(sys, tol=NI_SWEEP_TOL, zeros=True):
-    """(check_ni(sys, tol), the imaginary-axis zeros of Phi, the SNI note).
-    The modal terms decide first (`_ni_by_terms`). When they say NI and
-    `zeros` is False (check_ni), nothing more runs: not the terms'
-    strictness pass, and no zero solve. When `zeros` asks for SNI and the
-    terms say NI and SNI, no zero is solved for: the axis zeros are empty,
-    and the SNI note names the term route; otherwise it is None. The zeros
-    are solved for when the terms do not decide NI, and when `zeros` asks
-    for them and the terms decide NI but not SNI; then the terms' verdict
-    only spares the breakpoint sweep. The zeros are None when poles decide
-    the verdict, when the terms decide NI and `zeros` is False, and when
-    H(w) is singular at every w."""
-    _square(sys)
-    bad = _pole_verdict(sys)[2]
-    if bad is not None:
-        return bad, None, None
-    v, sni = _ni_by_terms(sys, tol)
-    if v is not None:
-        if not zeros:
-            return v, None, None
-        note = sni()
-        if note is not None:
-            return v, np.zeros(0, dtype=complex), note
-    z = phi_imaginary_axis_zeros(sys)
-    if v is None:
-        v = _ni_by_zeros(sys, z, tol)
-    return v, (None if z.singular else z[0]), None
-
-
 def _ni_by_zeros(sys, z, tol):
     """check_ni from the zeros z of Phi (`phi_imaginary_axis_zeros`): H is
     tested at each point of their `_breakpoint_grid`. That sweep is kept
@@ -239,12 +210,10 @@ def _ni_by_zeros(sys, z, tol):
 
 
 def _ni_by_terms(sys, tol):
-    """(check_ni's verdict, sni) when the modal terms of P are NI on their
-    own, up to tol; (None, None) when they are not. sni() is the SNI note
-    from the same terms, or None (`_sni_by_terms`): that strictness pass
-    runs only when a reader of SNI calls it (`_ni_spectral` for
-    check_sni_zeros and classify), never for check_ni. With the grouped
-    residues R_k of A = V diag(lam) V^{-1} (`_residues`),
+    """check_ni's verdict when the modal terms of P are NI on their own, up
+    to tol; None when they are not, or when P has no terms. Their bound is
+    kept on the system (`_terms`). With the grouped residues R_k of
+    A = V diag(lam) V^{-1} (`_residues`),
     H(w) = sum_k H_k(w), one term per real pole lam < 0,
     H_k = 2w R_k / (w^2 + lam^2), and one per conjugate pair (Im lam > 0),
     with a = -2 Re lam, b = |lam|^2, F = 2 Re R_k and
@@ -272,19 +241,32 @@ def _ni_by_terms(sys, tol):
     sufficient, never necessary: it declines a plant with a term that is
     not NI, as a non-collocated plant usually has.
     """
-    t = _kept(sys, "_terms", lambda: _terms(sys))
-    if t is None or not t[0] <= tol:
-        return None, None
-    return (FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=t[1]),
-            lambda: _kept(sys, "_sni", lambda: _sni_by_terms(*t[2:], sys)))
+    t = _terms(sys)
+    if t is None or not t.bound <= tol:
+        return None
+    return FreqVerdict(True, 0.0, 0.0, np.zeros(0), note=t.note)
+
+
+class _Terms(NamedTuple):
+    """The tol-free part of the term tests: the bound of `_ni_by_terms` and
+    its note; X, the R_k of the real poles, then the c0 and F of the pairs;
+    neg, their negative parts; size, their norms before cancellation."""
+
+    bound: float
+    note: str
+    X: np.ndarray
+    neg: np.ndarray
+    size: np.ndarray
 
 
 def _terms(sys):
-    """The tol-free part of `_ni_by_terms`: (bound, note, X, neg, real,
-    pair), with X the stack of the R_k of the real poles and the c0 and F
-    of the pairs, neg their negative parts, and real and pair the masks of
-    `_sni_by_terms`; None when the residues have no terms (no eigenbasis,
-    a residue not symmetric, or a group that mixes sides)."""
+    """The `_Terms` of sys, kept (`lti._kept`); None when the residues have
+    no terms (no eigenbasis, a residue not symmetric, or a group that mixes
+    sides)."""
+    return _kept(sys, "_terms", lambda: _make_terms(sys))
+
+
+def _make_terms(sys):
     res = _residues(sys)
     if res is None or not res.symmetric:
         return None
@@ -322,34 +304,29 @@ def _terms(sys):
         bound += 2.0 * np.sum(res.term[moved] * np.abs(lm - lr) / (lm.real * lr.real))
     note = ("NI term by term from the modal residues: "
             f"-lambda_min(H(w)) <= {bound:.3g} at every w")
-    return bound, note, X, neg, real, pair
+    # with s the group's sum of `term`: s for R_k, 2 s (a |lam| + b) for c0, 2 s for F
+    term = np.bincount(rep, res.term, lam.size) if res.grouped else res.term
+    size = np.concatenate((term[real], 2.0 * term[pair] * (a * np.abs(lp) + b), 2.0 * term[pair]))
+    return _Terms(bound, note, X, neg, size)
 
 
-def _sni_by_terms(X, neg, real, pair, sys):
-    """The SNI note of the modal terms of an NI P (`_ni_by_terms`), or None:
-    X stacks the R_k of the real poles and then the c0 and the F of the
-    pairs, neg their negative parts, and real and pair select the first
-    pole of each group (`_residues`) that is real or has Im lam > 0.
+def _sni_by_terms(sys, t):
+    """The SNI note of the modal terms t (`_terms`) of an NI sys, or None.
 
     When every R_k, c0 and F is PSD, each H_k(w) is PSD at every w > 0 with
     kernel ker R_k, or ker c0 & ker F, so H(w) > 0 at every w > 0, the
     strictness of Lanzon & Petersen, iff those kernels meet only in 0, that
     is iff the sum S of every R_k, c0 and F, each divided by its size, is
-    definite. The sizes bound the norms before cancellation: s for R_k, 2 s
-    for F and 2 s (a |lam| + b) for c0, with s the group's sum of `term`. A
-    negative part up to n eps times its size is rounding (a position pair's
-    F is 2 Re R_k = +-1e-20, not 0), as the skew parts are for the t-form
-    of the zeros (`_t_zeros`). A larger one, or lambda_min(S) at most
-    RANK_TOL max(1, lambda_max(S)), leaves SNI to the zeros: None."""
-    m, res = sys.inputs, _residues(sys)
-    lp = res.lam[pair]
-    a, b = -2.0 * lp.real, np.abs(lp) ** 2
-    term = np.bincount(res.rep, res.term, res.lam.size) if res.grouped else res.term
-    size = np.concatenate((term[real], 2.0 * term[pair] * (a * np.abs(lp) + b), 2.0 * term[pair]))
-    if m == 0 or np.any(neg > max(sys.n, 1) * np.finfo(float).eps * size):
+    definite. A negative part up to n eps times its size is rounding (a
+    position pair's F is 2 Re R_k = +-1e-20, not 0), as the skew parts are
+    for the t-form of the zeros (`_t_zeros`). A larger one, or
+    lambda_min(S) at most RANK_TOL max(1, lambda_max(S)), leaves SNI to the
+    zeros: None."""
+    m, size = sys.inputs, t.size
+    if m == 0 or np.any(t.neg > max(sys.n, 1) * np.finfo(float).eps * size):
         return None
     # a matrix of size 0 is 0, and adds nothing
-    S = (X.reshape(len(X), m * m).T @ (1.0 / np.where(size > 0, size, np.inf))).reshape(m, m)
+    S = (t.X.reshape(len(t.X), m * m).T @ (1.0 / np.where(size > 0, size, np.inf))).reshape(m, m)
     ev = S[0] if m == 1 else np.linalg.eigvalsh(0.5 * (S + S.T))
     if not ev[0] > RANK_TOL * max(1.0, ev[-1]):
         return None
@@ -375,18 +352,25 @@ def check_ni(sys: StateSpace, tol: float = NI_SWEEP_TOL) -> FreqVerdict:
     """NI verdict of record: poles in the open left half-plane and
     lambda_min(H(w)) >= -tol relative at every w >= 0.
 
-    When every term of the modal expansion of P is NI on its own, a finite
-    test on the residues of the kept eigenbasis decides, and no zero solve
-    runs (`_ni_by_terms`): `note` names this route and gives its bound, and
+    A pole on or right of the imaginary axis decides first. Then, when
+    every term of the modal expansion of P is NI on its own, a finite test
+    on the residues of the kept eigenbasis decides, and no zero solve runs
+    (`_ni_by_terms`): `note` names this route and gives its bound, and
     `worst_frequency` and `worst_margin` are 0, H(0) being 0 up to that
-    bound. That route skips the terms' strictness pass, which only
-    check_sni_zeros and classify read. Otherwise, and whenever A has no
-    eigenbasis, H is tested once in each interval between the
-    imaginary-axis zeros of Phi(s) = M(s) - M^T(-s) and at each pole
-    magnitude. There `note` says when the zeros came from the doubled
-    realization and why, and when H(w) is singular at every w, so the zeros
-    are those below the normal rank of Phi."""
-    return _ni_spectral(sys, _check_tol(tol), zeros=False)[0]
+    bound. Otherwise, and whenever A has no eigenbasis, H is tested once in
+    each interval between the imaginary-axis zeros of
+    Phi(s) = M(s) - M^T(-s) and at each pole magnitude (`_ni_by_zeros`).
+    There `note` says when the zeros came from the doubled realization and
+    why, and when H(w) is singular at every w, so the zeros are those below
+    the normal rank of Phi."""
+    tol = _check_tol(tol)
+    _square(sys)
+    v = _pole_verdict(sys)
+    if v is None:
+        v = _ni_by_terms(sys, tol)
+    if v is None:
+        v = _ni_by_zeros(sys, phi_imaginary_axis_zeros(sys), tol)
+    return v
 
 
 @dataclass
@@ -670,27 +654,35 @@ class SniZerosResult:
 
 def check_sni_zeros(sys: StateSpace) -> SniZerosResult:
     """Strictness verdict of record: an NI system is SNI iff H(w) > 0 at
-    every w > 0. When every modal term is positive semidefinite and their
-    sum is definite (`_ni_by_terms`), the residues decide: `note` names this
-    route, and `axis_zeros` is empty, since no zero was solved for.
-    Otherwise SNI iff M(s) - M^T(-s) has no imaginary-axis transmission
-    zeros except possibly at s = 0, and `note` is None. The NI verdict is
-    check_ni's, from the same terms or zeros."""
-    return _sni_zeros(*_ni_spectral(sys))
+    every w > 0. The NI verdict, held in `ni`, is check_ni(sys) at its
+    default tol. When the modal terms decided it, each term is positive
+    semidefinite and their sum is definite (`_sni_by_terms`), the residues
+    decide: `note` names this route, and `axis_zeros` is empty, since no
+    zero was solved for. Otherwise SNI iff M(s) - M^T(-s) has no
+    imaginary-axis transmission zeros except possibly at s = 0, and `note`
+    is None."""
+    return _sni_verdict(sys, check_ni(sys), NI_SWEEP_TOL)
 
 
-def _sni_zeros(ni, axis, note):
-    # check_sni_zeros given the NI verdict `ni`, the axis zeros of Phi and
-    # the note of the term route, from _ni_spectral
+def _sni_verdict(sys, ni, tol):
+    """check_sni_zeros' test on ni = check_ni(sys, tol): not SNI when ni
+    fails; when the terms decided ni, their SNI note, kept on sys, when
+    they give one; else the imaginary-axis zeros of Phi, kept on sys."""
     none = np.zeros(0, dtype=complex)
     if not ni.holds:
         why = ni.reason or f"lambda_min(H) = {ni.worst_margin:.3g} at w = {ni.worst_frequency:g}"
         return SniZerosResult(False, none, none, reason=f"not NI ({why})", ni=ni)
-    if axis is None:
+    t = _terms(sys)
+    if t is not None and t.bound <= tol:
+        note = _kept(sys, "_sni", lambda: _sni_by_terms(sys, t))
+        if note is not None:
+            return SniZerosResult(True, none, none, ni=ni, note=note)
+    z = phi_imaginary_axis_zeros(sys)
+    if z.singular:
         return SniZerosResult(False, none, none, ni=ni,
                               reason="Phi has normal rank below m: H(w) is singular at every w")
-    violating = axis[np.abs(axis) > ORIGIN_TOL]
-    return SniZerosResult(violating.size == 0, axis, violating, ni=ni, note=note)
+    violating = z[0][np.abs(z[0]) > ORIGIN_TOL]
+    return SniZerosResult(violating.size == 0, z[0], violating, ni=ni)
 
 
 def _filtered_grid(g, axis):
@@ -710,7 +702,8 @@ def _grid_verdicts(sys, grid, tol):
     j (P - P^*) and P + P^*. spr() builds check_strictly_positive_real,
     whose further solves no other verdict reads."""
     _square(sys)
-    axis, in_rhp, ni = _pole_verdict(sys)
+    axis, in_rhp = _pole_facts(sys)
+    ni = _pole_verdict(sys)
     if in_rhp:
         return ni, _refused("right-half-plane pole"), lambda: _refused("right-half-plane pole")
     note = spr = None
@@ -882,16 +875,17 @@ class Classification:
 
 
 def classify(sys: StateSpace, grid=None, tol: float = NI_SWEEP_TOL) -> Classification:
-    """Run the full battery. check_ni and check_sni_zeros, from one pass
-    over the modal terms and, when the terms do not decide both, one zero
-    solve (and, when they decide NI, no breakpoint sweep), are the verdicts
-    of record for NI/SNI; one evaluation of P(jw) on `grid` decides PR and
-    SPR and gives the NI sweep as evidence. Each field equals what the
-    standalone check returns at this tol (check_sni_zeros: at the
-    default)."""
+    """Run the full battery. `ni_spectral` is check_ni(sys, tol), the NI
+    verdict of record; `sni_zeros` applies check_sni_zeros' test to that
+    verdict, so it equals check_sni_zeros(sys) at the default tol only: at
+    another tol, NI and so SNI may differ where H(w) dips between the two
+    tols. Both read the kept modal terms and, when the terms do not decide
+    both, one zero solve. One evaluation of P(jw) on `grid` decides PR and
+    SPR and gives the NI sweep as evidence; `ni_sweep`, `pr_sweep` and
+    `spr_sweep` equal the standalone checks at this grid and tol."""
     tol = _check_tol(tol)
-    ni, axis, note = _ni_spectral(sys, tol)
-    sni_z = _sni_zeros(ni, axis, note)
+    ni = check_ni(sys, tol)
+    sni_z = _sni_verdict(sys, ni, tol)
     ni_sweep, pr, spr = _grid_verdicts(sys, grid, tol)
     spr = spr()
     return Classification(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 
@@ -87,7 +88,6 @@ def _response_rows(sys_: StateSpace, grid):
 
 
 def _response_csv(sys_, grid, vals, ok, parts) -> str:
-    import io
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     head = ["omega"]
@@ -124,23 +124,19 @@ def _response_json(sys_, grid, vals, ok, parts) -> str:
                        "points": rows})
 
 
-def cmd_nyquist(args) -> int:
-    sys_ = load_lti(args.system)
-    grid = _build_grid(sys_, args)
-    vals, ok = _response_rows(sys_, grid)
-    parts = [("re", np.real), ("im", np.imag)]
-    text = (_response_csv(sys_, grid, vals, ok, parts) if args.format == "csv"
-            else _response_json(sys_, grid, vals, ok, parts))
-    _emit(text, args.out)
-    return OK
+# each frequency-response command: its help, the parts of P(jw) it writes,
+# and whether its grid starts at w = 0
+_RESPONSES = {
+    "nyquist": ("frequency response, real/imag parts", (("re", np.real), ("im", np.imag)), True),
+    "bode": ("frequency response, magnitude/phase", (("mag", np.abs), ("phase", np.angle)), False),
+}
 
 
-def cmd_bode(args) -> int:
+def cmd_response(args) -> int:
+    _, parts, include_zero = _RESPONSES[args.command]
     sys_ = load_lti(args.system)
-    grid = _build_grid(sys_, args, include_zero=False)
-    grid = grid[grid > 0]
+    grid = _build_grid(sys_, args, include_zero=include_zero)
     vals, ok = _response_rows(sys_, grid)
-    parts = [("mag", np.abs), ("phase", np.angle)]
     text = (_response_csv(sys_, grid, vals, ok, parts) if args.format == "csv"
             else _response_json(sys_, grid, vals, ok, parts))
     _emit(text, args.out)
@@ -162,7 +158,6 @@ def cmd_design_irc(args) -> int:
                            gamma_max=args.gamma_max,
                            points_per_decade=args.ppd)
     if args.format == "csv":
-        import io
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["gamma", "pole_index", "re", "im", "zeta"])
@@ -226,14 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.set_defaults(fn=cmd_analyze)
 
-    for name, fn, hlp in (("nyquist", cmd_nyquist, "frequency response, real/imag parts"),
-                          ("bode", cmd_bode, "frequency response, magnitude/phase")):
+    for name, (hlp, _, _) in _RESPONSES.items():
         p = sub.add_parser(name, help=hlp)
         p.add_argument("system")
         _grid_args(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_response)
 
     p = sub.add_parser("stability",
                        help="DC-gain stability test of positive feedback [M, N]")

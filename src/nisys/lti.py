@@ -33,8 +33,9 @@ class StateSpace:
     and kept on the system, read-only (`_kept`): the eigensystem of A, B
     and C projected on its basis, the balanced realization, the DC gain and
     the feedthrough's norm and sign (`lti`, `stability`); the pole status,
-    the grouped modal residues, the modal term bound and its SNI note, the
-    finite zeros of Phi and Psi, and the breakpoint sweep (`analysis`).
+    the grouped modal residues, the modal term table (bound, note, stack
+    of term matrices, their negative parts and sizes) and its SNI note,
+    the finite zeros of Phi and Psi, and the breakpoint sweep (`analysis`).
     Every verdict is rebuilt from them at its own tol on each call."""
 
     A: np.ndarray

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import tf2ss
 
-from nisys import ModalModel, NumericsError, StateSpace, UncertainPlant, modal_to_ss, phi_system
+from nisys import (ModalModel, NumericsError, StateSpace, UncertainPlant, analysis, modal_to_ss,
+                   phi_system)
 from nisys.analysis import AXIS_TOL, _split
 from nisys.controllers import IrcDesign
 
@@ -28,6 +30,18 @@ def fresh(sys):
     """A copy of sys that keeps none of its facts: a verdict on it is
     computed anew, an independent check of one read from kept facts."""
     return StateSpace(sys.A, sys.B, sys.C, sys.D)
+
+
+@contextlib.contextmanager
+def zero_route(monkeypatch):
+    """A context in which no system has modal terms, so that check_ni,
+    check_sni_zeros and classify read the zeros of Phi, as where the terms
+    decline; yields the monkeypatch context, for further patches. Zeros
+    kept on a system are still read: call it on `fresh` copies to have
+    them solved for anew."""
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "_terms", lambda sys: None)
+        yield mp
 
 
 def counting(monkeypatch, module, name):

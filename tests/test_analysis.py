@@ -13,7 +13,8 @@ from nisys import (UncertainPlant, add, check_ni, check_ni_lmi, check_ni_sweep,
                    verify_closed_loop)
 from nisys.analysis import _breakpoint_grid, phi_imaginary_axis_zeros
 from nisys.lti import ModalModel, StateSpace, evaluate, is_minimal, modal_to_ss
-from conftest import CLUSTER_MODES, counting, flexible_modes, fresh, phi_zeros_qz, same, tf
+from conftest import (CLUSTER_MODES, counting, flexible_modes, fresh, phi_zeros_qz, same, tf,
+                      zero_route)
 
 
 def test_default_grid_brackets_poles(second_order):
@@ -144,6 +145,22 @@ def test_classify_computes_each_fact_once(first_order, second_order, velocity_mo
     assert zeros == [] and len(decomps) == 1
     assert check_sni_zeros(plant).is_sni and zeros == []
     assert poles(plant).tobytes() == np.linalg.eigvals(plant.A).tobytes()
+
+
+def test_classify_reads_sni_from_its_own_ni_verdict():
+    # a light resonance of residue -1e-6 makes H(w) dip to -9.9e-4 near
+    # w = 10.0577: NI at tol 1e-3, not at the default 1e-8. classify's
+    # sni_zeros applies check_sni_zeros' test to classify's NI verdict, so
+    # it equals check_sni_zeros(P) at the default tol only
+    P = add(tf([1.0], [1.0, 0.5, 1.0]), tf([-1e-6], [1.0, 1e-4, 10.0577 ** 2]))
+    standalone = check_sni_zeros(P)
+    assert not standalone.is_sni and standalone.reason.startswith("not NI (lambda_min(H)")
+    assert same(classify(P).sni_zeros, standalone)
+    c = classify(P, tol=1e-3)
+    assert c.ni and same(c.ni_spectral, check_ni(P, 1e-3)) and same(c.sni_zeros.ni, c.ni_spectral)
+    # NI at this tol, by the zeros of Phi, which put H(w) singular on the axis
+    assert not c.sni and c.sni_zeros.reason is None and c.sni_zeros.violating_zeros.size
+    assert standalone.reason != c.sni_zeros.reason
 
 
 def test_dc_gain_verdict_decomposes_each_side_once(monkeypatch):
@@ -311,7 +328,7 @@ def test_velocity_leak_is_not_ni():
     v = check_ni(leak)
     assert not v.holds and not _by_terms(v)
     assert abs(v.worst_frequency - 2.83e5) < 1e3 and v.worst_margin < -5e-8
-    assert analysis._ni_by_terms(leak, 1e-8)[0] is None
+    assert analysis._ni_by_terms(leak, 1e-8) is None
 
 
 @pytest.mark.parametrize("sys", [
@@ -335,9 +352,8 @@ def test_admitted_skew_is_not_ni(sys, monkeypatch):
     assert analysis._residues(sys).symmetric
     v = check_ni(sys)
     assert not v.holds and not _by_terms(v) and v.worst_frequency == 0.0
-    assert analysis._ni_by_terms(sys, 1e-8)[0] is None
-    with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
+    assert analysis._ni_by_terms(sys, 1e-8) is None
+    with zero_route(monkeypatch):
         assert not check_ni(fresh(sys)).holds
 
 
@@ -388,13 +404,12 @@ def test_large_gain_plant_reaches_the_zeros(monkeypatch):
     # whose NI bound passed only on rounding
     zeros = counting(monkeypatch, analysis, "_zeros")
     P = _paper_plant(50, 3, scale=1e5)
-    assert analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL) == (None, None)
+    assert analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL) is None
     ni, sni = check_ni(P), check_sni_zeros(P)
     # one staircase: check_sni_zeros reads the zeros check_ni kept
     assert not _by_terms(ni) and sni.note is None and len(zeros) == 1
     # the forced zero route, on fresh copies, solves for the zeros again
-    with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
+    with zero_route(monkeypatch):
         assert same(check_ni(fresh(P)), ni) and same(check_sni_zeros(fresh(P)), sni)
     assert ni.holds and sni.is_sni and len(zeros) == 3
 

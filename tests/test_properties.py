@@ -24,7 +24,7 @@ from nisys._kernels import sweep_eigmin
 from nisys.analysis import ORIGIN_TOL
 from nisys.lti import eigensystem
 from conftest import (FAULT3_PLANT, PORT_PLANT, SYNTH_PLANT, flexible_modes, fresh,
-                      phi_zeros_qz, random_pd, random_stable, same, tf)
+                      phi_zeros_qz, random_pd, random_stable, same, tf, zero_route)
 
 
 def lag_block(rng, m):
@@ -289,8 +289,7 @@ def _by_terms(v):
 def _zero_route(P, monkeypatch):
     # check_ni decided by the zeros of Phi, as where the terms decline, on
     # a fresh copy of P: nothing kept on P is read
-    with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
+    with zero_route(monkeypatch):
         return check_ni(fresh(P))
 
 
@@ -340,7 +339,7 @@ def test_term_bound_covers_the_worst_dip():
     dips = 0
     for i in range(160):
         P = collocated_modal(rng, 1 + i % 3)
-        if analysis._ni_by_terms(P, np.inf)[0] is None:
+        if analysis._ni_by_terms(P, np.inf) is None:
             continue    # not symmetric: no terms
         g = default_grid(P, points_per_decade=2000)
         lam, _, pn = sweep_eigmin(P.A, P.B, P.C, P.D, g, eigensystem(P))
@@ -348,7 +347,7 @@ def test_term_bound_covers_the_worst_dip():
         if worst <= 1e-9 * (1.0 + pn.max()):
             continue
         dips += 1
-        assert analysis._ni_by_terms(P, 0.999 * worst)[0] is None
+        assert analysis._ni_by_terms(P, 0.999 * worst) is None
     assert dips >= 40
 
 
@@ -367,7 +366,7 @@ def test_term_bound_covers_skew_parts():
         P = StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((m, n)),
                        rng.standard_normal((m, m)))
         P.__dict__["_res"] = analysis._residues(P)._replace(symmetric=True)
-        v = analysis._ni_by_terms(P, np.inf)[0]
+        v = analysis._ni_by_terms(P, np.inf)
         bound = float(v.note.split("<= ")[1].split()[0])
         g = np.concatenate(([0.0], np.logspace(-4.0, 6.0, 3000)))
         lam = sweep_eigmin(P.A, P.B, P.C, P.D, g, eigensystem(P))[0]
@@ -380,8 +379,7 @@ def _zeros_say_sni(P, monkeypatch):
     of Phi, which raises when it is singular, has no axis zero off the
     origin. The staircase misreads that rank on some MIMO plants whose modes
     spread over three decades or more (CHANGES.md, FOUND)."""
-    with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
+    with zero_route(monkeypatch):
         r = check_sni_zeros(fresh(P))
     if r.is_sni or not r.ni.holds or "singular at every w" not in r.reason:
         return r.is_sni
@@ -413,9 +411,10 @@ def test_strict_term_route_never_overrules_the_zeros(monkeypatch):
     def by_terms(P):
         r = check_sni_zeros(P)
         if r.note is None:
-            # the terms' strictness pass, run only for a reader of SNI
-            sni = analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL)[1]
-            assert sni is None or sni() is None
+            # the terms did not decide NI, or their strictness pass gave no note
+            t = analysis._terms(P)
+            assert (analysis._ni_by_terms(P, analysis.NI_SWEEP_TOL) is None
+                    or analysis._sni_by_terms(P, t) is None)
             return False
         assert "term by term" in r.note and r.is_sni and r.axis_zeros.size == 0
         assert _zeros_say_sni(P, monkeypatch)
@@ -488,7 +487,7 @@ def test_kept_verdicts_equal_fresh_ones():
             calls = [check_sni_zeros, dc_gain, lambda P: dc_gain_verdict(P, N).to_json()]
             for tol in tols:
                 calls += [lambda P, tol=tol: check_ni(P, tol),
-                          lambda P, tol=tol: analysis._ni_by_terms(P, tol)[0],
+                          lambda P, tol=tol: analysis._ni_by_terms(P, tol),
                           lambda P, tol=tol: analysis.classify(P, tol=tol)]
             for axis_tol in (analysis.AXIS_TOL, 1e-3):
                 calls.append(lambda P, a=axis_tol: (lambda z: (*z, z.note, z.singular))(
@@ -502,9 +501,8 @@ def test_kept_verdicts_equal_fresh_ones():
 def _qz_verdict(P, monkeypatch):
     # check_ni with the zeros of Phi from the QZ pencil, also where the
     # modal terms would decide, on a fresh copy of P
-    with monkeypatch.context() as mp:
+    with zero_route(monkeypatch) as mp:
         mp.setattr(analysis, "phi_imaginary_axis_zeros", phi_zeros_qz)
-        mp.setattr(analysis, "_ni_by_terms", lambda sys, tol: (None, None))
         return check_ni(fresh(P))
 
 

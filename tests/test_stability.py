@@ -153,22 +153,36 @@ def test_hand_built_report_has_no_pole_test():
             read()
 
 
+def _strictness_passes(monkeypatch, **systems):
+    """Record each run of the terms' strictness pass as (the name of its
+    system among `systems`, the number of term matrices it reads); returns
+    that list."""
+    passes, run = [], analysis._sni_by_terms
+
+    def recorded(sys, t):
+        passes.append((next(k for k, v in systems.items() if v is sys), len(t.X)))
+        return run(sys, t)
+
+    monkeypatch.setattr(analysis, "_sni_by_terms", recorded)
+    return passes
+
+
 def test_check_ni_runs_no_strictness_pass(monkeypatch):
     # the terms' strictness pass runs for the readers of SNI alone: not for
     # check_ni, nor for the loop's check of M, on the 100-mode paper plant
     # with an IRC controller, whose terms decide NI and SNI
     M = modal_to_ss(ModalModel(flexible_modes(100)))
     N = irc(np.array([[1e3]]), 1.2 * dc_gain(M))
-    strict = counting(monkeypatch, analysis, "_sni_by_terms")
+    strict = _strictness_passes(monkeypatch, M=M, N=N)
     assert "term by term" in check_ni(M).note and strict == []
     rep = dc_gain_verdict(M, N)
     assert rep.note is None and rep.m_is_ni and rep.n_is_sni and rep.stable
-    # N's pass alone: the stack of its one real pole's residue
-    assert strict == [(1, 1, 1)]
+    # N's pass alone, over its one real pole's residue
+    assert strict == [("N", 1)]
     # check_sni_zeros and classify read SNI: M's pass over the c0 and F of
     # 100 pairs runs once, and classify reads the note it kept
     assert "term by term" in check_sni_zeros(M).note and classify(M).sni
-    assert strict == [(1, 1, 1), (200, 1, 1)]
+    assert strict == [("N", 1), ("M", 200)]
 
 
 def test_second_loop_verdict_recomputes_nothing(monkeypatch):
@@ -177,11 +191,13 @@ def test_second_loop_verdict_recomputes_nothing(monkeypatch):
     # builds no term stack and runs no strictness pass, zero solve or sweep
     M = modal_to_ss(ModalModel(flexible_modes(100)))
     N = irc(np.array([[1e3]]), 1.2 * dc_gain(M))
-    names = ("_neg_part", "_sni_by_terms", "_zeros", "sweep_eigmin")
+    names = ("_neg_part", "_zeros", "sweep_eigmin")
     calls = {name: counting(monkeypatch, analysis, name) for name in names}
+    calls["strictness"] = _strictness_passes(monkeypatch, M=M, N=N)
     first = dc_gain_verdict(M, N)
     assert first.note is None and first.stable
-    assert calls["_neg_part"] and calls["_sni_by_terms"]
+    # N's strictness pass alone: the loop reads NI of M, SNI of N
+    assert calls["_neg_part"] and calls["strictness"] == [("N", 1)]
     for c in calls.values():
         c.clear()
     again = dc_gain_verdict(M, N)
